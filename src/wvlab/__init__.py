@@ -7,133 +7,41 @@ analyzes how pointer back-action disturbs the interference
 cancellations behind vanishing amplitudes. A built-in three-path
 interferometer family exercises every capability; scenarios also load
 from JSON files and run through the `wvlab` command-line tool.
+
+The top level holds the entry points of the quick start and the demos.
+Lower-level pieces live in their submodules: `wvlab.qcore` (labeled
+kets and operators), `wvlab.twosv` (timelines, two-state evolution),
+`wvlab.pointer` (composite system+pointer states), `wvlab.runner`
+(reports) and `wvlab.scenario` (scenario files).
 """
 
-from .errors import (
-    ContractError,
-    DegeneratePostselectionError,
-    DimensionMismatchError,
-    GridTooSmallError,
-    KindMismatchError,
-    ScenarioError,
-    WvlabError,
-)
-from .pointer import (
-    ClickStats,
-    CompositeState,
-    PointerRegister,
-    PointerSpec,
-    PostselectionResult,
-    WeakPointerStats,
-    click_readout,
-    couple_strong,
-    couple_weak,
-    initial_state,
-    make_register,
-    pattern_amplitudes,
-    postselect,
-)
-from .qcore import (
-    Ket,
-    Operator,
-    apply,
-    basis_ket,
-    identity,
-    inner,
-    ket,
-    operator,
-    projector_from_ket,
-    tensor,
-)
-from .runner import (
-    DisturbanceRow,
-    RunReport,
-    SumRuleResult,
-    disturbance_rows,
-    disturbance_table,
-    report_from_dict,
-    report_to_dict,
-    run_pointers,
-    run_weak_values,
-)
+from .errors import ScenarioError, WvlabError
+from .pointer import PointerSpec
+from .runner import disturbance_rows, run_pointers, run_weak_values
 from .scenario import (
     Scenario,
-    Site,
-    SumRule,
     builtin,
     default_three_path,
     load,
     save,
     three_path_rank2_crossing,
 )
-from .twosv import (
-    PrePost,
-    Timeline,
-    WeakValueResult,
-    evolve,
-    identity_timeline,
-    retrodicted,
-    sum_rule_check,
-    transition_amplitude,
-    weak_value,
-)
+from .twosv import transition_amplitude, weak_value
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClickStats",
-    "CompositeState",
-    "ContractError",
-    "DegeneratePostselectionError",
-    "DimensionMismatchError",
-    "DisturbanceRow",
-    "GridTooSmallError",
-    "Ket",
-    "KindMismatchError",
-    "Operator",
-    "PointerRegister",
     "PointerSpec",
-    "PostselectionResult",
-    "PrePost",
-    "RunReport",
     "Scenario",
     "ScenarioError",
-    "Site",
-    "SumRule",
-    "SumRuleResult",
-    "Timeline",
-    "WeakPointerStats",
-    "WeakValueResult",
     "WvlabError",
-    "apply",
-    "basis_ket",
     "builtin",
-    "click_readout",
-    "couple_strong",
-    "couple_weak",
     "default_three_path",
     "disturbance_rows",
-    "disturbance_table",
-    "evolve",
-    "identity",
-    "identity_timeline",
-    "initial_state",
-    "inner",
-    "ket",
     "load",
-    "make_register",
-    "operator",
-    "pattern_amplitudes",
-    "postselect",
-    "projector_from_ket",
-    "report_from_dict",
-    "report_to_dict",
-    "retrodicted",
     "run_pointers",
     "run_weak_values",
     "save",
-    "sum_rule_check",
-    "tensor",
     "three_path_rank2_crossing",
     "transition_amplitude",
     "weak_value",

@@ -13,7 +13,8 @@ import os
 import sys
 
 from . import scenario as scen
-from .errors import ContractError, DegeneratePostselectionError, ScenarioError, WvlabError
+from .errors import SCHEMA, DegeneratePostselectionError, ScenarioError, WvlabError
+from .qcore import DISPLAY_FLOOR
 from .runner import (
     RunReport,
     disturbance_table,
@@ -28,9 +29,6 @@ EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
 
 TOLERANCE_ENV = "WVLAB_TOLERANCE"
-
-# Text mode only: parts below this print as 0. JSON keeps raw values.
-DISPLAY_FLOOR = 1e-12
 
 
 def format_complex(z: complex) -> str:
@@ -50,6 +48,12 @@ def _fnum(x: float) -> str:
 
 def _pattern_name(pattern: tuple[str, ...]) -> str:
     return "+".join(pattern) if pattern else "(none)"
+
+
+def _columns(*cells: tuple[str, int]) -> str:
+    """Left-aligned (text, width) cells; a cell that fills its width
+    still gets one space, so fields never run together."""
+    return "".join(f"{text:<{width - 1}} " for text, width in cells)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,21 +103,18 @@ def _tolerance_override(args) -> float | None:
     try:
         return float(raw)
     except ValueError:
-        raise ScenarioError(
-            "schema", f"{TOLERANCE_ENV} must hold a number, got {raw!r}"
-        ) from None
+        raise ScenarioError(SCHEMA, f"{TOLERANCE_ENV} must hold a number, got {raw!r}") from None
 
 
 def _render_weak_values(report: RunReport, lines: list) -> None:
     lines.append("weak values:")
-    header = f"  {'site':<6}{'stage':<7}{'value':<22}{'numerator':<22}{'denominator':<22}"
-    lines.append(header)
+    widths = (6, 7, 22, 22, 22)
+    header = ("site", "stage", "value", "numerator", "denominator")
+    lines.append("  " + _columns(*zip(header, widths)))
     for row in report.weak_values:
         value = "undefined" if row.value is None else format_complex(row.value)
-        lines.append(
-            f"  {row.site:<6}{row.stage:<7}{value:<22}"
-            f"{format_complex(row.numerator):<22}{format_complex(row.denominator):<22}"
-        )
+        numbers = (value, format_complex(row.numerator), format_complex(row.denominator))
+        lines.append("  " + _columns(*zip((row.site, row.stage) + numbers, widths)))
     if report.sum_rules:
         lines.append("sum rules:")
         for rule in report.sum_rules:
@@ -136,16 +137,16 @@ def render_text(report: RunReport) -> str:
     if report.clicks:
         lines.append("click probabilities:")
         for site, p in report.clicks.items():
-            lines.append(f"  {site:<6}{_fnum(p)}")
+            lines.append(f"  {_columns((site, 6))}{_fnum(p)}")
     if report.patterns:
         lines.append("click patterns (model-derived probabilities):")
         for pattern, p in report.patterns.items():
-            lines.append(f"  {_pattern_name(pattern):<12}{_fnum(p)}")
+            lines.append(f"  {_columns((_pattern_name(pattern), 12))}{_fnum(p)}")
     if report.weak_stats:
         lines.append("weak pointer statistics:")
-        lines.append(f"  {'site':<6}{'mean':<24}{'variance':<24}")
+        lines.append(f"  {_columns(('site', 6), ('mean', 24), ('variance', 24))}")
         for site, st in report.weak_stats.items():
-            lines.append(f"  {site:<6}{_fnum(st.mean):<24}{_fnum(st.variance):<24}")
+            lines.append(f"  {_columns((site, 6), (_fnum(st.mean), 24), (_fnum(st.variance), 24))}")
     if report.disturbance:
         lines.append("disturbance table:")
         for row in report.disturbance:

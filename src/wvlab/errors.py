@@ -36,8 +36,11 @@ UNKNOWN_STAGE = "unknown-stage"
 NON_NORMALIZED_STATE = "non-normalized-state"
 
 
-class ScenarioError(WvlabError):
+class ScenarioError(ContractError):
     """A scenario definition or file was rejected.
+
+    Raised by the type that owns the broken invariant (Timeline,
+    PrePost, PointerSpec, Scenario) and by the file parser.
 
     Attributes:
         code: one of the stable validation codes in this module.

@@ -18,23 +18,35 @@ distributions are reconstructed on the full grid.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ContractError, DimensionMismatchError, GridTooSmallError
-from .qcore import Ket, Operator
+from .errors import (
+    SCHEMA,
+    ContractError,
+    DimensionMismatchError,
+    GridTooSmallError,
+    ScenarioError,
+)
+from .qcore import (
+    DEFAULT_TOLERANCE,
+    MASS_LOSS_LIMIT,
+    MAX_GRID_SIZE,
+    MAX_POINTER_SCALE,
+    MIN_WEAK_OVERLAP,
+    READOUT_NORM_TOL,
+    WEAK_BASIS_FLOOR,
+    Ket,
+    Operator,
+    is_normalized,
+)
 
 STRONG = "strong"
 WEAK = "weak"
-
-# A kicked weak packet may leak probability mass past the grid edge;
-# more than this and position statistics are no longer trustworthy.
-MASS_LOSS_LIMIT = 1e-6
-
-# Below this overlap between ready and kicked packets the coupling is
-# not weak in any useful sense, so specs are rejected outright.
-MIN_WEAK_OVERLAP = 0.9
 
 
 @dataclass(frozen=True)
@@ -58,27 +70,40 @@ class PointerSpec:
     grid_extent: float = 6.0
 
     def __post_init__(self):
-        if not self.site:
-            raise ContractError("pointer spec needs a site label")
+        if not isinstance(self.site, str) or not self.site:
+            raise ScenarioError(SCHEMA, "pointer spec needs a site label")
         if self.kind not in (STRONG, WEAK):
-            raise ContractError(f"pointer kind must be 'strong' or 'weak', got {self.kind!r}")
-        if self.kind == WEAK:
-            if not np.isfinite(self.g):
-                raise ContractError(f"pointer at {self.site!r}: g must be finite")
-            if self.sigma <= 0 or not np.isfinite(self.sigma):
-                raise ContractError(f"pointer at {self.site!r}: sigma must be positive")
-            if self.grid_size < 3 or self.grid_size % 2 == 0:
-                raise ContractError(
-                    f"pointer at {self.site!r}: grid_size must be odd and >= 3, got {self.grid_size}"
-                )
-            if self.grid_extent <= 0:
-                raise ContractError(f"pointer at {self.site!r}: grid_extent must be positive")
-            overlap = float(np.exp(-self.g**2 / (8.0 * self.sigma**2)))
-            if overlap <= MIN_WEAK_OVERLAP:
-                raise ContractError(
-                    f"pointer at {self.site!r}: ready/kicked overlap {overlap:.4f} <= "
-                    f"{MIN_WEAK_OVERLAP}, coupling is not weak"
-                )
+            self._reject(f"kind must be 'strong' or 'weak', got {self.kind!r}")
+        for name in ("g", "sigma", "grid_extent"):
+            val = getattr(self, name)
+            # Comparing with the largest float rejects NaN, +-Inf and
+            # ints too large to convert.
+            finite = isinstance(val, Real) and abs(val) <= sys.float_info.max
+            if isinstance(val, bool) or not finite:
+                self._reject(f"{name} must be a finite number, got {val!r}")
+            object.__setattr__(self, name, float(val))
+        size = self.grid_size
+        if isinstance(size, bool) or not (isinstance(size, Integral) and 0 < size <= MAX_GRID_SIZE):
+            self._reject(f"grid_size must be an integer in 1..{MAX_GRID_SIZE}, got {size!r}")
+        object.__setattr__(self, "grid_size", int(size))
+        if self.kind != WEAK:
+            return
+        scale = MAX_POINTER_SCALE
+        if not 1.0 / scale <= self.sigma <= scale:
+            self._reject(f"sigma must lie in [1/{scale:g}, {scale:g}]")
+        if self.grid_size < 3 or self.grid_size % 2 == 0:
+            self._reject(f"grid_size must be odd and >= 3, got {self.grid_size}")
+        if not 0 < self.grid_extent <= scale:
+            self._reject(f"grid_extent must be positive and at most {scale:g}")
+        ratio = self.g / self.sigma
+        overlap = math.exp(-ratio * ratio / 8.0)
+        if overlap <= MIN_WEAK_OVERLAP:
+            self._reject(
+                f"ready/kicked overlap {overlap:.4f} <= {MIN_WEAK_OVERLAP}, coupling is not weak"
+            )
+
+    def _reject(self, problem: str):
+        raise ScenarioError(SCHEMA, f"pointer at {self.site!r}: {problem}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +168,7 @@ def _weak_register(spec: PointerSpec) -> PointerRegister:
     ov = float(np.dot(ready, kicked))
     resid = kicked - ov * ready
     rn = float(np.linalg.norm(resid))
-    if rn > 1e-8:
+    if rn > WEAK_BASIS_FLOOR:
         e1 = resid / rn
     else:
         # Kicked packet coincides with ready; pick any orthogonal
@@ -319,7 +344,9 @@ class PostselectionResult:
     degenerate: bool
 
 
-def postselect(state: CompositeState, post: Ket, tol: float = 1e-10) -> PostselectionResult:
+def postselect(
+    state: CompositeState, post: Ket, tol: float = DEFAULT_TOLERANCE
+) -> PostselectionResult:
     """Contract the system factor with <post|, leaving pointer registers."""
     if state.system_labels is None:
         raise ContractError("state has no system factor left to postselect")
@@ -372,7 +399,7 @@ def click_readout(state: CompositeState) -> ClickStats:
     """Full readout statistics of a normalized pointer-only state."""
     if state.system_labels is not None:
         raise ContractError("postselect the system away before reading the pointers out")
-    if abs(state.norm() - 1.0) > 1e-9:
+    if not is_normalized(state.amps, READOUT_NORM_TOL):
         raise ContractError(f"click_readout needs a normalized state, got norm {state.norm():.6g}")
     t = state.tensor_view()
     strong_axes = [k for k, r in enumerate(state.registers) if r.kind == STRONG]

@@ -16,9 +16,37 @@ from .errors import ContractError, DimensionMismatchError, KindMismatchError
 
 LABEL_SEP = "|"
 
-# Structural tolerance for unitarity / projector checks. Fixed by the
-# type contracts, independent of any per-scenario tolerance.
+# --- Tolerances and limits: every numerical threshold of the package ---
+# The structural and norm tolerances are fixed by the type contracts,
+# independent of any per-scenario tolerance.
+
+# Largest entry of a unitarity, projector or identity-resolution residual.
 STRUCT_TOL = 1e-10
+# Largest |norm - 1| of a normalized state.
+NORM_TOL = 1e-12
+# Kets at most this long span no projector.
+ZERO_KET_NORM = 1e-12
+# Kets at most this long cannot be normalized.
+NORMALIZE_FLOOR = 1e-14
+# Default per-scenario tolerance: smaller amplitudes count as zero.
+DEFAULT_TOLERANCE = 1e-10
+# Largest probability mass a kicked weak packet may push off its grid.
+MASS_LOSS_LIMIT = 1e-6
+# Ready/kicked packet overlap at or below this is not a weak coupling.
+MIN_WEAK_OVERLAP = 0.9
+# Largest pointer grid; each grid point costs a few floats per register.
+MAX_GRID_SIZE = 100_001
+# Weak-pointer sigma lies in [1/MAX_POINTER_SCALE, MAX_POINTER_SCALE] and
+# grid_extent in (0, MAX_POINTER_SCALE], so squared positions stay finite.
+MAX_POINTER_SCALE = 1e50
+# Kicked and ready packets closer than this share one direction.
+WEAK_BASIS_FLOOR = 1e-8
+# Largest |norm - 1| of a pointer state handed to readout.
+READOUT_NORM_TOL = 1e-9
+# Click patterns at or below this probability are left out of reports.
+PATTERN_FLOOR = 1e-12
+# Text mode only: parts below this print as 0. JSON keeps raw values.
+DISPLAY_FLOOR = 1e-12
 
 
 def _frozen_array(data, shape_name: str) -> np.ndarray:
@@ -65,14 +93,14 @@ class Ket:
         return self.amps.size
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        return _norm(self.amps)
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm() - 1.0) <= tol
+    def is_normalized(self, tol: float = NORM_TOL) -> bool:
+        return is_normalized(self.amps, tol)
 
     def normalized(self) -> Ket:
         n = self.norm()
-        if n <= 1e-14:
+        if n <= NORMALIZE_FLOOR:
             raise ContractError("cannot normalize a zero ket")
         return Ket(self.amps / n, self.labels)
 
@@ -99,14 +127,41 @@ class Operator:
     def adjoint(self) -> Operator:
         return Operator(self.matrix.conj().T, self.labels)
 
+    # The checks below run with floating-point warnings off: entries
+    # large enough to overflow give an infinite or NaN residual, which
+    # fails the check instead of printing a warning.
+
     def is_unitary(self, tol: float = STRUCT_TOL) -> bool:
-        gram = self.matrix.conj().T @ self.matrix
-        return float(np.max(np.abs(gram - np.eye(self.dim)))) <= tol
+        with np.errstate(all="ignore"):
+            return _residual(self.matrix.conj().T @ self.matrix, np.eye(self.dim)) <= tol
 
     def is_projector(self, tol: float = STRUCT_TOL) -> bool:
-        hermitian = float(np.max(np.abs(self.matrix - self.matrix.conj().T))) <= tol
-        idem = float(np.max(np.abs(self.matrix @ self.matrix - self.matrix))) <= tol
-        return hermitian and idem
+        m = self.matrix
+        with np.errstate(all="ignore"):
+            return _residual(m, m.conj().T) <= tol and _residual(m @ m, m) <= tol
+
+
+def _residual(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
+def _norm(amps: np.ndarray) -> float:
+    with np.errstate(all="ignore"):
+        return float(np.linalg.norm(amps))
+
+
+def is_normalized(amps: np.ndarray, tol: float = NORM_TOL) -> bool:
+    """Whether an amplitude vector has unit norm within tol."""
+    return abs(_norm(amps) - 1.0) <= tol
+
+
+def resolves_identity(projectors) -> bool:
+    """Whether a non-empty set of operators sums to the identity within STRUCT_TOL."""
+    ops = list(projectors)
+    if not ops:
+        return False
+    with np.errstate(all="ignore"):
+        return _residual(sum(op.matrix for op in ops), np.eye(ops[0].dim)) <= STRUCT_TOL
 
 
 def ket(amps, labels=None) -> Ket:
@@ -171,7 +226,7 @@ def apply(op: Operator, kt: Ket) -> Ket:
 def projector_from_ket(u: Ket) -> Operator:
     """Rank-1 projector |u><u| / <u|u>. Rejects zero vectors."""
     n = u.norm()
-    if n <= 1e-12:
-        raise ContractError("cannot build a projector from a zero vector")
+    if not ZERO_KET_NORM < n < np.inf:
+        raise ContractError(f"cannot build a projector from a vector of norm {n:.6g}")
     v = u.amps / n
     return Operator(np.outer(v, v.conj()), u.labels)

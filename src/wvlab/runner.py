@@ -23,15 +23,11 @@ from .pointer import (
     pattern_amplitudes,
     postselect,
 )
-from .qcore import ket
+from .qcore import PATTERN_FLOOR, ket
 from .scenario import Scenario, Site
-from .twosv import WeakValueResult, transition_amplitude, weak_value
+from .twosv import WeakValueResult, sum_weak_values, transition_amplitude, weak_value
 
 PATTERN_SEP = "+"
-
-# Reports list the support of the click-pattern distribution; patterns
-# whose probability sits at double-precision noise are omitted.
-PATTERN_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,29 +91,23 @@ def _weak_value_rows(sc: Scenario) -> tuple[WeakValueResult, ...]:
     )
 
 
-def _sum_rule_results(sc: Scenario, degenerate: bool) -> tuple[SumRuleResult, ...]:
-    if degenerate:
-        return ()
-    out = []
-    for rule in sc.sum_rules:
-        total = 0.0 + 0.0j
-        for label in rule.sites:
-            res = weak_value(
-                sc.timeline,
-                sc.prepost,
-                sc.site(label).projector,
-                rule.stage,
-                site=label,
-                tol=sc.tolerance,
-            )
-            total += res.value
-        out.append(SumRuleResult(sites=rule.sites, stage=rule.stage, total=total))
-    return tuple(out)
-
-
 def _base_report(sc: Scenario, **sections) -> RunReport:
     amp = sc.postselection_amplitude()
     degenerate = abs(amp) <= sc.tolerance
+    sum_rules = tuple(
+        SumRuleResult(
+            sites=rule.sites,
+            stage=rule.stage,
+            total=sum_weak_values(
+                sc.timeline,
+                sc.prepost,
+                [(label, sc.site(label).projector) for label in rule.sites],
+                rule.stage,
+                sc.tolerance,
+            ),
+        )
+        for rule in (() if degenerate else sc.sum_rules)
+    )
     defaults = dict(
         checksum=sc.checksum,
         dim=sc.dim,
@@ -125,7 +115,7 @@ def _base_report(sc: Scenario, **sections) -> RunReport:
         coupling_order=(),
         tolerance=sc.tolerance,
         weak_values=_weak_value_rows(sc),
-        sum_rules=_sum_rule_results(sc, degenerate),
+        sum_rules=sum_rules,
         postselection_probability=float(abs(amp) ** 2),
         degenerate=degenerate,
         clicks={},

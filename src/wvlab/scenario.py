@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
 from .errors import (
-    NON_NORMALIZED_STATE,
     NON_PROJECTOR_SITE,
-    NON_UNITARY_SEGMENT,
     SCHEMA,
     UNKNOWN_SITE,
     UNKNOWN_STAGE,
@@ -34,13 +34,21 @@ from .errors import (
     ScenarioError,
 )
 from .pointer import WEAK, PointerSpec
-from .qcore import Ket, Operator, basis_ket, identity, ket, operator, projector_from_ket
+from .qcore import (
+    DEFAULT_TOLERANCE,
+    Ket,
+    Operator,
+    basis_ket,
+    identity,
+    ket,
+    operator,
+    projector_from_ket,
+    resolves_identity,
+)
 from .twosv import PrePost, Timeline, identity_timeline, transition_amplitude
 
 # Separators used by labels in reports and composite basis names.
 RESERVED_LABEL_CHARS = "+|=,"
-
-DEFAULT_TOLERANCE = 1e-10
 
 KIND_KET = "ket"
 KIND_MATRIX = "matrix"
@@ -67,7 +75,11 @@ class Site:
 
 
 def site_from_ket(label: str, stage: str, u: Ket) -> Site:
-    return Site(label=label, stage=stage, projector=projector_from_ket(u), kind=KIND_KET, data=u.amps)
+    try:
+        proj = projector_from_ket(u)
+    except ContractError as exc:
+        raise ScenarioError(NON_PROJECTOR_SITE, f"site {label!r}: {exc}") from None
+    return Site(label=label, stage=stage, projector=proj, kind=KIND_KET, data=u.amps)
 
 
 def site_from_matrix(label: str, stage: str, proj: Operator) -> Site:
@@ -105,8 +117,10 @@ class Scenario:
         object.__setattr__(self, "sum_rules", tuple(self.sum_rules))
         if not isinstance(self.dim, int) or self.dim < 1:
             raise ScenarioError(SCHEMA, f"dim must be a positive integer, got {self.dim!r}")
-        if not (isinstance(self.tolerance, float) and 0 < self.tolerance < 1):
-            raise ScenarioError(SCHEMA, f"tolerance must be in (0, 1), got {self.tolerance!r}")
+        tol = self.tolerance
+        if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol < 1:
+            raise ScenarioError(SCHEMA, f"tolerance must be a number in (0, 1), got {tol!r}")
+        object.__setattr__(self, "tolerance", float(tol))
         if len(self.timeline.stages) < 2:
             raise ScenarioError(SCHEMA, "timeline needs at least two stages")
         if self.timeline.dim != self.dim:
@@ -148,12 +162,10 @@ class Scenario:
         for rule in self.sum_rules:
             if rule.stage not in self.timeline.stages:
                 raise ScenarioError(UNKNOWN_STAGE, f"sum rule at unknown stage {rule.stage!r}")
-            total = np.zeros((self.dim, self.dim), dtype=complex)
             for label in rule.sites:
                 if label not in seen:
                     raise ScenarioError(UNKNOWN_SITE, f"sum rule references undeclared site {label!r}")
-                total = total + self.site(label).projector.matrix
-            if float(np.max(np.abs(total - np.eye(self.dim)))) > 1e-10:
+            if not resolves_identity(self.site(label).projector for label in rule.sites):
                 raise ScenarioError(
                     SCHEMA, f"sum rule {list(rule.sites)} does not resolve the identity"
                 )
@@ -198,16 +210,33 @@ class Scenario:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _three_path_parts():
-    labels = ("1", "2", "3")
-    stages = ("t_i", "t_1", "t_2", "t_3", "t_4", "t_f")
-    tl = identity_timeline(stages, 3, labels)
+_PATH_LABELS = ("1", "2", "3")
+
+
+def _three_path(crossing_site, pointers) -> Scenario:
+    """The three-path family; crossing_site(label, stage) builds O and O'."""
     s3 = 1.0 / np.sqrt(3.0)
-    s2 = 1.0 / np.sqrt(2.0)
-    pre = ket([s3, s3, s3], labels)
-    post = ket([s3, s3, -s3], labels)
-    crossing = ket([0.0, s2, s2], labels)
-    return labels, tl, PrePost(pre, post), crossing
+
+    def path(label: str, stage: str, index: int) -> Site:
+        return site_from_ket(label, stage, basis_ket(3, index, _PATH_LABELS))
+
+    sites = (
+        path("E", "t_1", 1),
+        path("F", "t_1", 2),
+        path("D", "t_2", 0),
+        crossing_site("O", "t_2"),
+        path("E'", "t_3", 1),
+        path("F'", "t_3", 2),
+        crossing_site("O'", "t_4"),
+    )
+    return Scenario(
+        dim=3,
+        timeline=identity_timeline(("t_i", "t_1", "t_2", "t_3", "t_4", "t_f"), 3, _PATH_LABELS),
+        prepost=PrePost(ket([s3, s3, s3], _PATH_LABELS), ket([s3, s3, -s3], _PATH_LABELS)),
+        sites=sites,
+        pointers=tuple(pointers),
+        sum_rules=(SumRule(("D", "E", "F"), "t_1"), SumRule(("D", "E'", "F'"), "t_3")),
+    )
 
 
 def default_three_path(pointers=()) -> Scenario:
@@ -216,26 +245,11 @@ def default_three_path(pointers=()) -> Scenario:
     Paths are prepared in an equal superposition and postselected on
     (|1>+|2>-|3>)/sqrt(3). Sites: E/F on paths 2/3 at t_1, D on path 1
     and crossing O at t_2, E'/F' at t_3, second crossing O' at t_4.
+    Crossings project onto (|2>+|3>)/sqrt(2).
     """
-    labels, tl, pp, crossing = _three_path_parts()
-    sites = (
-        site_from_ket("E", "t_1", basis_ket(3, 1, labels)),
-        site_from_ket("F", "t_1", basis_ket(3, 2, labels)),
-        site_from_ket("D", "t_2", basis_ket(3, 0, labels)),
-        site_from_ket("O", "t_2", crossing),
-        site_from_ket("E'", "t_3", basis_ket(3, 1, labels)),
-        site_from_ket("F'", "t_3", basis_ket(3, 2, labels)),
-        site_from_ket("O'", "t_4", crossing),
-    )
-    rules = (SumRule(("D", "E", "F"), "t_1"), SumRule(("D", "E'", "F'"), "t_3"))
-    return Scenario(
-        dim=3,
-        timeline=tl,
-        prepost=pp,
-        sites=sites,
-        pointers=tuple(pointers),
-        sum_rules=rules,
-    )
+    s2 = 1.0 / np.sqrt(2.0)
+    crossing = ket([0.0, s2, s2], _PATH_LABELS)
+    return _three_path(lambda label, stage: site_from_ket(label, stage, crossing), pointers)
 
 
 def three_path_rank2_crossing(pointers=()) -> Scenario:
@@ -244,26 +258,8 @@ def three_path_rank2_crossing(pointers=()) -> Scenario:
     Gives the same (zero) weak values at O and O' as the rank-1 model
     but different strong-coupling back-action.
     """
-    labels, tl, pp, _ = _three_path_parts()
-    both = operator(np.diag([0.0, 1.0, 1.0]), labels)
-    sites = (
-        site_from_ket("E", "t_1", basis_ket(3, 1, labels)),
-        site_from_ket("F", "t_1", basis_ket(3, 2, labels)),
-        site_from_ket("D", "t_2", basis_ket(3, 0, labels)),
-        site_from_matrix("O", "t_2", both),
-        site_from_ket("E'", "t_3", basis_ket(3, 1, labels)),
-        site_from_ket("F'", "t_3", basis_ket(3, 2, labels)),
-        site_from_matrix("O'", "t_4", both),
-    )
-    rules = (SumRule(("D", "E", "F"), "t_1"), SumRule(("D", "E'", "F'"), "t_3"))
-    return Scenario(
-        dim=3,
-        timeline=tl,
-        prepost=pp,
-        sites=sites,
-        pointers=tuple(pointers),
-        sum_rules=rules,
-    )
+    both = operator(np.diag([0.0, 1.0, 1.0]), _PATH_LABELS)
+    return _three_path(lambda label, stage: site_from_matrix(label, stage, both), pointers)
 
 
 def _strong(*sites: str) -> tuple[PointerSpec, ...]:
@@ -304,12 +300,9 @@ def builtin(name: str) -> Scenario:
 # --- JSON serialization ---------------------------------------------------
 
 
-def _pairs_from_vector(vec: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in vec]
-
-
-def _pairs_from_matrix(mat: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]
+def _pairs(arr: np.ndarray) -> list:
+    """[re, im] pairs of a vector, or of a matrix in row-major order."""
+    return [[float(z.real), float(z.imag)] for z in arr.reshape(-1)]
 
 
 def to_dict(sc: Scenario) -> dict:
@@ -320,13 +313,12 @@ def to_dict(sc: Scenario) -> dict:
             {
                 "from": sc.timeline.stages[k],
                 "to": sc.timeline.stages[k + 1],
-                "matrix": _pairs_from_matrix(seg.matrix),
+                "matrix": _pairs(seg.matrix),
             }
         )
     sites = []
     for s in sc.sites:
-        data = _pairs_from_vector(s.data) if s.kind == KIND_KET else _pairs_from_matrix(s.data)
-        sites.append({"label": s.label, "stage": s.stage, "kind": s.kind, "data": data})
+        sites.append({"label": s.label, "stage": s.stage, "kind": s.kind, "data": _pairs(s.data)})
     pointers = []
     for ps in sc.pointers:
         pointers.append(
@@ -343,8 +335,8 @@ def to_dict(sc: Scenario) -> dict:
         "dim": sc.dim,
         "stages": list(sc.timeline.stages),
         "segments": segments,
-        "pre": _pairs_from_vector(sc.prepost.pre.amps),
-        "post": _pairs_from_vector(sc.prepost.post.amps),
+        "pre": _pairs(sc.prepost.pre.amps),
+        "post": _pairs(sc.prepost.post.amps),
         "sites": sites,
         "pointers": pointers,
     }
@@ -354,159 +346,135 @@ def to_dict(sc: Scenario) -> dict:
     return out
 
 
+def _object(x, where: str, keys: frozenset) -> dict:
+    """x itself, once it is a JSON object holding no key outside keys."""
+    if not isinstance(x, dict):
+        raise ScenarioError(SCHEMA, f"{where} must be an object")
+    for key in x:
+        if key not in keys:
+            raise ScenarioError(SCHEMA, f"{where} has unknown key {key!r}")
+    return x
+
+
 def _want(d: dict, key: str, types, where: str):
     if key not in d:
         raise ScenarioError(SCHEMA, f"{where} is missing required key {key!r}")
     val = d[key]
-    if not isinstance(val, types):
+    if isinstance(val, bool) or not isinstance(val, types):
         raise ScenarioError(SCHEMA, f"{where}.{key} has the wrong type")
     return val
 
 
 def _parse_pair(x, where: str) -> complex:
-    ok = (
+    if (
         isinstance(x, (list, tuple))
         and len(x) == 2
         and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)
-    )
-    if not ok:
-        raise ScenarioError(SCHEMA, f"{where} must be a [re, im] pair, got {x!r}")
-    return complex(float(x[0]), float(x[1]))
+    ):
+        try:
+            return complex(float(x[0]), float(x[1]))
+        except OverflowError:
+            pass
+    raise ScenarioError(SCHEMA, f"{where} must be a [re, im] pair, got {x!r}")
 
 
-def _parse_vector(x, n: int, where: str) -> np.ndarray:
+def _parse_array(x, shape: tuple, where: str) -> np.ndarray:
+    """A list of [re, im] pairs as a complex array of the given shape."""
+    n = math.prod(shape)
     if not isinstance(x, list) or len(x) != n:
-        raise ScenarioError(SCHEMA, f"{where} must be a list of {n} [re, im] pairs")
-    return np.array([_parse_pair(p, f"{where}[{i}]") for i, p in enumerate(x)], dtype=complex)
+        order = "row-major " if len(shape) > 1 else ""
+        raise ScenarioError(SCHEMA, f"{where} must be a {order}list of {n} [re, im] pairs")
+    arr = np.array([_parse_pair(p, f"{where}[{i}]") for i, p in enumerate(x)], dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ScenarioError(SCHEMA, f"{where}[{bad[0]}] is not finite")
+    return arr.reshape(shape)
 
 
-def _parse_matrix(x, n: int, where: str) -> np.ndarray:
-    if not isinstance(x, list) or len(x) != n * n:
-        raise ScenarioError(SCHEMA, f"{where} must be a row-major list of {n * n} [re, im] pairs")
-    flat = np.array([_parse_pair(p, f"{where}[{i}]") for i, p in enumerate(x)], dtype=complex)
-    return flat.reshape(n, n)
+_TOP_KEYS = frozenset(
+    {"dim", "stages", "segments", "pre", "post", "sites", "pointers", "sum_rules", "tolerance"}
+)
+_SEGMENT_KEYS = frozenset({"from", "to", "matrix"})
+_SITE_KEYS = frozenset({"label", "stage", "kind", "data"})
+_POINTER_KEYS = frozenset({"site", "kind", "g", "sigma", "grid_size", "grid_extent"})
+_SUM_RULE_KEYS = frozenset({"sites", "stage"})
 
 
-_TOP_KEYS = {"dim", "stages", "segments", "pre", "post", "sites", "pointers", "sum_rules", "tolerance"}
+def _items(d: dict, key: str, keys: frozenset, required: bool = True):
+    """(where, entry) for each object in the list d[key]."""
+    raw = _want(d, key, list, "scenario") if required else d.get(key, [])
+    if not isinstance(raw, list):
+        raise ScenarioError(SCHEMA, f"{key} must be a list")
+    return [(f"{key}[{i}]", _object(x, f"{key}[{i}]", keys)) for i, x in enumerate(raw)]
 
 
 def from_dict(d: dict) -> Scenario:
-    """Build and validate a Scenario from its plain-JSON form."""
-    if not isinstance(d, dict):
-        raise ScenarioError(SCHEMA, "scenario file must hold a JSON object at top level")
-    for key in d:
-        if key not in _TOP_KEYS:
-            raise ScenarioError(SCHEMA, f"unknown top-level key {key!r}")
+    """Parse a Scenario from its plain-JSON form.
+
+    Parsing checks shapes, types and finiteness only; the invariants
+    (unitarity, normalization, projectors, references, sum rules) are
+    checked by the types that own them and raise coded ScenarioErrors.
+    """
+    _object(d, "scenario", _TOP_KEYS)
     dim = _want(d, "dim", int, "scenario")
-    if isinstance(dim, bool) or dim < 1:
+    if dim < 1:
         raise ScenarioError(SCHEMA, f"dim must be a positive integer, got {dim!r}")
     stages = _want(d, "stages", list, "scenario")
-    if len(stages) < 2 or not all(isinstance(s, str) and s for s in stages):
-        raise ScenarioError(SCHEMA, "stages must be a list of at least two non-empty names")
-    if len(set(stages)) != len(stages):
-        raise ScenarioError(SCHEMA, "duplicate stage names")
+    if not all(isinstance(s, str) and s for s in stages):
+        raise ScenarioError(SCHEMA, "stages must be a list of non-empty names")
+    # States first: their length check bounds dim before anything of
+    # that size is built.
+    pre, post = (_parse_array(_want(d, k, list, "scenario"), (dim,), k) for k in ("pre", "post"))
     labels = tuple(str(i + 1) for i in range(dim))
 
-    raw_segments = _want(d, "segments", list, "scenario")
-    if len(raw_segments) != len(stages) - 1:
-        raise ScenarioError(
-            SCHEMA, f"{len(stages)} stages need {len(stages) - 1} segments, got {len(raw_segments)}"
-        )
-    matrices: dict[int, np.ndarray] = {}
-    for i, entry in enumerate(raw_segments):
-        if not isinstance(entry, dict):
-            raise ScenarioError(SCHEMA, f"segments[{i}] must be an object")
-        frm = _want(entry, "from", str, f"segments[{i}]")
-        to = _want(entry, "to", str, f"segments[{i}]")
+    joins = {(a, b): k for k, (a, b) in enumerate(zip(stages, stages[1:]))}
+    segments = [None] * max(len(stages) - 1, 0)
+    for where, entry in _items(d, "segments", _SEGMENT_KEYS):
+        frm, to = _want(entry, "from", str, where), _want(entry, "to", str, where)
         name = f"segment {frm}->{to}"
-        k = None
-        for j in range(len(stages) - 1):
-            if stages[j] == frm and stages[j + 1] == to:
-                k = j
-                break
+        k = joins.get((frm, to))
         if k is None:
             raise ScenarioError(SCHEMA, f"{name} does not join consecutive stages")
-        if k in matrices:
+        if segments[k] is not None:
             raise ScenarioError(SCHEMA, f"{name} appears twice")
-        mat = _parse_matrix(_want(entry, "matrix", list, name), dim, f"{name} matrix")
-        gram = mat.conj().T @ mat
-        if float(np.max(np.abs(gram - np.eye(dim)))) > 1e-10:
-            raise ScenarioError(NON_UNITARY_SEGMENT, f"non-unitary segment: {name}")
-        matrices[k] = mat
-    timeline = Timeline(
-        tuple(stages), tuple(operator(matrices[k], labels) for k in range(len(stages) - 1))
-    )
-
-    states = {}
-    for key in ("pre", "post"):
-        vec = _parse_vector(_want(d, key, list, "scenario"), dim, key)
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > 1e-12:
-            raise ScenarioError(
-                NON_NORMALIZED_STATE, f"{key} state has norm {norm:.12g}, expected 1"
-            )
-        states[key] = ket(vec, labels)
-    prepost = PrePost(states["pre"], states["post"])
+        mat = _parse_array(_want(entry, "matrix", list, name), (dim, dim), f"{name} matrix")
+        segments[k] = operator(mat, labels)
+    for k, seg in enumerate(segments):
+        if seg is None:
+            raise ScenarioError(SCHEMA, f"segment {stages[k]}->{stages[k + 1]} is missing")
+    timeline = Timeline(tuple(stages), tuple(segments))
+    prepost = PrePost(ket(pre, labels), ket(post, labels))
 
     sites = []
-    for i, entry in enumerate(_want(d, "sites", list, "scenario")):
-        if not isinstance(entry, dict):
-            raise ScenarioError(SCHEMA, f"sites[{i}] must be an object")
-        label = _want(entry, "label", str, f"sites[{i}]")
-        stage = _want(entry, "stage", str, f"sites[{i}]")
-        kind = _want(entry, "kind", str, f"sites[{i}]")
+    for where, entry in _items(d, "sites", _SITE_KEYS):
+        label = _want(entry, "label", str, where)
+        stage = _want(entry, "stage", str, where)
+        kind = _want(entry, "kind", str, where)
         where = f"site {label!r}"
         if kind == KIND_KET:
-            vec = _parse_vector(_want(entry, "data", list, where), dim, f"{where} data")
-            if float(np.linalg.norm(vec)) <= 1e-12:
-                raise ScenarioError(NON_PROJECTOR_SITE, f"{where} ket is the zero vector")
+            vec = _parse_array(_want(entry, "data", list, where), (dim,), f"{where} data")
             sites.append(site_from_ket(label, stage, ket(vec, labels)))
         elif kind == KIND_MATRIX:
-            mat = _parse_matrix(_want(entry, "data", list, where), dim, f"{where} data")
-            op = operator(mat, labels)
-            if not op.is_projector():
-                raise ScenarioError(NON_PROJECTOR_SITE, f"{where} matrix is not a projector")
-            sites.append(site_from_matrix(label, stage, op))
+            mat = _parse_array(_want(entry, "data", list, where), (dim, dim), f"{where} data")
+            sites.append(site_from_matrix(label, stage, operator(mat, labels)))
         else:
             raise ScenarioError(SCHEMA, f"{where} kind must be 'ket' or 'matrix', got {kind!r}")
 
-    pointers = []
-    raw_pointers = d.get("pointers", [])
-    if not isinstance(raw_pointers, list):
-        raise ScenarioError(SCHEMA, "pointers must be a list")
-    for i, entry in enumerate(raw_pointers):
-        if not isinstance(entry, dict):
-            raise ScenarioError(SCHEMA, f"pointers[{i}] must be an object")
-        psite = _want(entry, "site", str, f"pointers[{i}]")
-        pkind = _want(entry, "kind", str, f"pointers[{i}]")
-        kwargs = {}
-        for key, conv in (("g", float), ("sigma", float), ("grid_size", int), ("grid_extent", float)):
-            if key in entry:
-                val = entry[key]
-                if isinstance(val, bool) or not isinstance(val, (int, float)):
-                    raise ScenarioError(SCHEMA, f"pointer at {psite!r}: {key} must be a number")
-                kwargs[key] = conv(val)
-        try:
-            pointers.append(PointerSpec(site=psite, kind=pkind, **kwargs))
-        except ContractError as exc:
-            raise ScenarioError(SCHEMA, str(exc)) from exc
+    pointers = [
+        PointerSpec(
+            site=_want(entry, "site", str, where),
+            kind=_want(entry, "kind", str, where),
+            **{k: v for k, v in entry.items() if k not in ("site", "kind")},
+        )
+        for where, entry in _items(d, "pointers", _POINTER_KEYS, required=False)
+    ]
 
     rules = []
-    raw_rules = d.get("sum_rules", [])
-    if not isinstance(raw_rules, list):
-        raise ScenarioError(SCHEMA, "sum_rules must be a list")
-    for i, entry in enumerate(raw_rules):
-        if not isinstance(entry, dict):
-            raise ScenarioError(SCHEMA, f"sum_rules[{i}] must be an object")
-        rsites = _want(entry, "sites", list, f"sum_rules[{i}]")
-        rstage = _want(entry, "stage", str, f"sum_rules[{i}]")
+    for where, entry in _items(d, "sum_rules", _SUM_RULE_KEYS, required=False):
+        rsites = _want(entry, "sites", list, where)
         if not all(isinstance(s, str) for s in rsites):
-            raise ScenarioError(SCHEMA, f"sum_rules[{i}].sites must be site labels")
-        rules.append(SumRule(tuple(rsites), rstage))
-
-    tolerance = d.get("tolerance", DEFAULT_TOLERANCE)
-    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
-        raise ScenarioError(SCHEMA, f"tolerance must be a number, got {tolerance!r}")
+            raise ScenarioError(SCHEMA, f"{where}.sites must be site labels")
+        rules.append(SumRule(tuple(rsites), _want(entry, "stage", str, where)))
 
     return Scenario(
         dim=dim,
@@ -515,7 +483,7 @@ def from_dict(d: dict) -> Scenario:
         sites=tuple(sites),
         pointers=tuple(pointers),
         sum_rules=tuple(rules),
-        tolerance=float(tolerance),
+        tolerance=d.get("tolerance", DEFAULT_TOLERANCE),
     )
 
 
@@ -526,7 +494,9 @@ def dumps(sc: Scenario) -> str:
 def loads(text: str) -> Scenario:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers syntax errors and integer literals too long
+        # to convert; RecursionError, nesting too deep to parse.
         raise ScenarioError(SCHEMA, f"not valid JSON: {exc}") from exc
     return from_dict(data)
 

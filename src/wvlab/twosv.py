@@ -18,10 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegeneratePostselectionError, DimensionMismatchError
-from .qcore import Ket, Operator, apply, identity, inner
-
-DEFAULT_TOL = 1e-10
+from .errors import (
+    NON_NORMALIZED_STATE,
+    NON_UNITARY_SEGMENT,
+    SCHEMA,
+    ContractError,
+    DegeneratePostselectionError,
+    DimensionMismatchError,
+    ScenarioError,
+)
+from .qcore import DEFAULT_TOLERANCE, Ket, Operator, apply, identity, inner, resolves_identity
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,7 +35,8 @@ class Timeline:
     """Named stages joined by unitary segments.
 
     segments[k] carries states from stages[k] to stages[k+1]. Each
-    segment, and their composition, must be unitary within 1e-10.
+    segment, and their composition, must be unitary within STRUCT_TOL;
+    a broken invariant raises ScenarioError.
     """
 
     stages: tuple[str, ...]
@@ -39,26 +46,32 @@ class Timeline:
         object.__setattr__(self, "stages", tuple(str(s) for s in self.stages))
         object.__setattr__(self, "segments", tuple(self.segments))
         if len(self.stages) < 1:
-            raise ContractError("timeline needs at least one stage")
+            raise ScenarioError(SCHEMA, "timeline needs at least one stage")
         if len(set(self.stages)) != len(self.stages):
-            raise ContractError(f"duplicate stage names in {self.stages!r}")
+            raise ScenarioError(SCHEMA, f"duplicate stage names in {self.stages!r}")
         if len(self.segments) != len(self.stages) - 1:
-            raise ContractError(
+            raise ScenarioError(
+                SCHEMA,
                 f"{len(self.stages)} stages need {len(self.stages) - 1} segments, "
-                f"got {len(self.segments)}"
+                f"got {len(self.segments)}",
             )
         dims = {seg.dim for seg in self.segments}
         if len(dims) > 1:
             raise DimensionMismatchError(f"segments of mixed dimension {sorted(dims)}")
         for k, seg in enumerate(self.segments):
             if not seg.is_unitary():
-                raise ContractError(f"segment {self.stages[k]}->{self.stages[k + 1]} is not unitary")
+                raise ScenarioError(
+                    NON_UNITARY_SEGMENT,
+                    f"segment {self.stages[k]}->{self.stages[k + 1]} is not unitary",
+                )
         if self.segments:
             total = np.eye(self.segments[0].dim, dtype=complex)
             for seg in self.segments:
                 total = seg.matrix @ total
-            if float(np.max(np.abs(total.conj().T @ total - np.eye(total.shape[0])))) > 1e-10:
-                raise ContractError("composed timeline evolution is not unitary")
+            if not Operator(total, self.segments[0].labels).is_unitary():
+                raise ScenarioError(
+                    NON_UNITARY_SEGMENT, "composed timeline evolution is not unitary"
+                )
 
     @property
     def dim(self) -> int:
@@ -91,7 +104,7 @@ def identity_timeline(stages, dim: int, labels=None) -> Timeline:
 class PrePost:
     """Pre-selected and post-selected states of one experiment.
 
-    Both must be normalized within 1e-12 and share a dimension. The
+    Both must be normalized within NORM_TOL and share a dimension. The
     pre state lives at the timeline's first stage, the post state at
     its last.
     """
@@ -106,7 +119,9 @@ class PrePost:
             )
         for name, state in (("pre", self.pre), ("post", self.post)):
             if not state.is_normalized():
-                raise ContractError(f"{name} state has norm {state.norm():.6g}, expected 1")
+                raise ScenarioError(
+                    NON_NORMALIZED_STATE, f"{name} state has norm {state.norm():.12g}, expected 1"
+                )
 
 
 def evolve(tl: Timeline, kt: Ket, frm: str, to: str) -> Ket:
@@ -175,7 +190,7 @@ def weak_value(
     stage: str,
     *,
     site: str | None = None,
-    tol: float = DEFAULT_TOL,
+    tol: float = DEFAULT_TOLERANCE,
     require_projector: bool = True,
 ) -> WeakValueResult:
     """Weak value of op at stage for the given pre/post pair."""
@@ -194,29 +209,16 @@ def weak_value(
     )
 
 
-def sum_rule_check(
-    tl: Timeline,
-    pp: PrePost,
-    projectors: dict[str, Operator],
-    stage: str,
-    tol: float = DEFAULT_TOL,
+def sum_weak_values(
+    tl: Timeline, pp: PrePost, projectors, stage: str, tol: float = DEFAULT_TOLERANCE
 ) -> complex:
-    """Sum the weak values of a complete set of projectors at one stage.
+    """Sum the weak values of (name, projector) pairs at one stage.
 
-    The projectors must resolve the identity within 1e-10 (ContractError
-    otherwise). Raises DegeneratePostselectionError when the weak values
-    are undefined. Returns the sum, which callers may check against 1.
+    Raises DegeneratePostselectionError when the weak values are
+    undefined.
     """
-    if not projectors:
-        raise ContractError("sum rule needs at least one projector")
-    dim = next(iter(projectors.values())).dim
-    total = np.zeros((dim, dim), dtype=complex)
-    for op in projectors.values():
-        total = total + op.matrix
-    if float(np.max(np.abs(total - np.eye(dim)))) > 1e-10:
-        raise ContractError(f"projector set {sorted(projectors)} does not resolve the identity")
     acc = 0.0 + 0.0j
-    for name, op in projectors.items():
+    for name, op in projectors:
         res = weak_value(tl, pp, op, stage, site=name, tol=tol)
         if res.degenerate:
             raise DegeneratePostselectionError(
@@ -224,3 +226,22 @@ def sum_rule_check(
             )
         acc += res.value
     return acc
+
+
+def sum_rule_check(
+    tl: Timeline,
+    pp: PrePost,
+    projectors: dict[str, Operator],
+    stage: str,
+    tol: float = DEFAULT_TOLERANCE,
+) -> complex:
+    """Sum the weak values of a complete set of projectors at one stage.
+
+    The projectors must resolve the identity within STRUCT_TOL
+    (ContractError otherwise). Raises DegeneratePostselectionError when
+    the weak values are undefined. Returns the sum, which callers may
+    check against 1.
+    """
+    if not resolves_identity(projectors.values()):
+        raise ContractError(f"projector set {sorted(projectors)} does not resolve the identity")
+    return sum_weak_values(tl, pp, projectors.items(), stage, tol)

@@ -241,3 +241,71 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "weak values:" in proc.stdout
+
+
+def test_render_text_keeps_fields_apart():
+    import numpy as np
+
+    from wvlab.cli import render_text
+    from wvlab.pointer import WeakPointerStats
+    from wvlab.runner import RunReport
+    from wvlab.twosv import WeakValueResult
+
+    z = complex(-0.123456789012, -0.123456789012)
+    wide = format_complex(z)
+    assert len(wide) == 31
+    label, stage = "longsite", "longstage"
+    report = RunReport(
+        checksum="0" * 64,
+        dim=3,
+        stages=("t_i", stage),
+        coupling_order=(label,),
+        tolerance=1e-10,
+        weak_values=(WeakValueResult(label, stage, z, z, z, False),),
+        sum_rules=(),
+        postselection_probability=0.5,
+        degenerate=False,
+        clicks={label: 0.123456789012},
+        patterns={(label, "othersite"): 0.123456789012},
+        weak_stats={label: WeakPointerStats(label, -0.123456789012, 0.123456789012,
+                                            np.zeros(1), np.ones(1))},
+        disturbance=(),
+    )
+    rows = [ln.split() for ln in render_text(report).splitlines() if ln.startswith(f"  {label}")]
+    assert rows == [
+        [label, stage, wide, wide, wide],
+        [label, "0.123456789012"],
+        [f"{label}+othersite", "0.123456789012"],
+        [label, "-0.123456789012", "0.123456789012"],
+    ]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "where,key,value,needle",
+    [
+        ("pre", 0, [float("nan"), 0.0], "pre[0]"),
+        ("segment", 0, [float("inf"), 0.0], "matrix[0]"),
+        ("pointer", "grid_extent", float("inf"), "grid_extent"),
+        ("pointer", "grid_size", 10**9 + 1, "grid_size"),
+        ("pointer", "grid_size", 3.5, "grid_size"),
+    ],
+)
+def test_non_finite_and_unbounded_numbers_exit_validation(
+    capsys, tmp_path, monkeypatch, where, key, value, needle
+):
+    import wvlab.pointer
+
+    def no_register(spec):
+        raise AssertionError(f"register built for rejected spec {spec}")
+
+    monkeypatch.setattr(wvlab.pointer, "make_register", no_register)
+    d = to_dict(builtin("three-path-allweak"))
+    target = {"pre": d["pre"], "segment": d["segments"][1]["matrix"], "pointer": d["pointers"][0]}
+    target[where][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--scenario", str(path))
+    assert code == EXIT_VALIDATION and out == ""
+    assert "[schema]" in err and needle in err
+    assert "RuntimeWarning" not in err

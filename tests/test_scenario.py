@@ -320,6 +320,10 @@ def test_corrupted_json_rejected():
     with pytest.raises(ScenarioError) as err:
         loads("{ not json")
     assert err.value.code == SCHEMA
+    for text in ('{"dim": 1' + "0" * 5000 + "}", "[" * 100_000 + "]" * 100_000):
+        with pytest.raises(ScenarioError) as err:
+            loads(text)
+        assert err.value.code == SCHEMA
 
 
 def test_missing_file_raises_oserror(tmp_path):
@@ -372,3 +376,82 @@ def test_dumps_is_valid_json_in_stable_key_order():
         "kind": "ket",
         "data": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
     }
+
+
+@pytest.mark.parametrize(
+    "kind,element",
+    [
+        ("segments", "segments[1]"),
+        ("sites", "sites[1]"),
+        ("pointers", "pointers[1]"),
+        ("sum_rules", "sum_rules[1]"),
+    ],
+)
+def test_nested_objects_reject_unknown_keys(kind, element):
+    d = to_dict(builtin("three-path-fig1"))
+    # Strong pointers carry all six fields that to_dict writes.
+    assert set(d["pointers"][1]) == {"site", "kind", "g", "sigma", "grid_size", "grid_extent"}
+    from_dict(d)
+    d[kind][1]["colour"] = "red"
+    with pytest.raises(ScenarioError) as err:
+        from_dict(d)
+    assert err.value.code == SCHEMA
+    assert "colour" in str(err.value) and element in str(err.value)
+
+
+def test_owning_types_raise_coded_errors():
+    from wvlab.qcore import identity, ket, operator
+    from wvlab.twosv import PrePost, Timeline
+
+    assert issubclass(ScenarioError, ContractError)
+    with pytest.raises(ScenarioError) as err:
+        Timeline(("a", "b"), (operator([[1.0, 1.0], [0.0, 1.0]]),))
+    assert err.value.code == NON_UNITARY_SEGMENT and "a->b" in str(err.value)
+    with pytest.raises(ScenarioError) as err:
+        Timeline(("a", "a"), (identity(2),))
+    assert err.value.code == SCHEMA
+    with pytest.raises(ScenarioError) as err:
+        PrePost(ket([1.0, 0.0]), ket([1.0, 1.0]))
+    assert err.value.code == NON_NORMALIZED_STATE and "post" in str(err.value)
+    with pytest.raises(ScenarioError) as err:
+        PointerSpec(site="O", kind="weak", grid_size=201.0)
+    assert err.value.code == SCHEMA
+
+
+@pytest.mark.parametrize(
+    "edit,code",
+    [
+        (lambda d: d["post"].__setitem__(1, [float("-inf"), 0.0]), SCHEMA),
+        (lambda d: d["sites"][0]["data"].__setitem__(0, [0.0, float("nan")]), SCHEMA),
+        (lambda d: d["segments"][0]["matrix"].__setitem__(0, [10**400, 0]), SCHEMA),
+        (lambda d: d["segments"][0]["matrix"].__setitem__(0, [1e300, 0.0]), NON_UNITARY_SEGMENT),
+        (lambda d: d["sites"][0]["data"].__setitem__(1, [1e300, 0.0]), NON_PROJECTOR_SITE),
+        (lambda d: d.__setitem__("dim", 10**9 + 1), SCHEMA),
+        (lambda d: d.__setitem__("tolerance", float("nan")), SCHEMA),
+    ],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_and_overflowing_entries_rejected(edit, code):
+    d = to_dict(default_three_path())
+    edit(d)
+    with pytest.raises(ScenarioError) as err:
+        from_dict(d)
+    assert err.value.code == code
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("g", float("nan")),
+        ("sigma", 1e300),
+        ("sigma", 1e-300),
+        ("grid_extent", 1e300),
+        ("grid_size", True),
+    ],
+)
+def test_pointer_numbers_must_be_finite_and_bounded(field, value):
+    d = to_dict(builtin("three-path-allweak"))
+    d["pointers"][0][field] = value
+    with pytest.raises(ScenarioError) as err:
+        from_dict(d)
+    assert err.value.code == SCHEMA and field in str(err.value)
