@@ -19,10 +19,6 @@ class ContractError(WvlabError):
     """A documented precondition was violated by the caller."""
 
 
-class GridTooSmallError(WvlabError):
-    """A pointer translation pushed probability mass off the grid."""
-
-
 class DegeneratePostselectionError(WvlabError):
     """Postselection amplitude vanished where a finite value was required."""
 

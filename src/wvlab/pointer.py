@@ -29,7 +29,6 @@ from .errors import (
     SCHEMA,
     ContractError,
     DimensionMismatchError,
-    GridTooSmallError,
     ScenarioError,
 )
 from .qcore import (
@@ -101,6 +100,9 @@ class PointerSpec:
             self._reject(
                 f"ready/kicked overlap {overlap:.4f} <= {MIN_WEAK_OVERLAP}, coupling is not weak"
             )
+        mass_loss = _weak_packets(self)[3]
+        if mass_loss > MASS_LOSS_LIMIT:
+            self._reject(f"grid too small: kick g={self.g} loses {mass_loss:.3e} probability mass")
 
     def _reject(self, problem: str):
         raise ScenarioError(SCHEMA, f"pointer at {self.site!r}: {problem}")
@@ -148,23 +150,21 @@ class PointerRegister:
         return self.moved_coeffs[0] * self.basis[0] + self.moved_coeffs[1] * self.basis[1]
 
 
-def _weak_register(spec: PointerSpec) -> PointerRegister:
+def _weak_packets(spec: PointerSpec):
+    """Grid, ready packet, kicked packet, and the mass the kick pushes off the grid."""
     half = spec.grid_extent * spec.sigma
     q = np.linspace(-half, half, spec.grid_size)
     raw = np.exp(-(q**2) / (4.0 * spec.sigma**2))
     scale = np.linalg.norm(raw)
-    ready = raw / scale
     # Translate analytically, keeping the ready normalization so the
     # retained mass is directly comparable.
     kicked_raw = np.exp(-((q - spec.g) ** 2) / (4.0 * spec.sigma**2)) / scale
     retained = float(np.linalg.norm(kicked_raw))
-    mass_loss = abs(1.0 - retained**2)
-    if mass_loss > MASS_LOSS_LIMIT:
-        raise GridTooSmallError(
-            f"pointer at {spec.site!r}: translation by g={spec.g} loses {mass_loss:.3e} "
-            f"probability mass off the +-{half} grid"
-        )
-    kicked = kicked_raw / retained
+    return q, raw / scale, kicked_raw / retained, abs(1.0 - retained**2)
+
+
+def _weak_register(spec: PointerSpec) -> PointerRegister:
+    q, ready, kicked, mass_loss = _weak_packets(spec)
     ov = float(np.dot(ready, kicked))
     resid = kicked - ov * ready
     rn = float(np.linalg.norm(resid))

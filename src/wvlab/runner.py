@@ -25,7 +25,7 @@ from .pointer import (
 )
 from .qcore import PATTERN_FLOOR, ket
 from .scenario import Scenario, Site
-from .twosv import WeakValueResult, sum_weak_values, transition_amplitude, weak_value
+from .twosv import WeakValueResult, sweep
 
 PATTERN_SEP = "+"
 
@@ -82,28 +82,16 @@ class RunReport:
     disturbance: tuple[DisturbanceRow, ...]
 
 
-def _weak_value_rows(sc: Scenario) -> tuple[WeakValueResult, ...]:
-    return tuple(
-        weak_value(
-            sc.timeline, sc.prepost, site.projector, site.stage, site=site.label, tol=sc.tolerance
-        )
-        for site in sc.sites
-    )
-
-
 def _base_report(sc: Scenario, **sections) -> RunReport:
-    amp = sc.postselection_amplitude()
+    sw = sweep(sc.timeline, sc.prepost)
+    amp = sw.overlap(sc.timeline.final)
     degenerate = abs(amp) <= sc.tolerance
     sum_rules = tuple(
         SumRuleResult(
             sites=rule.sites,
             stage=rule.stage,
-            total=sum_weak_values(
-                sc.timeline,
-                sc.prepost,
-                [(label, sc.site(label).projector) for label in rule.sites],
-                rule.stage,
-                sc.tolerance,
+            total=sw.weak_sum(
+                [sc.site(label).projector for label in rule.sites], rule.stage, sc.tolerance
             ),
         )
         for rule in (() if degenerate else sc.sum_rules)
@@ -114,7 +102,10 @@ def _base_report(sc: Scenario, **sections) -> RunReport:
         stages=sc.timeline.stages,
         coupling_order=(),
         tolerance=sc.tolerance,
-        weak_values=_weak_value_rows(sc),
+        weak_values=tuple(
+            sw.weak_value(site.projector, site.stage, site=site.label, tol=sc.tolerance)
+            for site in sc.sites
+        ),
         sum_rules=sum_rules,
         postselection_probability=float(abs(amp) ** 2),
         degenerate=degenerate,
@@ -141,16 +132,17 @@ def _simulate(sc: Scenario, insert: Site | None = None):
     through insert's projector right before that stage's couplings."""
     system = ket(sc.prepost.pre.amps, sc.system_labels)
     state = initial_state(system, sc.pointers)
+    couplings = {}
+    for ps in sc.pointers:
+        site = sc.site(ps.site)
+        couplings.setdefault(site.stage, []).append((ps, site.projector))
     order = []
     for k, stage in enumerate(sc.timeline.stages):
         if k > 0:
             state = state.apply_system(sc.timeline.segments[k - 1])
         if insert is not None and insert.stage == stage:
             state = state.apply_system(insert.projector)
-        for ps in sc.pointers:
-            if sc.site(ps.site).stage != stage:
-                continue
-            proj = sc.site(ps.site).projector
+        for ps, proj in couplings.get(stage, ()):
             if ps.kind == STRONG:
                 state = couple_strong(state, proj, ps.site)
             else:
@@ -191,9 +183,10 @@ def disturbance_rows(sc: Scenario) -> tuple[DisturbanceRow, ...]:
     branch amplitude is the inserted-projector transition amplitude
     itself, so all flags stay false.
     """
+    sw = sweep(sc.timeline, sc.prepost)
     rows = []
     for site in sc.sites:
-        tau = transition_amplitude(sc.timeline, sc.prepost, site.projector, site.stage)
+        tau = sw.amplitude(site.projector, site.stage)
         if abs(tau) > sc.tolerance:
             continue
         result, _ = _simulate(sc, insert=site)

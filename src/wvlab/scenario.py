@@ -21,6 +21,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 from numbers import Real
 
 import numpy as np
@@ -39,13 +40,12 @@ from .qcore import (
     Ket,
     Operator,
     basis_ket,
-    identity,
     ket,
     operator,
     projector_from_ket,
     resolves_identity,
 )
-from .twosv import PrePost, Timeline, identity_timeline, transition_amplitude
+from .twosv import PrePost, Timeline, identity_timeline, sweep
 
 # Separators used by labels in reports and composite basis names.
 RESERVED_LABEL_CHARS = "+|=,"
@@ -131,15 +131,15 @@ class Scenario:
             raise ScenarioError(
                 SCHEMA, f"pre/post dimension {self.prepost.pre.dim} differs from dim {self.dim}"
             )
-        seen = set()
+        by_label = {}
         for site in self.sites:
             if not site.label or any(c in site.label for c in RESERVED_LABEL_CHARS):
                 raise ScenarioError(
                     SCHEMA, f"site label {site.label!r} is empty or uses a reserved character"
                 )
-            if site.label in seen:
+            if site.label in by_label:
                 raise ScenarioError(SCHEMA, f"duplicate site label {site.label!r}")
-            seen.add(site.label)
+            by_label[site.label] = site
             if site.stage not in self.timeline.stages:
                 raise ScenarioError(
                     UNKNOWN_STAGE, f"site {site.label!r} pinned to unknown stage {site.stage!r}"
@@ -152,9 +152,10 @@ class Scenario:
                 raise ScenarioError(
                     NON_PROJECTOR_SITE, f"site {site.label!r} operator is not a projector"
                 )
+        object.__setattr__(self, "_sites_by_label", by_label)
         pointer_sites = set()
         for ps in self.pointers:
-            if ps.site not in seen:
+            if ps.site not in by_label:
                 raise ScenarioError(UNKNOWN_SITE, f"pointer references undeclared site {ps.site!r}")
             if ps.site in pointer_sites:
                 raise ScenarioError(SCHEMA, f"two pointers at site {ps.site!r}")
@@ -163,7 +164,7 @@ class Scenario:
             if rule.stage not in self.timeline.stages:
                 raise ScenarioError(UNKNOWN_STAGE, f"sum rule at unknown stage {rule.stage!r}")
             for label in rule.sites:
-                if label not in seen:
+                if label not in by_label:
                     raise ScenarioError(UNKNOWN_SITE, f"sum rule references undeclared site {label!r}")
             if not resolves_identity(self.site(label).projector for label in rule.sites):
                 raise ScenarioError(
@@ -175,19 +176,13 @@ class Scenario:
         return tuple(str(i + 1) for i in range(self.dim))
 
     def site(self, label: str) -> Site:
-        for s in self.sites:
-            if s.label == label:
-                return s
-        raise ScenarioError(UNKNOWN_SITE, f"no site named {label!r}")
+        try:
+            return self._sites_by_label[label]
+        except KeyError:
+            raise ScenarioError(UNKNOWN_SITE, f"no site named {label!r}") from None
 
     def postselection_amplitude(self) -> complex:
-        return transition_amplitude(
-            self.timeline,
-            self.prepost,
-            identity(self.dim, self.system_labels),
-            self.timeline.final,
-            require_projector=False,
-        )
+        return sweep(self.timeline, self.prepost).overlap(self.timeline.final)
 
     def is_degenerate(self) -> bool:
         return abs(self.postselection_amplitude()) <= self.tolerance
@@ -204,7 +199,7 @@ class Scenario:
             out = replace(out, pointers=new_pointers)
         return out
 
-    @property
+    @cached_property
     def checksum(self) -> str:
         canonical = json.dumps(to_dict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -302,7 +297,7 @@ def builtin(name: str) -> Scenario:
 
 def _pairs(arr: np.ndarray) -> list:
     """[re, im] pairs of a vector, or of a matrix in row-major order."""
-    return [[float(z.real), float(z.imag)] for z in arr.reshape(-1)]
+    return np.ascontiguousarray(arr, dtype=complex).view(np.float64).reshape(-1, 2).tolist()
 
 
 def to_dict(sc: Scenario) -> dict:

@@ -1,15 +1,18 @@
-"""Two-state-vector engine: timelines, transition amplitudes, weak values.
+"""Two-state-vector engine: timelines, the two-state sweep, weak values.
 
 A Timeline is an ordered list of stages connected by unitary segments.
 A system is prepared in a pre-selected state at the first stage and
-postselected at the last. The transition amplitude through an operator
-A at stage t is
+postselected at the last. One sweep carries |pre> forward through the
+segments, giving |pre(t)> at every stage, and drags <post| back through
+their adjoints, giving <post(t)| at every stage: the two-state vector
+of Aharonov, Bergmann and Lebowitz. The transition amplitude through
+an operator A at stage t is then one inner product,
 
-    tau = <post(t)| A |pre(t)>
+    tau = <post(t)| A |pre(t)>,
 
-with |pre(t)> evolved forward from the first stage and <post(t)| the
-postselection state dragged back from the last. Weak values divide tau
-by the bare pre-to-post amplitude.
+and a weak value divides tau by the bare amplitude <post(t)|pre(t)>.
+Reports build one sweep and read every amplitude off it;
+transition_amplitude, weak_value and sum_rule_check build one per call.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
     DimensionMismatchError,
     ScenarioError,
 )
-from .qcore import DEFAULT_TOLERANCE, Ket, Operator, apply, identity, inner, resolves_identity
+from .qcore import DEFAULT_TOLERANCE, Ket, Operator, identity, resolves_identity
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,6 +52,7 @@ class Timeline:
             raise ScenarioError(SCHEMA, "timeline needs at least one stage")
         if len(set(self.stages)) != len(self.stages):
             raise ScenarioError(SCHEMA, f"duplicate stage names in {self.stages!r}")
+        object.__setattr__(self, "_positions", {s: k for k, s in enumerate(self.stages)})
         if len(self.segments) != len(self.stages) - 1:
             raise ScenarioError(
                 SCHEMA,
@@ -89,8 +93,8 @@ class Timeline:
 
     def index(self, stage: str) -> int:
         try:
-            return self.stages.index(stage)
-        except ValueError:
+            return self._positions[stage]
+        except (KeyError, TypeError):
             raise ContractError(f"unknown stage {stage!r}, timeline has {self.stages}") from None
 
 
@@ -124,46 +128,11 @@ class PrePost:
                 )
 
 
-def evolve(tl: Timeline, kt: Ket, frm: str, to: str) -> Ket:
-    """Carry a ket forward along the timeline from stage frm to stage to."""
-    i, j = tl.index(frm), tl.index(to)
-    if i > j:
-        raise ContractError(f"evolve runs forward only, got {frm!r} after {to!r}")
-    out = kt
-    for k in range(i, j):
-        out = apply(tl.segments[k], out)
-    return out
-
-
-def retrodicted(tl: Timeline, post: Ket, stage: str) -> Ket:
-    """Drag the postselection state back from the final stage to stage."""
-    j = tl.index(stage)
-    out = post
-    for k in range(len(tl.segments) - 1, j - 1, -1):
-        out = apply(tl.segments[k].adjoint(), out)
-    return out
-
-
-def transition_amplitude(
-    tl: Timeline,
-    pp: PrePost,
-    op: Operator,
-    stage: str,
-    *,
-    require_projector: bool = True,
-) -> complex:
-    """Amplitude <post(stage)| op |pre(stage)>.
-
-    op must pass the projector check unless require_projector=False is
-    passed explicitly (linear-combination probes need that escape).
-    """
+def _check_operator(pp: PrePost, op: Operator, require_projector: bool) -> None:
     if require_projector and not op.is_projector():
         raise ContractError("transition_amplitude expects a projector; pass require_projector=False to override")
     if op.dim != pp.pre.dim:
         raise DimensionMismatchError(f"operator dim {op.dim} vs state dim {pp.pre.dim}")
-    fwd = evolve(tl, pp.pre, tl.initial, stage)
-    back = retrodicted(tl, pp.post, stage)
-    return inner(back, apply(op, fwd))
 
 
 @dataclass(frozen=True)
@@ -183,6 +152,81 @@ class WeakValueResult:
     degenerate: bool
 
 
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """Both halves of the two-state vector at every stage of a timeline.
+
+    forward[k] is the pre state carried to stages[k], backward[k] the
+    post state dragged back to it; both are raw complex arrays.
+    """
+
+    timeline: Timeline
+    forward: tuple[np.ndarray, ...]
+    backward: tuple[np.ndarray, ...]
+
+    def overlap(self, stage: str) -> complex:
+        """Bare pre-to-post amplitude <post(stage)|pre(stage)>."""
+        k = self.timeline.index(stage)
+        return complex(np.vdot(self.backward[k], self.forward[k]))
+
+    def amplitude(self, op: Operator, stage: str) -> complex:
+        """Transition amplitude <post(stage)| op |pre(stage)>."""
+        k = self.timeline.index(stage)
+        return complex(np.vdot(self.backward[k], op.matrix @ self.forward[k]))
+
+    def weak_value(
+        self, op: Operator, stage: str, *, site: str | None = None, tol: float = DEFAULT_TOLERANCE
+    ) -> WeakValueResult:
+        num, den = self.amplitude(op, stage), self.overlap(stage)
+        degenerate = abs(den) <= tol
+        return WeakValueResult(site, stage, num, den, None if degenerate else num / den, degenerate)
+
+    def weak_sum(self, projectors, stage: str, tol: float = DEFAULT_TOLERANCE) -> complex:
+        """Sum of the weak values of several operators at one stage.
+
+        Raises DegeneratePostselectionError when they are undefined.
+        """
+        den = self.overlap(stage)
+        if abs(den) <= tol:
+            raise DegeneratePostselectionError(
+                f"postselection amplitude vanished at stage {stage!r}"
+            )
+        acc = 0.0 + 0.0j
+        for op in projectors:
+            acc += self.amplitude(op, stage) / den
+        return acc
+
+
+def sweep(tl: Timeline, pp: PrePost) -> Sweep:
+    """Evolve pre forward and post backward through every segment once."""
+    if tl.segments and tl.dim != pp.pre.dim:
+        raise DimensionMismatchError(f"timeline dim {tl.dim} vs state dim {pp.pre.dim}")
+    forward = [pp.pre.amps]
+    for seg in tl.segments:
+        forward.append(seg.matrix @ forward[-1])
+    backward = [pp.post.amps]
+    for seg in reversed(tl.segments):
+        backward.append(seg.matrix.conj().T @ backward[-1])
+    return Sweep(tl, tuple(forward), tuple(reversed(backward)))
+
+
+def transition_amplitude(
+    tl: Timeline,
+    pp: PrePost,
+    op: Operator,
+    stage: str,
+    *,
+    require_projector: bool = True,
+) -> complex:
+    """Amplitude <post(stage)| op |pre(stage)>.
+
+    op must pass the projector check unless require_projector=False is
+    passed explicitly (linear-combination probes need that escape).
+    """
+    _check_operator(pp, op, require_projector)
+    return sweep(tl, pp).amplitude(op, stage)
+
+
 def weak_value(
     tl: Timeline,
     pp: PrePost,
@@ -194,38 +238,8 @@ def weak_value(
     require_projector: bool = True,
 ) -> WeakValueResult:
     """Weak value of op at stage for the given pre/post pair."""
-    num = transition_amplitude(tl, pp, op, stage, require_projector=require_projector)
-    den = transition_amplitude(
-        tl, pp, identity(pp.pre.dim, pp.pre.labels), stage, require_projector=False
-    )
-    degenerate = abs(den) <= tol
-    return WeakValueResult(
-        site=site,
-        stage=stage,
-        numerator=num,
-        denominator=den,
-        value=None if degenerate else num / den,
-        degenerate=degenerate,
-    )
-
-
-def sum_weak_values(
-    tl: Timeline, pp: PrePost, projectors, stage: str, tol: float = DEFAULT_TOLERANCE
-) -> complex:
-    """Sum the weak values of (name, projector) pairs at one stage.
-
-    Raises DegeneratePostselectionError when the weak values are
-    undefined.
-    """
-    acc = 0.0 + 0.0j
-    for name, op in projectors:
-        res = weak_value(tl, pp, op, stage, site=name, tol=tol)
-        if res.degenerate:
-            raise DegeneratePostselectionError(
-                f"postselection amplitude vanished at stage {stage!r}"
-            )
-        acc += res.value
-    return acc
+    _check_operator(pp, op, require_projector)
+    return sweep(tl, pp).weak_value(op, stage, site=site, tol=tol)
 
 
 def sum_rule_check(
@@ -242,6 +256,8 @@ def sum_rule_check(
     the weak values are undefined. Returns the sum, which callers may
     check against 1.
     """
+    for op in projectors.values():
+        _check_operator(pp, op, True)
     if not resolves_identity(projectors.values()):
         raise ContractError(f"projector set {sorted(projectors)} does not resolve the identity")
-    return sum_weak_values(tl, pp, projectors.items(), stage, tol)
+    return sweep(tl, pp).weak_sum(projectors.values(), stage, tol)

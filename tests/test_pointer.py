@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wvlab.errors import ContractError, GridTooSmallError
+from wvlab.errors import SCHEMA, ContractError, ScenarioError
 from wvlab.pointer import (
     PointerSpec,
     click_readout,
@@ -157,8 +157,12 @@ def test_weak_register_with_zero_g_stays_two_dimensional():
 
 
 def test_translation_off_the_grid_is_rejected():
-    with pytest.raises(GridTooSmallError):
-        make_register(PointerSpec(site="O", kind="weak", g=0.9, grid_extent=2.0))
+    # The spec itself refuses a grid the kick would leave, so no
+    # register is ever built from it.
+    with pytest.raises(ScenarioError) as info:
+        PointerSpec(site="O", kind="weak", g=0.9, grid_extent=2.0)
+    assert info.value.code == SCHEMA
+    assert "probability mass" in str(info.value)
 
 
 # --- composite states and couplings -----------------------------------------
