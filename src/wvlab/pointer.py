@@ -100,7 +100,8 @@ class PointerSpec:
             self._reject(
                 f"ready/kicked overlap {overlap:.4f} <= {MIN_WEAK_OVERLAP}, coupling is not weak"
             )
-        mass_loss = _weak_packets(self)[3]
+        object.__setattr__(self, "_packets", _weak_packets(self))
+        mass_loss = self._packets[3]
         if mass_loss > MASS_LOSS_LIMIT:
             self._reject(f"grid too small: kick g={self.g} loses {mass_loss:.3e} probability mass")
 
@@ -164,7 +165,7 @@ def _weak_packets(spec: PointerSpec):
 
 
 def _weak_register(spec: PointerSpec) -> PointerRegister:
-    q, ready, kicked, mass_loss = _weak_packets(spec)
+    q, ready, kicked, mass_loss = spec._packets
     ov = float(np.dot(ready, kicked))
     resid = kicked - ov * ready
     rn = float(np.linalg.norm(resid))

@@ -9,6 +9,7 @@ products of subsystems stay self-describing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -136,9 +137,15 @@ class Operator:
             return _residual(self.matrix.conj().T @ self.matrix, np.eye(self.dim)) <= tol
 
     def is_projector(self, tol: float = STRUCT_TOL) -> bool:
+        hermitian, idempotent = self._projector_residuals
+        return hermitian <= tol and idempotent <= tol
+
+    @cached_property
+    def _projector_residuals(self) -> tuple[float, float]:
+        """Distances from adjoint and square, once per read-only matrix."""
         m = self.matrix
         with np.errstate(all="ignore"):
-            return _residual(m, m.conj().T) <= tol and _residual(m @ m, m) <= tol
+            return _residual(m, m.conj().T), _residual(m @ m, m)
 
 
 def _residual(a: np.ndarray, b: np.ndarray) -> float:

@@ -25,7 +25,7 @@ from .pointer import (
 )
 from .qcore import PATTERN_FLOOR, ket
 from .scenario import Scenario, Site
-from .twosv import WeakValueResult, sweep
+from .twosv import WeakValueResult, sum_rule_check, transition_amplitude, weak_value
 
 PATTERN_SEP = "+"
 
@@ -83,15 +83,16 @@ class RunReport:
 
 
 def _base_report(sc: Scenario, **sections) -> RunReport:
-    sw = sweep(sc.timeline, sc.prepost)
-    amp = sw.overlap(sc.timeline.final)
+    tl, pp = sc.timeline, sc.prepost
+    amp = sc.postselection_amplitude()
     degenerate = abs(amp) <= sc.tolerance
     sum_rules = tuple(
         SumRuleResult(
             sites=rule.sites,
             stage=rule.stage,
-            total=sw.weak_sum(
-                [sc.site(label).projector for label in rule.sites], rule.stage, sc.tolerance
+            total=sum_rule_check(
+                tl, pp, {label: sc.site(label).projector for label in rule.sites}, rule.stage,
+                sc.tolerance,
             ),
         )
         for rule in (() if degenerate else sc.sum_rules)
@@ -103,7 +104,7 @@ def _base_report(sc: Scenario, **sections) -> RunReport:
         coupling_order=(),
         tolerance=sc.tolerance,
         weak_values=tuple(
-            sw.weak_value(site.projector, site.stage, site=site.label, tol=sc.tolerance)
+            weak_value(tl, pp, site.projector, site.stage, site=site.label, tol=sc.tolerance)
             for site in sc.sites
         ),
         sum_rules=sum_rules,
@@ -183,10 +184,9 @@ def disturbance_rows(sc: Scenario) -> tuple[DisturbanceRow, ...]:
     branch amplitude is the inserted-projector transition amplitude
     itself, so all flags stay false.
     """
-    sw = sweep(sc.timeline, sc.prepost)
     rows = []
     for site in sc.sites:
-        tau = sw.amplitude(site.projector, site.stage)
+        tau = transition_amplitude(sc.timeline, sc.prepost, site.projector, site.stage)
         if abs(tau) > sc.tolerance:
             continue
         result, _ = _simulate(sc, insert=site)

@@ -11,13 +11,15 @@ an operator A at stage t is then one inner product,
     tau = <post(t)| A |pre(t)>,
 
 and a weak value divides tau by the bare amplitude <post(t)|pre(t)>.
-Reports build one sweep and read every amplitude off it;
-transition_amplitude, weak_value and sum_rule_check build one per call.
+transition_amplitude, weak_value and sum_rule_check read the sweep of
+their timeline and pre/post pair; the latest sweep is kept, so the rows
+of one report all read one forward and one backward pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,13 +130,6 @@ class PrePost:
                 )
 
 
-def _check_operator(pp: PrePost, op: Operator, require_projector: bool) -> None:
-    if require_projector and not op.is_projector():
-        raise ContractError("transition_amplitude expects a projector; pass require_projector=False to override")
-    if op.dim != pp.pre.dim:
-        raise DimensionMismatchError(f"operator dim {op.dim} vs state dim {pp.pre.dim}")
-
-
 @dataclass(frozen=True)
 class WeakValueResult:
     """Weak value of one operator at one stage.
@@ -174,31 +169,15 @@ class Sweep:
         k = self.timeline.index(stage)
         return complex(np.vdot(self.backward[k], op.matrix @ self.forward[k]))
 
-    def weak_value(
-        self, op: Operator, stage: str, *, site: str | None = None, tol: float = DEFAULT_TOLERANCE
-    ) -> WeakValueResult:
-        num, den = self.amplitude(op, stage), self.overlap(stage)
-        degenerate = abs(den) <= tol
-        return WeakValueResult(site, stage, num, den, None if degenerate else num / den, degenerate)
 
-    def weak_sum(self, projectors, stage: str, tol: float = DEFAULT_TOLERANCE) -> complex:
-        """Sum of the weak values of several operators at one stage.
-
-        Raises DegeneratePostselectionError when they are undefined.
-        """
-        den = self.overlap(stage)
-        if abs(den) <= tol:
-            raise DegeneratePostselectionError(
-                f"postselection amplitude vanished at stage {stage!r}"
-            )
-        acc = 0.0 + 0.0j
-        for op in projectors:
-            acc += self.amplitude(op, stage) / den
-        return acc
-
-
+@lru_cache(maxsize=1)
 def sweep(tl: Timeline, pp: PrePost) -> Sweep:
-    """Evolve pre forward and post backward through every segment once."""
+    """Evolve pre forward and post backward through every segment once.
+
+    Timelines and pre/post pairs are immutable and compare by identity,
+    so the latest sweep is kept: the amplitudes and weak values of one
+    report, asked for one at a time, all read the same sweep.
+    """
     if tl.segments and tl.dim != pp.pre.dim:
         raise DimensionMismatchError(f"timeline dim {tl.dim} vs state dim {pp.pre.dim}")
     forward = [pp.pre.amps]
@@ -207,6 +186,8 @@ def sweep(tl: Timeline, pp: PrePost) -> Sweep:
     backward = [pp.post.amps]
     for seg in reversed(tl.segments):
         backward.append(seg.matrix.conj().T @ backward[-1])
+    for arr in forward + backward:
+        arr.setflags(write=False)
     return Sweep(tl, tuple(forward), tuple(reversed(backward)))
 
 
@@ -223,7 +204,10 @@ def transition_amplitude(
     op must pass the projector check unless require_projector=False is
     passed explicitly (linear-combination probes need that escape).
     """
-    _check_operator(pp, op, require_projector)
+    if require_projector and not op.is_projector():
+        raise ContractError("transition_amplitude expects a projector; pass require_projector=False to override")
+    if op.dim != pp.pre.dim:
+        raise DimensionMismatchError(f"operator dim {op.dim} vs state dim {pp.pre.dim}")
     return sweep(tl, pp).amplitude(op, stage)
 
 
@@ -238,8 +222,10 @@ def weak_value(
     require_projector: bool = True,
 ) -> WeakValueResult:
     """Weak value of op at stage for the given pre/post pair."""
-    _check_operator(pp, op, require_projector)
-    return sweep(tl, pp).weak_value(op, stage, site=site, tol=tol)
+    num = transition_amplitude(tl, pp, op, stage, require_projector=require_projector)
+    den = sweep(tl, pp).overlap(stage)
+    degenerate = abs(den) <= tol
+    return WeakValueResult(site, stage, num, den, None if degenerate else num / den, degenerate)
 
 
 def sum_rule_check(
@@ -256,8 +242,12 @@ def sum_rule_check(
     the weak values are undefined. Returns the sum, which callers may
     check against 1.
     """
-    for op in projectors.values():
-        _check_operator(pp, op, True)
     if not resolves_identity(projectors.values()):
         raise ContractError(f"projector set {sorted(projectors)} does not resolve the identity")
-    return sweep(tl, pp).weak_sum(projectors.values(), stage, tol)
+    rows = [weak_value(tl, pp, op, stage, site=name, tol=tol) for name, op in projectors.items()]
+    if any(row.degenerate for row in rows):
+        raise DegeneratePostselectionError(f"postselection amplitude vanished at stage {stage!r}")
+    acc = 0j  # plain left-to-right sum; sum() may compensate
+    for row in rows:
+        acc += row.value
+    return acc

@@ -24,8 +24,9 @@ import pytest
 
 from wvlab import cli
 from wvlab.errors import SCHEMA, UNKNOWN_SITE, ContractError, DimensionMismatchError, ScenarioError
-from wvlab.qcore import ket, operator
-from wvlab.runner import disturbance_rows, run_weak_values
+from wvlab.pointer import WEAK, PointerSpec, make_register
+from wvlab.qcore import basis_ket, identity, ket, operator
+from wvlab.runner import disturbance_rows, disturbance_table, run_weak_values
 from wvlab.scenario import (
     BUILTIN_NAMES,
     Scenario,
@@ -37,7 +38,7 @@ from wvlab.scenario import (
     site_from_matrix,
     to_dict,
 )
-from wvlab.twosv import PrePost, Timeline, identity_timeline, sweep
+from wvlab.twosv import PrePost, Timeline, identity_timeline, sweep, transition_amplitude
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "cli_golden")
 EXIT_CODES = os.path.join(GOLDEN_DIR, "exit_codes.json")
@@ -167,6 +168,28 @@ def test_sweep_rejects_unknown_stage_and_mismatched_dimension():
         sweep(tl, PrePost(ket([1.0, 0.0, 0.0]), ket([0.0, 1.0, 0.0])))
 
 
+def test_one_sweep_per_report_and_per_pre_post_pair():
+    sc = builtin("three-path-fig2")
+    sweep.cache_clear()
+    disturbance_table(sc)
+    assert sweep.cache_info().misses == 1
+    # A stage scan over one pair reuses its sweep; another pair gets its own.
+    tl, one = sc.timeline, identity(sc.dim)
+    taus = [transition_amplitude(tl, sc.prepost, one, s, require_projector=False) for s in tl.stages]
+    assert sweep.cache_info().misses == 1
+    total = np.eye(sc.dim)
+    for seg in tl.segments:
+        total = seg.matrix @ total
+    assert all(abs(tau - np.vdot(sc.prepost.post.amps, total @ sc.prepost.pre.amps)) <= ATOL
+               for tau in taus)
+    other = PrePost(sc.prepost.pre, basis_ket(sc.dim, 0))
+    want = np.vdot(other.post.amps, total @ other.pre.amps)
+    assert abs(want - taus[0]) > 0.1
+    for stage in tl.stages:
+        assert abs(transition_amplitude(tl, other, one, stage, require_projector=False) - want) <= ATOL
+    assert sweep.cache_info().misses == 2
+
+
 def test_site_lookup_and_cached_checksum():
     sc = builtin("three-path-fig1")
     assert sc.site("O") is sc.sites[3]
@@ -207,6 +230,13 @@ def test_coarse_weak_grid_fails_validate_with_schema(change, tmp_path, capsys):
     assert code == cli.EXIT_VALIDATION and captured.out == ""
     assert "validation error [schema]" in captured.err
     assert "probability mass" in captured.err
+
+
+def test_weak_register_reuses_the_packets_checked_at_load():
+    spec = PointerSpec("E", WEAK)
+    reg = make_register(spec)
+    assert reg.positions is spec._packets[0]
+    assert reg.mass_loss == spec._packets[3]
 
 
 # --- CLI output pinned byte for byte ----------------------------------------
