@@ -9,8 +9,8 @@ interferometer family exercises every capability; scenarios also load
 from JSON files and run through the `wvlab` command-line tool.
 
 The top level holds the entry points of the quick start and the demos.
-Lower-level pieces live in their submodules: `wvlab.qcore` (labeled
-kets and operators), `wvlab.twosv` (timelines, two-state evolution),
+Lower-level pieces live in their submodules: `wvlab.qcore` (kets and
+operators), `wvlab.twosv` (timelines, two-state evolution),
 `wvlab.pointer` (composite system+pointer states), `wvlab.runner`
 (reports) and `wvlab.scenario` (scenario files).
 """

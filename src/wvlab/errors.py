@@ -7,10 +7,6 @@ class WvlabError(Exception):
     """Base class for every error raised by this package."""
 
 
-class KindMismatchError(WvlabError):
-    """Operation mixed incompatible object kinds (e.g. ket with operator)."""
-
-
 class DimensionMismatchError(WvlabError):
     """Operands live in spaces of different dimension."""
 

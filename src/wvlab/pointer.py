@@ -136,20 +136,6 @@ class PointerRegister:
     def kind(self) -> str:
         return self.spec.kind
 
-    @property
-    def factor_labels(self) -> tuple[str, str]:
-        return ("ready", "shifted") if self.kind == STRONG else ("b0", "b1")
-
-    @property
-    def ready_wave(self) -> np.ndarray | None:
-        return None if self.basis is None else self.basis[0]
-
-    @property
-    def moved_wave(self) -> np.ndarray | None:
-        if self.basis is None:
-            return None
-        return self.moved_coeffs[0] * self.basis[0] + self.moved_coeffs[1] * self.basis[1]
-
 
 def _weak_packets(spec: PointerSpec):
     """Grid, ready packet, kicked packet, and the mass the kick pushes off the grid."""
@@ -208,17 +194,17 @@ def make_register(spec: PointerSpec) -> PointerRegister:
 class CompositeState:
     """System plus pointer registers, stored as one flat amplitude vector.
 
-    system_labels is None once the system has been postselected away.
-    coupled tracks which registers have been consumed by a coupling;
-    coupling one twice is a contract violation (the compact weak-factor
-    representation relies on single use).
+    The axes are the system (system_dim long, absent once the system
+    has been postselected away and system_dim is None) and then one
+    2-long axis per register. coupled tracks which registers have been
+    consumed by a coupling; coupling one twice is a contract violation
+    (the compact weak-factor representation relies on single use).
     """
 
-    system_labels: tuple[str, ...] | None
+    system_dim: int | None
     registers: tuple[PointerRegister, ...]
     amps: np.ndarray
     coupled: frozenset[str] = frozenset()
-    system_name: str = "path"
 
     def __post_init__(self):
         arr = np.array(self.amps, dtype=complex).reshape(-1)
@@ -228,14 +214,13 @@ class CompositeState:
         sites = [r.site for r in self.registers]
         if len(set(sites)) != len(sites):
             raise ContractError(f"duplicate register sites in {sites}")
-        sysdim = 1 if self.system_labels is None else len(self.system_labels)
-        expected = sysdim * 2 ** len(self.registers)
+        expected = math.prod(self.shape)
         if arr.size != expected:
             raise ContractError(f"amplitude vector has size {arr.size}, expected {expected}")
 
     @property
     def shape(self) -> tuple[int, ...]:
-        head = () if self.system_labels is None else (len(self.system_labels),)
+        head = () if self.system_dim is None else (self.system_dim,)
         return head + (2,) * len(self.registers)
 
     def tensor_view(self) -> np.ndarray:
@@ -253,30 +238,21 @@ class CompositeState:
     def register(self, site: str) -> PointerRegister:
         return self.registers[self.register_index(site)]
 
+    def _check_system(self, what: str, dim: int) -> None:
+        """Reject acting on a system factor that is gone or of another dim."""
+        if self.system_dim is None:
+            raise ContractError(f"{what}: the system was already postselected away")
+        if dim != self.system_dim:
+            raise DimensionMismatchError(f"{what} dim {dim} vs system dim {self.system_dim}")
+
     def apply_system(self, op: Operator) -> CompositeState:
         """Act with an operator on the system factor alone."""
-        if self.system_labels is None:
-            raise ContractError("system factor is gone, state was already postselected")
-        if op.dim != len(self.system_labels):
-            raise DimensionMismatchError(
-                f"operator dim {op.dim} vs system dim {len(self.system_labels)}"
-            )
+        self._check_system("operator", op.dim)
         t = np.tensordot(op.matrix, self.tensor_view(), axes=(1, 0))
         return replace(self, amps=t.reshape(-1))
 
-    def basis_label(self, flat_index: int) -> str:
-        """Human-readable name of one composite basis direction."""
-        idx = np.unravel_index(flat_index, self.shape)
-        parts = []
-        if self.system_labels is not None:
-            parts.append(f"{self.system_name}={self.system_labels[idx[0]]}")
-            idx = idx[1:]
-        for reg, i in zip(self.registers, idx):
-            parts.append(f"{reg.site}={reg.factor_labels[i]}")
-        return "|".join(parts)
 
-
-def initial_state(system: Ket, pointers, system_name: str = "path") -> CompositeState:
+def initial_state(system: Ket, pointers) -> CompositeState:
     """System ket with every register attached in its ready state.
 
     pointers may hold PointerSpec or PointerRegister entries.
@@ -285,14 +261,11 @@ def initial_state(system: Ket, pointers, system_name: str = "path") -> Composite
     shape = (system.dim,) + (2,) * len(regs)
     t = np.zeros(shape, dtype=complex)
     t[(slice(None),) + (0,) * len(regs)] = system.amps
-    return CompositeState(
-        system_labels=system.labels, registers=regs, amps=t.reshape(-1), system_name=system_name
-    )
+    return CompositeState(system_dim=system.dim, registers=regs, amps=t.reshape(-1))
 
 
 def _couple(state: CompositeState, proj: Operator, site: str, kind: str) -> CompositeState:
-    if state.system_labels is None:
-        raise ContractError("cannot couple after postselection removed the system")
+    state._check_system("projector", proj.dim)
     if site in state.coupled:
         raise ContractError(f"register at site {site!r} was already coupled once")
     reg = state.register(site)
@@ -300,10 +273,6 @@ def _couple(state: CompositeState, proj: Operator, site: str, kind: str) -> Comp
         raise ContractError(f"register at site {site!r} is {reg.kind}, not {kind}")
     if not proj.is_projector():
         raise ContractError(f"coupling at site {site!r} needs a projector")
-    if proj.dim != len(state.system_labels):
-        raise DimensionMismatchError(
-            f"projector dim {proj.dim} vs system dim {len(state.system_labels)}"
-        )
     ax = 1 + state.register_index(site)
     # Uncoupled register sits in its ready basis state, so the whole
     # amplitude lives in the axis-0 slice.
@@ -349,14 +318,9 @@ def postselect(
     state: CompositeState, post: Ket, tol: float = DEFAULT_TOLERANCE
 ) -> PostselectionResult:
     """Contract the system factor with <post|, leaving pointer registers."""
-    if state.system_labels is None:
-        raise ContractError("state has no system factor left to postselect")
-    if post.dim != len(state.system_labels):
-        raise DimensionMismatchError(
-            f"postselection dim {post.dim} vs system dim {len(state.system_labels)}"
-        )
+    state._check_system("postselection", post.dim)
     contracted = np.tensordot(post.amps.conj(), state.tensor_view(), axes=(0, 0))
-    unnorm = replace(state, system_labels=None, amps=contracted.reshape(-1))
+    unnorm = replace(state, system_dim=None, amps=contracted.reshape(-1))
     prob = float(np.linalg.norm(contracted) ** 2)
     degenerate = bool(np.sqrt(prob) <= tol)
     conditional = None
@@ -398,7 +362,7 @@ class ClickStats:
 
 def click_readout(state: CompositeState) -> ClickStats:
     """Full readout statistics of a normalized pointer-only state."""
-    if state.system_labels is not None:
+    if state.system_dim is not None:
         raise ContractError("postselect the system away before reading the pointers out")
     if not is_normalized(state.amps, READOUT_NORM_TOL):
         raise ContractError(f"click_readout needs a normalized state, got norm {state.norm():.6g}")
@@ -445,7 +409,7 @@ def pattern_amplitudes(state: CompositeState) -> dict[tuple[str, ...], complex]:
     returned (as a non-negative real); without them the complex branch
     amplitude itself.
     """
-    if state.system_labels is not None:
+    if state.system_dim is not None:
         raise ContractError("pattern amplitudes are defined after postselection")
     t = state.tensor_view()
     strong_axes = [k for k, r in enumerate(state.registers) if r.kind == STRONG]

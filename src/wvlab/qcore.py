@@ -1,9 +1,8 @@
-"""Labeled kets and operators over finite-dimensional complex spaces.
+"""Kets and operators over finite-dimensional complex spaces.
 
 Everything is dense complex128 numpy underneath. Objects are immutable:
-arrays are copied on construction and marked read-only, and every
-operation returns a new object. Basis labels ride along so that tensor
-products of subsystems stay self-describing.
+arrays are copied on construction, checked finite and correctly shaped,
+and marked read-only; every operation returns a new object.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractError, DimensionMismatchError, KindMismatchError
-
-LABEL_SEP = "|"
+from .errors import ContractError
 
 # --- Tolerances and limits: every numerical threshold of the package ---
 # The structural and norm tolerances are fixed by the type contracts,
@@ -58,36 +55,17 @@ def _frozen_array(data, shape_name: str) -> np.ndarray:
     return arr
 
 
-def _auto_labels(dim: int) -> tuple[str, ...]:
-    return tuple(str(i) for i in range(dim))
-
-
-def _check_labels(labels: tuple[str, ...], dim: int) -> None:
-    if len(labels) != dim:
-        raise ContractError(f"{len(labels)} labels for dimension {dim}")
-    if len(set(labels)) != len(labels):
-        raise ContractError(f"duplicate basis labels in {labels!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class Ket:
-    """A vector with named basis directions.
-
-    Attributes:
-        amps: complex amplitudes, read-only 1-d array.
-        labels: one name per basis direction, unique.
-    """
+    """A vector of complex amplitudes, stored as a read-only 1-d array."""
 
     amps: np.ndarray
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         arr = _frozen_array(self.amps, "ket")
         if arr.ndim != 1 or arr.size < 1:
             raise ContractError(f"ket needs a 1-d amplitude vector, got shape {arr.shape}")
         object.__setattr__(self, "amps", arr)
-        object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
-        _check_labels(self.labels, arr.size)
 
     @property
     def dim(self) -> int:
@@ -103,30 +81,24 @@ class Ket:
         n = self.norm()
         if n <= NORMALIZE_FLOOR:
             raise ContractError("cannot normalize a zero ket")
-        return Ket(self.amps / n, self.labels)
+        return Ket(self.amps / n)
 
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """A square matrix acting on a labeled space."""
+    """A square matrix, stored read-only."""
 
     matrix: np.ndarray
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         arr = _frozen_array(self.matrix, "operator")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ContractError(f"operator needs a square matrix, got shape {arr.shape}")
         object.__setattr__(self, "matrix", arr)
-        object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
-        _check_labels(self.labels, arr.shape[0])
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def adjoint(self) -> Operator:
-        return Operator(self.matrix.conj().T, self.labels)
 
     # The checks below run with floating-point warnings off: entries
     # large enough to overflow give an infinite or NaN residual, which
@@ -171,63 +143,23 @@ def resolves_identity(projectors) -> bool:
         return _residual(sum(op.matrix for op in ops), np.eye(ops[0].dim)) <= STRUCT_TOL
 
 
-def ket(amps, labels=None) -> Ket:
-    """Build a Ket; labels default to "0", "1", ..."""
-    arr = np.atleast_1d(np.asarray(amps, dtype=complex))
-    return Ket(arr, tuple(labels) if labels is not None else _auto_labels(arr.size))
+def ket(amps) -> Ket:
+    """Build a Ket from a scalar or a sequence of amplitudes."""
+    return Ket(np.atleast_1d(amps))
 
 
-def basis_ket(dim: int, index: int, labels=None) -> Ket:
+def basis_ket(dim: int, index: int) -> Ket:
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
-    return ket(amps, labels)
+    return Ket(amps)
 
 
-def operator(matrix, labels=None) -> Operator:
-    arr = np.asarray(matrix, dtype=complex)
-    n = arr.shape[0] if arr.ndim == 2 else 0
-    return Operator(arr, tuple(labels) if labels is not None else _auto_labels(n))
+def operator(matrix) -> Operator:
+    return Operator(matrix)
 
 
-def identity(dim: int, labels=None) -> Operator:
-    return operator(np.eye(dim, dtype=complex), labels)
-
-
-def _join_labels(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(f"{la}{LABEL_SEP}{lb}" for la in a for lb in b)
-
-
-def tensor(a, b):
-    """Tensor product of two kets or two operators.
-
-    Labels of the product are the cross-joined factor labels. Mixing a
-    ket with an operator raises KindMismatchError.
-    """
-    if isinstance(a, Ket) and isinstance(b, Ket):
-        return Ket(np.kron(a.amps, b.amps), _join_labels(a.labels, b.labels))
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(np.kron(a.matrix, b.matrix), _join_labels(a.labels, b.labels))
-    raise KindMismatchError(
-        f"tensor needs two kets or two operators, got {type(a).__name__} and {type(b).__name__}"
-    )
-
-
-def inner(bra: Ket, kt: Ket) -> complex:
-    """Inner product <bra|kt>, conjugating the first argument."""
-    if not isinstance(bra, Ket) or not isinstance(kt, Ket):
-        raise KindMismatchError("inner product is defined between two kets")
-    if bra.dim != kt.dim:
-        raise DimensionMismatchError(f"inner product between dim {bra.dim} and dim {kt.dim}")
-    return complex(np.vdot(bra.amps, kt.amps))
-
-
-def apply(op: Operator, kt: Ket) -> Ket:
-    """Apply an operator to a ket, keeping the ket's labels."""
-    if not isinstance(op, Operator) or not isinstance(kt, Ket):
-        raise KindMismatchError("apply takes an operator and a ket, in that order")
-    if op.dim != kt.dim:
-        raise DimensionMismatchError(f"operator dim {op.dim} applied to ket dim {kt.dim}")
-    return Ket(op.matrix @ kt.amps, kt.labels)
+def identity(dim: int) -> Operator:
+    return Operator(np.eye(dim, dtype=complex))
 
 
 def projector_from_ket(u: Ket) -> Operator:
@@ -236,4 +168,4 @@ def projector_from_ket(u: Ket) -> Operator:
     if not ZERO_KET_NORM < n < np.inf:
         raise ContractError(f"cannot build a projector from a vector of norm {n:.6g}")
     v = u.amps / n
-    return Operator(np.outer(v, v.conj()), u.labels)
+    return Operator(np.outer(v, v.conj()))

@@ -23,7 +23,7 @@ from .pointer import (
     pattern_amplitudes,
     postselect,
 )
-from .qcore import PATTERN_FLOOR, ket
+from .qcore import PATTERN_FLOOR
 from .scenario import Scenario, Site
 from .twosv import WeakValueResult, sum_rule_check, transition_amplitude, weak_value
 
@@ -131,8 +131,7 @@ def run_weak_values(sc: Scenario) -> RunReport:
 def _simulate(sc: Scenario, insert: Site | None = None):
     """Run the coupling pipeline, optionally projecting the system
     through insert's projector right before that stage's couplings."""
-    system = ket(sc.prepost.pre.amps, sc.system_labels)
-    state = initial_state(system, sc.pointers)
+    state = initial_state(sc.prepost.pre, sc.pointers)
     couplings = {}
     for ps in sc.pointers:
         site = sc.site(ps.site)

@@ -47,7 +47,10 @@ from .qcore import (
 )
 from .twosv import PrePost, Timeline, identity_timeline, sweep
 
-# Separators used by labels in reports and composite basis names.
+# Characters a site label may not hold: reports join site labels with
+# "+" into click patterns and sum rules, and text output lists the
+# coupling order with ", ". "|" and "=" stay reserved so that the set of
+# valid scenario files does not change.
 RESERVED_LABEL_CHARS = "+|=,"
 
 KIND_KET = "ket"
@@ -98,9 +101,8 @@ class SumRule:
 class Scenario:
     """One fully specified pre/postselected experiment.
 
-    System basis directions are named "1".."dim". All invariants are
-    checked at construction; violations raise ScenarioError with a
-    stable code and the offending element named.
+    All invariants are checked at construction; violations raise
+    ScenarioError with a stable code and the offending element named.
     """
 
     dim: int
@@ -171,10 +173,6 @@ class Scenario:
                     SCHEMA, f"sum rule {list(rule.sites)} does not resolve the identity"
                 )
 
-    @property
-    def system_labels(self) -> tuple[str, ...]:
-        return tuple(str(i + 1) for i in range(self.dim))
-
     def site(self, label: str) -> Site:
         try:
             return self._sites_by_label[label]
@@ -205,15 +203,12 @@ class Scenario:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-_PATH_LABELS = ("1", "2", "3")
-
-
 def _three_path(crossing_site, pointers) -> Scenario:
     """The three-path family; crossing_site(label, stage) builds O and O'."""
     s3 = 1.0 / np.sqrt(3.0)
 
     def path(label: str, stage: str, index: int) -> Site:
-        return site_from_ket(label, stage, basis_ket(3, index, _PATH_LABELS))
+        return site_from_ket(label, stage, basis_ket(3, index))
 
     sites = (
         path("E", "t_1", 1),
@@ -226,8 +221,8 @@ def _three_path(crossing_site, pointers) -> Scenario:
     )
     return Scenario(
         dim=3,
-        timeline=identity_timeline(("t_i", "t_1", "t_2", "t_3", "t_4", "t_f"), 3, _PATH_LABELS),
-        prepost=PrePost(ket([s3, s3, s3], _PATH_LABELS), ket([s3, s3, -s3], _PATH_LABELS)),
+        timeline=identity_timeline(("t_i", "t_1", "t_2", "t_3", "t_4", "t_f"), 3),
+        prepost=PrePost(ket([s3, s3, s3]), ket([s3, s3, -s3])),
         sites=sites,
         pointers=tuple(pointers),
         sum_rules=(SumRule(("D", "E", "F"), "t_1"), SumRule(("D", "E'", "F'"), "t_3")),
@@ -243,7 +238,7 @@ def default_three_path(pointers=()) -> Scenario:
     Crossings project onto (|2>+|3>)/sqrt(2).
     """
     s2 = 1.0 / np.sqrt(2.0)
-    crossing = ket([0.0, s2, s2], _PATH_LABELS)
+    crossing = ket([0.0, s2, s2])
     return _three_path(lambda label, stage: site_from_ket(label, stage, crossing), pointers)
 
 
@@ -253,7 +248,7 @@ def three_path_rank2_crossing(pointers=()) -> Scenario:
     Gives the same (zero) weak values at O and O' as the rank-1 model
     but different strong-coupling back-action.
     """
-    both = operator(np.diag([0.0, 1.0, 1.0]), _PATH_LABELS)
+    both = operator(np.diag([0.0, 1.0, 1.0]))
     return _three_path(lambda label, stage: site_from_matrix(label, stage, both), pointers)
 
 
@@ -420,7 +415,6 @@ def from_dict(d: dict) -> Scenario:
     # States first: their length check bounds dim before anything of
     # that size is built.
     pre, post = (_parse_array(_want(d, k, list, "scenario"), (dim,), k) for k in ("pre", "post"))
-    labels = tuple(str(i + 1) for i in range(dim))
 
     joins = {(a, b): k for k, (a, b) in enumerate(zip(stages, stages[1:]))}
     segments = [None] * max(len(stages) - 1, 0)
@@ -433,12 +427,12 @@ def from_dict(d: dict) -> Scenario:
         if segments[k] is not None:
             raise ScenarioError(SCHEMA, f"{name} appears twice")
         mat = _parse_array(_want(entry, "matrix", list, name), (dim, dim), f"{name} matrix")
-        segments[k] = operator(mat, labels)
+        segments[k] = operator(mat)
     for k, seg in enumerate(segments):
         if seg is None:
             raise ScenarioError(SCHEMA, f"segment {stages[k]}->{stages[k + 1]} is missing")
     timeline = Timeline(tuple(stages), tuple(segments))
-    prepost = PrePost(ket(pre, labels), ket(post, labels))
+    prepost = PrePost(ket(pre), ket(post))
 
     sites = []
     for where, entry in _items(d, "sites", _SITE_KEYS):
@@ -448,10 +442,10 @@ def from_dict(d: dict) -> Scenario:
         where = f"site {label!r}"
         if kind == KIND_KET:
             vec = _parse_array(_want(entry, "data", list, where), (dim,), f"{where} data")
-            sites.append(site_from_ket(label, stage, ket(vec, labels)))
+            sites.append(site_from_ket(label, stage, ket(vec)))
         elif kind == KIND_MATRIX:
             mat = _parse_array(_want(entry, "data", list, where), (dim, dim), f"{where} data")
-            sites.append(site_from_matrix(label, stage, operator(mat, labels)))
+            sites.append(site_from_matrix(label, stage, operator(mat)))
         else:
             raise ScenarioError(SCHEMA, f"{where} kind must be 'ket' or 'matrix', got {kind!r}")
 
@@ -505,13 +499,18 @@ def load(source) -> Scenario:
     """Load a scenario from a file path or a JSON string.
 
     Strings starting with "{" are parsed directly; anything else is
-    treated as a path. I/O errors propagate as OSError.
+    treated as a path to a UTF-8 file. I/O errors propagate as OSError;
+    a file that is not UTF-8 is a schema error.
     """
     text = str(source)
     if text.lstrip().startswith("{"):
         return loads(text)
     with open(os.fspath(source), "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(SCHEMA, f"not valid UTF-8: {exc}") from exc
+    return loads(text)
 
 
 def resolve(source: str) -> Scenario:

@@ -74,7 +74,7 @@ class Timeline:
             total = np.eye(self.segments[0].dim, dtype=complex)
             for seg in self.segments:
                 total = seg.matrix @ total
-            if not Operator(total, self.segments[0].labels).is_unitary():
+            if not Operator(total).is_unitary():
                 raise ScenarioError(
                     NON_UNITARY_SEGMENT, "composed timeline evolution is not unitary"
                 )
@@ -100,10 +100,10 @@ class Timeline:
             raise ContractError(f"unknown stage {stage!r}, timeline has {self.stages}") from None
 
 
-def identity_timeline(stages, dim: int, labels=None) -> Timeline:
+def identity_timeline(stages, dim: int) -> Timeline:
     """Timeline whose segments all do nothing."""
     stages = tuple(stages)
-    return Timeline(stages, tuple(identity(dim, labels) for _ in stages[:-1]))
+    return Timeline(stages, tuple(identity(dim) for _ in stages[:-1]))
 
 
 @dataclass(frozen=True, eq=False)

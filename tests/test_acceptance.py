@@ -161,16 +161,15 @@ def test_criterion_6_property_suite():
         start = time.perf_counter()
         for _ in range(500):
             dim = int(rng.integers(2, 6))
-            labels = tuple(str(k + 1) for k in range(dim))
             stages = ("t_i", "t_1", "t_2", "t_f")
             mats = [_random_unitary(rng, dim) for _ in stages[:-1]]
-            tl = Timeline(stages, tuple(operator(m, labels) for m in mats))
+            tl = Timeline(stages, tuple(operator(m) for m in mats))
             pre = _random_state(rng, dim)
             u_total = mats[2] @ mats[1] @ mats[0]
             post = _random_state(rng, dim)
             while abs(np.vdot(post, u_total @ pre)) <= 0.05:
                 post = _random_state(rng, dim)
-            pp = PrePost(ket(pre, labels), ket(post, labels))
+            pp = PrePost(ket(pre), ket(post))
             k = int(rng.integers(0, len(stages)))
             stage = stages[k]
             u_before = np.eye(dim, dtype=complex)
@@ -183,14 +182,14 @@ def test_criterion_6_property_suite():
             # Complete orthogonal set: weak values sum to 1.
             basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
             projs = {
-                f"b{j}": projector_from_ket(ket(basis[:, j], labels)) for j in range(dim)
+                f"b{j}": projector_from_ket(ket(basis[:, j])) for j in range(dim)
             }
             total = sum_rule_check(tl, pp, projs, stage)
             assert abs(total - 1.0) <= 1e-9
 
             # Generic rank-1 site: engine equals the raw matrix-product formula.
             v = _random_state(rng, dim)
-            proj = projector_from_ket(ket(v, labels))
+            proj = projector_from_ket(ket(v))
             res = weak_value(tl, pp, proj, stage)
             den = np.vdot(post, u_total @ pre)
             num = np.vdot(post, u_after @ proj.matrix @ (u_before @ pre))
@@ -205,7 +204,7 @@ def test_criterion_6_property_suite():
             w = _random_state(rng, dim)
             w_null = w - back * np.vdot(back, w)
             if np.linalg.norm(w_null) > 1e-6:
-                null_proj = projector_from_ket(ket(w_null, labels))
+                null_proj = projector_from_ket(ket(w_null))
                 ta = transition_amplitude(tl, pp, null_proj, stage)
                 null_res = weak_value(tl, pp, null_proj, stage)
                 assert abs(ta) <= 1e-12
@@ -213,11 +212,11 @@ def test_criterion_6_property_suite():
 
             # Couplings preserve the joint norm.
             state = initial_state(
-                ket(pre, labels),
+                ket(pre),
                 (PointerSpec(site="S", kind="strong"), PointerSpec(site="W", kind="weak")),
             )
             state = couple_strong(state, proj, "S")
             assert abs(state.norm() - 1.0) <= 1e-12
-            state = couple_weak(state, projector_from_ket(ket(w, labels)), "W")
+            state = couple_weak(state, projector_from_ket(ket(w)), "W")
             assert abs(state.norm() - 1.0) <= 1e-12
         assert time.perf_counter() - start < 30.0

@@ -148,9 +148,13 @@ def test_missing_file_exits_io(capsys, tmp_path):
 def test_corrupt_file_exits_validation(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 3,', encoding="utf-8")
-    code, out, err = run_cli(capsys, "validate", "--scenario", str(bad))
-    assert code == EXIT_VALIDATION
-    assert "[schema]" in err
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_text(json.dumps(to_dict(default_three_path())), encoding="utf-16")
+    assert utf16.read_bytes()[:2] == b"\xff\xfe"
+    for path in (bad, utf16):
+        code, out, err = run_cli(capsys, "validate", "--scenario", str(path))
+        assert code == EXIT_VALIDATION and out == ""
+        assert "[schema]" in err
 
 
 def test_degenerate_scenario_exits_3_but_reports(capsys, tmp_path):

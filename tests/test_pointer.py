@@ -137,9 +137,10 @@ def test_weak_register_waves():
     spec = PointerSpec(site="O", kind="weak", g=0.01)
     reg = make_register(spec)
     q, g0, g1 = _grid_waves(spec)
-    assert abs(np.linalg.norm(reg.ready_wave) - 1.0) <= 1e-8
-    assert np.max(np.abs(reg.ready_wave - g0)) <= 1e-15
-    assert np.max(np.abs(reg.moved_wave - g1)) <= 1e-12
+    ready, moved = reg.basis[0], reg.moved_coeffs @ reg.basis
+    assert abs(np.linalg.norm(ready) - 1.0) <= 1e-8
+    assert np.max(np.abs(ready - g0)) <= 1e-15
+    assert np.max(np.abs(moved - g1)) <= 1e-12
     # Overlap follows the Gaussian law up to grid truncation.
     analytic = np.exp(-(spec.g**2) / (8.0 * spec.sigma**2))
     assert abs(float(np.dot(g0, g1)) - analytic) <= 1e-8
@@ -169,15 +170,17 @@ def test_translation_off_the_grid_is_rejected():
 
 
 def _fresh(pointers):
-    return initial_state(ket(PSI, ("1", "2", "3")), pointers)
+    return initial_state(ket(PSI), pointers)
 
 
 def test_initial_state_shape_and_labels():
     state = _fresh([PointerSpec(site="D", kind="strong"), PointerSpec(site="O", kind="weak")])
     assert state.shape == (3, 2, 2)
     assert np.isclose(state.norm(), 1.0)
-    assert state.basis_label(0) == "path=1|D=ready|O=b0"
-    assert state.basis_label(4) == "path=2|D=ready|O=b0"
+    # Flat index 4 * path + 2 * D + O: the system amplitudes sit where
+    # every register is ready.
+    assert np.array_equal(state.amps[[0, 4, 8]], PSI)
+    assert np.count_nonzero(state.amps) == 3
 
 
 def test_couple_strong_zero_and_identity_projectors():
@@ -240,11 +243,11 @@ def test_same_stage_orthogonal_strong_couplings_commute():
 
 def test_postselect_bare_state():
     state = _fresh([])
-    res = postselect(state, ket(CHI, ("1", "2", "3")))
+    res = postselect(state, ket(CHI))
     assert np.isclose(res.probability, 1.0 / 9.0, atol=1e-12)
     assert not res.degenerate
     assert np.isclose(res.conditional.norm(), 1.0)
-    orth = postselect(state, ket([0.0, 1.0 / np.sqrt(2), -1.0 / np.sqrt(2)], ("1", "2", "3")))
+    orth = postselect(state, ket([0.0, 1.0 / np.sqrt(2), -1.0 / np.sqrt(2)]))
     assert orth.degenerate
     assert orth.conditional is None
     assert orth.probability <= 1e-20
@@ -252,7 +255,7 @@ def test_postselect_bare_state():
 
 def test_coupling_after_postselection_rejected():
     state = _fresh([PointerSpec(site="D", kind="strong")])
-    res = postselect(state, ket(CHI, ("1", "2", "3")))
+    res = postselect(state, ket(CHI))
     with pytest.raises(ContractError):
         couple_strong(res.conditional, _proj(0), "D")
 
@@ -262,7 +265,7 @@ def _run_fig1():
     state = _fresh(specs)
     state = couple_strong(state, _proj(0), "D")
     state = couple_strong(state, _crossing(), "O")
-    return postselect(state, ket(CHI, ("1", "2", "3")))
+    return postselect(state, ket(CHI))
 
 
 def test_two_strong_pointers_give_certain_detector_click():
@@ -284,7 +287,7 @@ def test_four_strong_pointers_split_into_three_patterns():
     state = couple_strong(state, _crossing(), "O")
     state = couple_strong(state, _proj(1), "E'")
     state = couple_strong(state, _proj(2), "F'")
-    res = postselect(state, ket(CHI, ("1", "2", "3")))
+    res = postselect(state, ket(CHI))
     assert np.isclose(res.probability, 1.0 / 3.0, atol=1e-12)
     stats = click_readout(res.conditional)
     third = 1.0 / 3.0
@@ -302,7 +305,7 @@ def test_click_readout_contracts():
     state = _fresh([])
     with pytest.raises(ContractError):
         click_readout(state)  # system still present
-    res = postselect(state, ket(CHI, ("1", "2", "3")))
+    res = postselect(state, ket(CHI))
     with pytest.raises(ContractError):
         click_readout(res.unnormalized)
 
@@ -318,14 +321,14 @@ def test_composite_state_validation():
 
 
 def _package_run(psi, chi, couplings, specs):
-    state = initial_state(ket(psi, ("1", "2", "3")), specs)
+    state = initial_state(ket(psi), specs)
     for proj, site in couplings:
         reg = state.register(site)
         if reg.kind == "strong":
             state = couple_strong(state, proj, site)
         else:
             state = couple_weak(state, proj, site)
-    res = postselect(state, ket(chi, ("1", "2", "3")))
+    res = postselect(state, ket(chi))
     return res, click_readout(res.conditional) if not res.degenerate else None
 
 

@@ -52,7 +52,6 @@ def test_default_scenario_layout():
     assert sc.timeline.stages == ("t_i", "t_1", "t_2", "t_3", "t_4", "t_f")
     assert tuple(s.label for s in sc.sites) == ("E", "F", "D", "O", "E'", "F'", "O'")
     assert tuple(s.stage for s in sc.sites) == ("t_1", "t_1", "t_2", "t_2", "t_3", "t_3", "t_4")
-    assert sc.system_labels == ("1", "2", "3")
     assert not sc.is_degenerate()
     assert len(sc.checksum) == 64
 
@@ -173,6 +172,11 @@ def test_round_trip_through_file(tmp_path):
     # resolve() accepts both paths and builtin: names.
     assert resolve(str(path)).checksum == sc.checksum
     assert resolve("builtin:three-path-fig2").checksum == sc.checksum
+    # Files are read as UTF-8, so non-ASCII labels load as written.
+    d = to_dict(sc)
+    d["sites"][0]["label"] = d["sum_rules"][0]["sites"][1] = "É"
+    path.write_bytes(json.dumps(d, ensure_ascii=False).encode("utf-8"))
+    assert load(path).sites[0].label == "É"
 
 
 def test_load_accepts_json_text():
@@ -316,13 +320,22 @@ def test_segment_bookkeeping_rejections():
         from_dict(d)
 
 
-def test_corrupted_json_rejected():
+def test_corrupted_json_rejected(tmp_path):
     with pytest.raises(ScenarioError) as err:
         loads("{ not json")
     assert err.value.code == SCHEMA
     for text in ('{"dim": 1' + "0" * 5000 + "}", "[" * 100_000 + "]" * 100_000):
         with pytest.raises(ScenarioError) as err:
             loads(text)
+        assert err.value.code == SCHEMA
+    # Files are UTF-8: a valid scenario saved as UTF-16 (bytes ff fe ...)
+    # or with one stray byte is rejected, not decoded another way.
+    utf16, stray = tmp_path / "utf16.json", tmp_path / "stray.json"
+    utf16.write_bytes(dumps(default_three_path()).encode("utf-16"))
+    stray.write_bytes(dumps(default_three_path()).encode("utf-8").replace(b'"E"', b'"\xff"'))
+    for path in (utf16, stray):
+        with pytest.raises(ScenarioError) as err:
+            load(path)
         assert err.value.code == SCHEMA
 
 

@@ -3,8 +3,9 @@
 Reports read every amplitude off one forward and one backward sweep.
 Here each number a report holds is recomputed from raw matrix products
 (the formula of acceptance criterion 6) on seeded random timelines,
-the CLI output of every built-in is compared byte for byte with
-fixtures in tests/data/cli_golden, and weak-pointer grids too coarse
+the CLI output of every built-in and of one file-loaded scenario
+(tests/data/four_level.json) is compared byte for byte with fixtures
+in tests/data/cli_golden, and weak-pointer grids too coarse
 for their kick are shown to be rejected when a scenario loads.
 
 Regenerate the fixtures after an intended output change with
@@ -41,6 +42,10 @@ from wvlab.scenario import (
 from wvlab.twosv import PrePost, Timeline, identity_timeline, sweep, transition_amplitude
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "cli_golden")
+# A file-loaded scenario beside the 3-dim built-ins: dim 4, five stages,
+# strong and weak pointers, null ket and matrix sites and a sum rule.
+# Its entries are multiples of 1/2, so every amplitude is exact.
+FOUR_LEVEL = os.path.join(os.path.dirname(__file__), "data", "four_level.json")
 EXIT_CODES = os.path.join(GOLDEN_DIR, "exit_codes.json")
 SUBCOMMANDS = ("weak-values", "run", "disturbance", "validate")
 FORMATS = ("text", "json")
@@ -67,7 +72,6 @@ def _random_scenario(seed: int, n_stages: int, dim: int):
     their stage by raw matrix products.
     """
     rng = np.random.default_rng([seed, n_stages, dim])
-    labels = tuple(str(i + 1) for i in range(dim))
     stages = tuple(f"s{k}" for k in range(n_stages))
     mats = [_random_unitary(rng, dim) for _ in stages[:-1]]
     total = np.eye(dim, dtype=complex)
@@ -81,25 +85,25 @@ def _random_scenario(seed: int, n_stages: int, dim: int):
     picks = sorted({0, n_stages - 1, *rng.integers(0, n_stages, size=min(n_stages, 12)).tolist()})
     sites = []
     for k in picks:
-        sites.append(site_from_ket(f"g{k}", stages[k], ket(_random_state(rng, dim), labels)))
+        sites.append(site_from_ket(f"g{k}", stages[k], ket(_random_state(rng, dim))))
     for k in picks[:3]:
         back = post
         for m in reversed(mats[k:]):
             back = m.conj().T @ back
         w = _random_state(rng, dim)
         null = w - np.vdot(back, w) / np.vdot(back, back) * back
-        sites.append(site_from_ket(f"n{k}", stages[k], ket(null, labels)))
+        sites.append(site_from_ket(f"n{k}", stages[k], ket(null)))
     basis = _random_unitary(rng, dim)
     rank2 = basis[:, :2] @ basis[:, :2].conj().T
-    sites.append(site_from_matrix("r", stages[picks[-1]], operator(rank2, labels)))
+    sites.append(site_from_matrix("r", stages[picks[-1]], operator(rank2)))
     # The complete set sits at one stage but its sum rule is taken at another.
     set_stage, rule_stage = stages[picks[0]], stages[picks[len(picks) // 2]]
     for j in range(dim):
-        sites.append(site_from_ket(f"b{j}", set_stage, ket(basis[:, j], labels)))
+        sites.append(site_from_ket(f"b{j}", set_stage, ket(basis[:, j])))
     sc = Scenario(
         dim=dim,
-        timeline=Timeline(stages, tuple(operator(m, labels) for m in mats)),
-        prepost=PrePost(ket(pre, labels), ket(post, labels)),
+        timeline=Timeline(stages, tuple(operator(m) for m in mats)),
+        prepost=PrePost(ket(pre), ket(post)),
         sites=tuple(sites),
         sum_rules=(SumRule(tuple(f"b{j}" for j in range(dim)), rule_stage),),
     )
@@ -248,6 +252,7 @@ def _cases():
         for cmd in SUBCOMMANDS:
             for fmt in FORMATS:
                 out[f"{name}.{cmd}.{fmt}"] = [cmd, "--scenario", f"builtin:{name}", "--format", fmt]
+                out[f"four-level.{cmd}.{fmt}"] = [cmd, "--scenario", FOUR_LEVEL, "--format", fmt]
     out["export-default"] = ["export-default"]
     return out
 
