@@ -11,7 +11,8 @@ coupling gentle.
 Internally a weak register occupies only the 2-dim span of its ready
 and kicked wavepackets (each register is kicked at most once, which the
 coupling contract enforces), so composite states stay small: system
-dimension times 2 per register. Position statistics are exact: the
+dimension times 2 per coupled register (a register not yet coupled is
+still ready and adds no factor). Position statistics are exact: the
 position operator is projected onto that span and marginal position
 distributions are reconstructed on the full grid.
 """
@@ -37,6 +38,7 @@ from .qcore import (
     MAX_GRID_SIZE,
     MAX_POINTER_SCALE,
     MIN_WEAK_OVERLAP,
+    PATTERN_FLOOR,
     READOUT_NORM_TOL,
     WEAK_BASIS_FLOOR,
     Ket,
@@ -192,42 +194,63 @@ def make_register(spec: PointerSpec) -> PointerRegister:
 
 @dataclass(frozen=True, eq=False)
 class CompositeState:
-    """System plus pointer registers, stored as one flat amplitude vector.
+    """System plus pointer registers, stored as one amplitude block.
 
-    The axes are the system (system_dim long, absent once the system
-    has been postselected away and system_dim is None) and then one
-    2-long axis per register. coupled tracks which registers have been
-    consumed by a coupling; coupling one twice is a contract violation
-    (the compact weak-factor representation relies on single use).
+    The full layout has the system axis (system_dim long, absent once
+    the system has been postselected away and system_dim is None) and
+    then one 2-long axis per register. coupled tracks which registers
+    have been consumed by a coupling; coupling one twice is a contract
+    violation (the compact weak-factor representation relies on single
+    use). Until its coupling a register sits in its ready state, so
+    block keeps a 1-long axis for it (the ready slice) and a coupling
+    widens that axis to 2: after k couplings the block holds
+    (system dim) * 2**k amplitudes. amps and tensor_view() give the full
+    layout, zero-padded while some register is still uncoupled.
     """
 
     system_dim: int | None
     registers: tuple[PointerRegister, ...]
-    amps: np.ndarray
+    block: np.ndarray
     coupled: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        arr = np.array(self.amps, dtype=complex).reshape(-1)
-        arr.setflags(write=False)
-        object.__setattr__(self, "amps", arr)
         object.__setattr__(self, "registers", tuple(self.registers))
         sites = [r.site for r in self.registers]
         if len(set(sites)) != len(sites):
             raise ContractError(f"duplicate register sites in {sites}")
-        expected = math.prod(self.shape)
-        if arr.size != expected:
-            raise ContractError(f"amplitude vector has size {arr.size}, expected {expected}")
+        arr = np.array(self.block, dtype=complex)
+        shape = self.block_shape
+        if arr.size != math.prod(shape):
+            raise ContractError(f"amplitude block has size {arr.size}, expected {math.prod(shape)}")
+        arr = arr.reshape(shape)
+        arr.setflags(write=False)
+        object.__setattr__(self, "block", arr)
 
     @property
     def shape(self) -> tuple[int, ...]:
         head = () if self.system_dim is None else (self.system_dim,)
         return head + (2,) * len(self.registers)
 
+    @property
+    def block_shape(self) -> tuple[int, ...]:
+        head = () if self.system_dim is None else (self.system_dim,)
+        return head + tuple(2 if r.site in self.coupled else 1 for r in self.registers)
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The flat amplitude vector of the full layout."""
+        return self.tensor_view().reshape(-1)
+
     def tensor_view(self) -> np.ndarray:
-        return self.amps.reshape(self.shape)
+        if self.block.shape == self.shape:
+            return self.block
+        t = np.zeros(self.shape, dtype=complex)
+        t[tuple(slice(n) for n in self.block.shape)] = self.block
+        t.setflags(write=False)
+        return t
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        return float(np.linalg.norm(self.block))
 
     def register_index(self, site: str) -> int:
         for k, reg in enumerate(self.registers):
@@ -248,8 +271,7 @@ class CompositeState:
     def apply_system(self, op: Operator) -> CompositeState:
         """Act with an operator on the system factor alone."""
         self._check_system("operator", op.dim)
-        t = np.tensordot(op.matrix, self.tensor_view(), axes=(1, 0))
-        return replace(self, amps=t.reshape(-1))
+        return replace(self, block=np.tensordot(op.matrix, self.block, axes=(1, 0)))
 
 
 def initial_state(system: Ket, pointers) -> CompositeState:
@@ -258,10 +280,7 @@ def initial_state(system: Ket, pointers) -> CompositeState:
     pointers may hold PointerSpec or PointerRegister entries.
     """
     regs = tuple(p if isinstance(p, PointerRegister) else make_register(p) for p in pointers)
-    shape = (system.dim,) + (2,) * len(regs)
-    t = np.zeros(shape, dtype=complex)
-    t[(slice(None),) + (0,) * len(regs)] = system.amps
-    return CompositeState(system_dim=system.dim, registers=regs, amps=t.reshape(-1))
+    return CompositeState(system_dim=system.dim, registers=regs, block=system.amps)
 
 
 def _couple(state: CompositeState, proj: Operator, site: str, kind: str) -> CompositeState:
@@ -274,14 +293,13 @@ def _couple(state: CompositeState, proj: Operator, site: str, kind: str) -> Comp
     if not proj.is_projector():
         raise ContractError(f"coupling at site {site!r} needs a projector")
     ax = 1 + state.register_index(site)
-    # Uncoupled register sits in its ready basis state, so the whole
-    # amplitude lives in the axis-0 slice.
-    ready_slice = np.take(state.tensor_view(), 0, axis=ax)
-    hit = np.tensordot(proj.matrix, ready_slice, axes=(1, 0))
-    miss = ready_slice - hit
+    # The uncoupled register's 1-long axis is its ready slice: split it
+    # into the miss branch (still ready) and the kicked hit branch.
+    hit = np.tensordot(proj.matrix, state.block, axes=(1, 0))
+    miss = state.block - hit
     hv = reg.moved_coeffs
-    new = np.stack([hit * hv[0] + miss, hit * hv[1]], axis=ax)
-    return replace(state, amps=new.reshape(-1), coupled=state.coupled | {site})
+    new = np.concatenate([hit * hv[0] + miss, hit * hv[1]], axis=ax)
+    return replace(state, block=new, coupled=state.coupled | {site})
 
 
 def couple_strong(state: CompositeState, proj: Operator, site: str) -> CompositeState:
@@ -319,13 +337,13 @@ def postselect(
 ) -> PostselectionResult:
     """Contract the system factor with <post|, leaving pointer registers."""
     state._check_system("postselection", post.dim)
-    contracted = np.tensordot(post.amps.conj(), state.tensor_view(), axes=(0, 0))
-    unnorm = replace(state, system_dim=None, amps=contracted.reshape(-1))
+    contracted = np.tensordot(post.amps.conj(), state.block, axes=(0, 0))
+    unnorm = replace(state, system_dim=None, block=contracted)
     prob = float(np.linalg.norm(contracted) ** 2)
     degenerate = bool(np.sqrt(prob) <= tol)
     conditional = None
     if not degenerate:
-        conditional = replace(unnorm, amps=unnorm.amps / np.sqrt(prob))
+        conditional = replace(unnorm, block=unnorm.block / np.sqrt(prob))
     return PostselectionResult(
         unnormalized=unnorm, probability=prob, conditional=conditional, degenerate=degenerate
     )
@@ -351,8 +369,9 @@ class ClickStats:
     """Readout of a pointer-only state.
 
     strong maps site -> click probability. patterns maps each tuple of
-    clicked sites (register order) to its joint probability, covering
-    all strong outcome combinations. weak maps site -> position stats.
+    clicked sites (register order) to its joint probability; only the
+    patterns above PATTERN_FLOOR are present, in np.ndindex order over
+    the strong registers. weak maps site -> position stats.
     """
 
     strong: dict[str, float]
@@ -360,28 +379,49 @@ class ClickStats:
     weak: dict[str, WeakPointerStats]
 
 
+def _site_tuples(sites: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The clicked sites of every bit combination, in np.ndindex order."""
+    names = [()]
+    for site in sites:
+        names = [name + extra for name in names for extra in ((), (site,))]
+    return names
+
+
+def _pattern_names(sites: tuple[str, ...], flat: np.ndarray) -> list[tuple[str, ...]]:
+    """Clicked sites of each flat index into a (2,) * len(sites) array.
+
+    An index is named from two prefix tables, one for its high bits and
+    one for its low bits, so the cost follows the indices asked for and
+    the tables hold about 2 * 2**(len(sites) / 2) tuples.
+    """
+    low = len(sites) // 2
+    high_names = _site_tuples(sites[: len(sites) - low])
+    low_names = _site_tuples(sites[len(sites) - low :])
+    mask = (1 << low) - 1
+    return [high_names[i >> low] + low_names[i & mask] for i in flat.tolist()]
+
+
+def _axes(state: CompositeState, kind: str) -> list[int]:
+    return [k for k, r in enumerate(state.registers) if r.kind == kind]
+
+
 def click_readout(state: CompositeState) -> ClickStats:
     """Full readout statistics of a normalized pointer-only state."""
     if state.system_dim is not None:
         raise ContractError("postselect the system away before reading the pointers out")
-    if not is_normalized(state.amps, READOUT_NORM_TOL):
+    if not is_normalized(state.block, READOUT_NORM_TOL):
         raise ContractError(f"click_readout needs a normalized state, got norm {state.norm():.6g}")
     t = state.tensor_view()
-    strong_axes = [k for k, r in enumerate(state.registers) if r.kind == STRONG]
-    weak_axes = [k for k, r in enumerate(state.registers) if r.kind == WEAK]
+    strong_axes, weak_axes = _axes(state, STRONG), _axes(state, WEAK)
+    strong_sites = tuple(state.registers[k].site for k in strong_axes)
     p = np.abs(t) ** 2
     joint = p.sum(axis=tuple(weak_axes)) if weak_axes else p
 
-    strong = {}
-    for j, k in enumerate(strong_axes):
-        strong[state.registers[k].site] = float(np.take(joint, 1, axis=j).sum())
+    strong = {site: float(np.take(joint, 1, axis=j).sum()) for j, site in enumerate(strong_sites)}
 
-    patterns = {}
-    for combo in np.ndindex(joint.shape):
-        pattern = tuple(
-            state.registers[strong_axes[j]].site for j, bit in enumerate(combo) if bit == 1
-        )
-        patterns[pattern] = float(joint[combo])
+    flat = joint.reshape(-1)
+    kept = np.flatnonzero(flat > PATTERN_FLOOR)
+    patterns = dict(zip(_pattern_names(strong_sites, kept), flat[kept].tolist()))
 
     weak = {}
     for k in weak_axes:
@@ -405,26 +445,19 @@ def click_readout(state: CompositeState) -> ClickStats:
 def pattern_amplitudes(state: CompositeState) -> dict[tuple[str, ...], complex]:
     """Branch amplitude per strong click pattern of a system-free state.
 
-    With weak registers present a branch is a vector, so its norm is
-    returned (as a non-negative real); without them the complex branch
-    amplitude itself.
+    Every pattern is present, in np.ndindex order over the strong
+    registers. With weak registers present a branch is a vector, so its
+    norm is returned (as a non-negative real); without them the complex
+    branch amplitude itself.
     """
     if state.system_dim is not None:
         raise ContractError("pattern amplitudes are defined after postselection")
-    t = state.tensor_view()
-    strong_axes = [k for k, r in enumerate(state.registers) if r.kind == STRONG]
-    weak_axes = [k for k, r in enumerate(state.registers) if r.kind == WEAK]
-    order = strong_axes + weak_axes
-    arranged = np.transpose(t, order) if order else t
-    out = {}
-    ns = len(strong_axes)
-    for combo in np.ndindex((2,) * ns):
-        branch = arranged[combo]
-        pattern = tuple(
-            state.registers[strong_axes[j]].site for j, bit in enumerate(combo) if bit == 1
-        )
-        if weak_axes:
-            out[pattern] = complex(np.linalg.norm(branch))
-        else:
-            out[pattern] = complex(branch)
-    return out
+    strong_axes, weak_axes = _axes(state, STRONG), _axes(state, WEAK)
+    strong_sites = tuple(state.registers[k].site for k in strong_axes)
+    branches = np.transpose(state.tensor_view(), strong_axes + weak_axes).reshape(
+        2 ** len(strong_axes), -1
+    )
+    names = _pattern_names(strong_sites, np.arange(branches.shape[0]))
+    if weak_axes:
+        return {name: complex(np.linalg.norm(b)) for name, b in zip(names, branches)}
+    return dict(zip(names, branches[:, 0].tolist()))

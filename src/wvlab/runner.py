@@ -23,7 +23,6 @@ from .pointer import (
     pattern_amplitudes,
     postselect,
 )
-from .qcore import PATTERN_FLOOR
 from .scenario import Scenario, Site
 from .twosv import WeakValueResult, sum_rule_check, transition_amplitude, weak_value
 
@@ -62,8 +61,8 @@ class RunReport:
 
     patterns maps tuples of clicked strong sites (register order) to
     joint conditional probabilities; their values are model-derived,
-    not quoted from elsewhere, and numerically-zero patterns are
-    omitted. coupling_order records the order in which pointer
+    not quoted from elsewhere, and patterns at or below PATTERN_FLOOR
+    are omitted. coupling_order records the order in which pointer
     couplings were applied.
     """
 
@@ -169,8 +168,7 @@ def run_pointers(sc: Scenario) -> RunReport:
     )
     if not result.degenerate:
         stats = click_readout(result.conditional)
-        patterns = {p: v for p, v in stats.patterns.items() if v > PATTERN_FLOOR}
-        sections.update(clicks=stats.strong, patterns=patterns, weak_stats=stats.weak)
+        sections.update(clicks=stats.strong, patterns=stats.patterns, weak_stats=stats.weak)
     return _base_report(sc, **sections)
 
 

@@ -17,6 +17,7 @@ provided for comparing back-action models.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -355,17 +356,17 @@ def _want(d: dict, key: str, types, where: str):
     return val
 
 
-def _parse_pair(x, where: str) -> complex:
-    if (
-        isinstance(x, (list, tuple))
-        and len(x) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)
-    ):
-        try:
-            return complex(float(x[0]), float(x[1]))
-        except OverflowError:
-            pass
-    raise ScenarioError(SCHEMA, f"{where} must be a [re, im] pair, got {x!r}")
+def _is_pair(x) -> bool:
+    """Whether x is a [re, im] pair of real numbers that fit a float."""
+    if not (isinstance(x, (list, tuple)) and len(x) == 2):
+        return False
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x):
+        return False
+    try:
+        float(x[0]), float(x[1])
+    except OverflowError:
+        return False
+    return True
 
 
 def _parse_array(x, shape: tuple, where: str) -> np.ndarray:
@@ -374,7 +375,22 @@ def _parse_array(x, shape: tuple, where: str) -> np.ndarray:
     if not isinstance(x, list) or len(x) != n:
         order = "row-major " if len(shape) > 1 else ""
         raise ScenarioError(SCHEMA, f"{where} must be a {order}list of {n} [re, im] pairs")
-    arr = np.array([_parse_pair(p, f"{where}[{i}]") for i, p in enumerate(x)], dtype=complex)
+    # Plain JSON (lists of two ints or floats) converts in one go; any
+    # other input is checked pair by pair, naming the first bad pair.
+    parts = None
+    if set(map(type, x)) <= {list} and set(map(len, x)) <= {2}:
+        flat = list(itertools.chain.from_iterable(x))
+        if set(map(type, flat)) <= {int, float}:
+            try:
+                parts = np.array(flat, dtype=float)
+            except OverflowError:
+                pass
+    if parts is None:
+        for i, p in enumerate(x):
+            if not _is_pair(p):
+                raise ScenarioError(SCHEMA, f"{where}[{i}] must be a [re, im] pair, got {p!r}")
+        parts = np.array([v for p in x for v in p], dtype=float)
+    arr = parts.view(complex)
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
         raise ScenarioError(SCHEMA, f"{where}[{bad[0]}] is not finite")
@@ -495,6 +511,15 @@ def save(sc: Scenario, path) -> None:
         fh.write(dumps(sc) + "\n")
 
 
+def _load_file(path) -> Scenario:
+    with open(os.fspath(path), "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(SCHEMA, f"not valid UTF-8: {exc}") from exc
+    return loads(text)
+
+
 def load(source) -> Scenario:
     """Load a scenario from a file path or a JSON string.
 
@@ -505,16 +530,15 @@ def load(source) -> Scenario:
     text = str(source)
     if text.lstrip().startswith("{"):
         return loads(text)
-    with open(os.fspath(source), "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ScenarioError(SCHEMA, f"not valid UTF-8: {exc}") from exc
-    return loads(text)
+    return _load_file(source)
 
 
 def resolve(source: str) -> Scenario:
-    """Resolve a CLI-style source: "builtin:NAME" or a file path."""
+    """Resolve a CLI-style source: "builtin:NAME" or a file path.
+
+    Anything that is not "builtin:NAME" is opened as a path, whatever
+    its first character.
+    """
     if source.startswith("builtin:"):
         return builtin(source[len("builtin:") :])
-    return load(source)
+    return _load_file(source)

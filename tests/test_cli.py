@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import subprocess
 import sys
 
@@ -143,6 +145,15 @@ def test_missing_file_exits_io(capsys, tmp_path):
     code, out, err = run_cli(capsys, "validate", "--scenario", str(tmp_path / "gone.json"))
     assert code == EXIT_IO and out == ""
     assert "cannot read scenario" in err
+
+
+def test_path_starting_with_brace_is_opened_as_a_file(capsys, tmp_path, monkeypatch):
+    src = os.path.join(os.path.dirname(__file__), "data", "four_level.json")
+    shutil.copy(src, tmp_path / "{x}.json")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "validate", "--scenario", "{x}.json")
+    assert code == EXIT_OK and err == ""
+    assert out.startswith("OK: dim 4,")
 
 
 def test_corrupt_file_exits_validation(capsys, tmp_path):

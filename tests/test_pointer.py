@@ -12,6 +12,7 @@ import pytest
 
 from wvlab.errors import SCHEMA, ContractError, ScenarioError
 from wvlab.pointer import (
+    CompositeState,
     PointerSpec,
     click_readout,
     couple_strong,
@@ -21,7 +22,9 @@ from wvlab.pointer import (
     pattern_amplitudes,
     postselect,
 )
-from wvlab.qcore import basis_ket, identity, ket, operator, projector_from_ket
+from wvlab.qcore import PATTERN_FLOOR, basis_ket, identity, ket, operator, projector_from_ket
+from wvlab.runner import disturbance_rows, run_pointers
+from wvlab.scenario import from_dict
 
 S3 = 1.0 / np.sqrt(3.0)
 PSI = np.array([S3, S3, S3])
@@ -414,3 +417,207 @@ def test_weak_coupling_with_zero_g_is_identity():
     state = _fresh([PointerSpec(site="O", kind="weak", g=0.0)])
     out = couple_weak(state, _crossing(), "O")
     assert np.max(np.abs(out.amps - state.amps)) <= 1e-15
+
+
+# --- growing composite and floored readout -----------------------------------
+
+
+def _pairs(vec):
+    return [[float(z.real), float(z.imag)] for z in np.ravel(vec)]
+
+
+def _random_scenario(rng, n_ptr):
+    """Random timeline with n_ptr pointers (some weak) on rank-1 sites.
+
+    Two extra sites are orthogonal to the evolved pre state at their
+    stage, so their amplitude vanishes and they get disturbance rows.
+    """
+    dim = int(rng.integers(2, 6))
+    stages = [f"t{k}" for k in range(int(rng.integers(2, 5)))]
+    mats = [_random_unitary(rng, dim) for _ in stages[1:]]
+    pre = ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized().amps
+    post = ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized().amps
+    forward = [pre]
+    for u in mats:
+        forward.append(u @ forward[-1])
+    sites = []
+    for k in range(n_ptr + 2):
+        s = int(rng.integers(len(stages)))
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        if k >= n_ptr:
+            psi = forward[s]
+            v = v - np.vdot(psi, v) * psi
+        sites.append({"label": f"s{k}", "stage": stages[s], "kind": "ket", "data": _pairs(v)})
+    n_weak = int(rng.integers(0, min(2, n_ptr) + 1))
+    weak = set(rng.choice(n_ptr, size=n_weak, replace=False).tolist())
+    pointers = []
+    for k in rng.permutation(n_ptr + 1)[:n_ptr].tolist():
+        if k in weak:
+            g = float(rng.uniform(0.05, 0.5))
+            pointers.append({"site": f"s{k}", "kind": "weak", "g": g, "grid_size": 31})
+        else:
+            pointers.append({"site": f"s{k}", "kind": "strong"})
+    d = {
+        "dim": dim,
+        "stages": stages,
+        "segments": [
+            {"from": a, "to": b, "matrix": _pairs(u)} for a, b, u in zip(stages, stages[1:], mats)
+        ],
+        "pre": _pairs(pre),
+        "post": _pairs(post),
+        "sites": sites,
+        "pointers": pointers,
+    }
+    return from_dict(d)
+
+
+def _dense_pipeline(sc, insert=None):
+    """The scenario's pointer run on full grids, postselected, unnormalized."""
+    sim = DenseSim(sc.prepost.pre.amps, sc.pointers)
+    for k, stage in enumerate(sc.timeline.stages):
+        if k > 0:
+            sim.t = np.tensordot(sc.timeline.segments[k - 1].matrix, sim.t, axes=(1, 0))
+        if insert is not None and insert.stage == stage:
+            sim.t = np.tensordot(insert.projector.matrix, sim.t, axes=(1, 0))
+        for j, ps in enumerate(sc.pointers):
+            site = sc.site(ps.site)
+            if site.stage == stage:
+                sim.couple(site.projector, j)
+    sim.t = np.tensordot(sc.prepost.post.amps.conj(), sim.t, axes=(0, 0))
+    return sim
+
+
+def _strong_branches(sim, sc):
+    """Per strong pattern: the oracle's branch (a vector over the weak grids)."""
+    strong = [k for k, ps in enumerate(sc.pointers) if ps.kind == "strong"]
+    weak = [k for k, ps in enumerate(sc.pointers) if ps.kind == "weak"]
+    arranged = np.transpose(sim.t, strong + weak)
+    out = {}
+    for combo in np.ndindex((2,) * len(strong)):
+        pattern = tuple(sc.pointers[strong[j]].site for j, bit in enumerate(combo) if bit)
+        out[pattern] = arranged[combo]
+    return out, bool(weak)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_run_pointers_matches_dense_oracle_on_random_scenarios(seed):
+    rng = np.random.default_rng(1000 + seed)
+    sc = _random_scenario(rng, int(rng.integers(1, 11)))
+    rep = run_pointers(sc)
+    sim = _dense_pipeline(sc)
+    prob = float(np.linalg.norm(sim.t) ** 2)
+    assert abs(rep.postselection_probability - prob) <= 1e-12
+    sim.t = sim.t / np.sqrt(prob)
+    branches, _ = _strong_branches(sim, sc)
+    joint = {pat: float(np.sum(np.abs(b) ** 2)) for pat, b in branches.items()}
+    assert set(rep.patterns) == {pat for pat, v in joint.items() if v > PATTERN_FLOOR}
+    for pat, v in rep.patterns.items():
+        assert abs(v - joint[pat]) <= 1e-12
+    for k, ps in enumerate(sc.pointers):
+        if ps.kind == "strong":
+            assert abs(rep.clicks[ps.site] - sim.strong_prob(k)) <= 1e-12
+            continue
+        st = rep.weak_stats[ps.site]
+        mean, var = sim.weak_mean_var(k)
+        assert abs(st.mean - mean) <= 1e-12
+        assert abs(st.variance - var) <= 1e-12
+        assert np.max(np.abs(st.probabilities - sim.weak_marginal(k))) <= 1e-12
+
+    rows = disturbance_rows(sc)
+    assert {row.site for row in rows} >= {f"s{len(sc.pointers)}", f"s{len(sc.pointers) + 1}"}
+    for row in rows:
+        want, has_weak = _strong_branches(_dense_pipeline(sc, insert=sc.site(row.site)), sc)
+        for pat, branch in want.items():
+            amp = np.linalg.norm(branch) if has_weak else complex(branch)
+            if abs(amp) > sc.tolerance:
+                assert abs(row.branches[pat] - amp) <= 1e-12
+            else:
+                assert pat not in row.branches
+
+
+def _mixed_state(rng, dim, kinds):
+    specs = [
+        PointerSpec(site=f"r{k}", kind=kind, g=0.2, grid_size=31) for k, kind in enumerate(kinds)
+    ]
+    psi = ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized()
+    state = initial_state(psi, specs)
+    for spec in specs:
+        v = ket(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        couple = couple_strong if spec.kind == "strong" else couple_weak
+        state = couple(state, projector_from_ket(v), spec.site)
+    return state
+
+
+def test_pattern_keys_come_in_ndindex_order():
+    rng = np.random.default_rng(5)
+    kinds = ("strong", "weak", "strong", "strong", "weak", "strong", "strong")
+    state = _mixed_state(rng, 3, kinds)
+    res = postselect(state, ket(rng.normal(size=3) + 0j).normalized())
+    strong = [f"r{k}" for k, kind in enumerate(kinds) if kind == "strong"]
+    order = [
+        tuple(site for site, bit in zip(strong, combo) if bit)
+        for combo in np.ndindex((2,) * len(strong))
+    ]
+    assert list(pattern_amplitudes(res.unnormalized)) == order
+    stats = click_readout(res.conditional)
+    assert len(stats.patterns) > 1
+    assert list(stats.patterns) == [p for p in order if p in stats.patterns]
+
+
+def test_block_grows_by_one_factor_two_per_coupling():
+    specs = [PointerSpec(site=s, kind="strong") for s in ("D", "O", "E'", "F'")]
+    state = _fresh(specs)
+    assert state.block.size == 3
+    for k, (proj, site) in enumerate(
+        [(_proj(0), "D"), (_crossing(), "O"), (_proj(1), "E'"), (_proj(2), "F'")], start=1
+    ):
+        state = couple_strong(state, proj, site)
+        assert state.block.size == 3 * 2**k
+        assert state.shape == (3, 2, 2, 2, 2)
+    assert postselect(state, ket(CHI)).unnormalized.block.size == 2**4
+    with pytest.raises(ContractError):
+        CompositeState(system_dim=3, registers=state.registers, block=state.block[:1])
+
+
+def test_partially_coupled_state_keeps_the_full_layout():
+    specs = [PointerSpec(site=s, kind="strong") for s in ("D", "O", "E'", "F'")]
+    state = couple_strong(couple_strong(_fresh(specs), _crossing(), "O"), _proj(2), "F'")
+    assert state.block.shape == (3, 1, 2, 1, 2)
+    sim = DenseSim(PSI, specs)
+    sim.couple(_crossing(), 1)
+    sim.couple(_proj(2), 3)
+    assert state.tensor_view().shape == (3, 2, 2, 2, 2)
+    assert state.amps.shape == (3 * 2**4,)
+    assert np.max(np.abs(state.tensor_view() - sim.t)) <= 1e-15
+    assert np.array_equal(state.amps, state.tensor_view().reshape(-1))
+    # Uncoupled registers are still ready: their shifted halves are zero.
+    t = state.tensor_view()
+    assert not np.any(t[:, 1]) and not np.any(t[:, :, :, 1])
+    res = postselect(state, ket(CHI))
+    assert res.conditional.tensor_view().shape == (2, 2, 2, 2)
+    stats = click_readout(res.conditional)
+    assert stats.strong["D"] == 0.0 and stats.strong["E'"] == 0.0
+
+
+def test_click_patterns_hold_only_values_above_the_floor():
+    # A projector almost orthogonal to the system leaves a click at A
+    # with probability about 1e-14; the zero projector at C leaves every
+    # pattern with C exactly zero. Neither kind is reported.
+    specs = [PointerSpec(site="A", kind="strong"), PointerSpec(site="C", kind="strong")]
+    specs.append(PointerSpec(site="W", kind="weak", g=0.2, grid_size=31))
+    state = initial_state(ket([0.0, 1.0]), specs)
+    state = couple_strong(state, projector_from_ket(ket([1.0, 1e-7])), "A")
+    state = couple_strong(state, operator(np.zeros((2, 2))), "C")
+    state = couple_weak(state, identity(2), "W")
+    res = postselect(state, ket([1.0, 1.0]).normalized())
+    joint = (np.abs(res.conditional.tensor_view()) ** 2).sum(axis=-1)
+    assert 0.0 < joint[1, 0] < PATTERN_FLOOR
+    stats = click_readout(res.conditional)
+    assert list(stats.patterns) == [()]
+    assert abs(stats.patterns[()] - 1.0) <= 1e-12
+    assert 0.0 < stats.strong["A"] < PATTERN_FLOOR
+    fig2 = _fresh([PointerSpec(site=s, kind="strong") for s in ("D", "O", "E'", "F'")])
+    for proj, site in [(_proj(0), "D"), (_crossing(), "O"), (_proj(1), "E'"), (_proj(2), "F'")]:
+        fig2 = couple_strong(fig2, proj, site)
+    four = postselect(fig2, ket(CHI))
+    assert set(click_readout(four.conditional).patterns) == {("D",), ("O", "E'"), ("O", "F'")}
