@@ -135,9 +135,9 @@ def is_normalized(amps: np.ndarray, tol: float = NORM_TOL) -> bool:
 
 
 def resolves_identity(projectors) -> bool:
-    """Whether a non-empty set of operators sums to the identity within STRUCT_TOL."""
+    """Whether a non-empty set of same-dimension operators sums to the identity within STRUCT_TOL."""
     ops = list(projectors)
-    if not ops:
+    if not ops or len({op.dim for op in ops}) > 1:
         return False
     with np.errstate(all="ignore"):
         return _residual(sum(op.matrix for op in ops), np.eye(ops[0].dim)) <= STRUCT_TOL

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, DegeneratePostselectionError
 from .pointer import (
     STRONG,
     WeakPointerStats,
@@ -23,8 +23,8 @@ from .pointer import (
     pattern_amplitudes,
     postselect,
 )
-from .scenario import Scenario, Site
-from .twosv import WeakValueResult, sum_rule_check, transition_amplitude, weak_value
+from .scenario import Scenario, Site, SumRule
+from .twosv import WeakValueResult, transition_amplitude, weak_value
 
 PATTERN_SEP = "+"
 
@@ -81,19 +81,24 @@ class RunReport:
     disturbance: tuple[DisturbanceRow, ...]
 
 
+def _rule_total(sc: Scenario, rule: SumRule) -> complex:
+    """Left-to-right sum of a rule's weak values; Scenario checked that the set is complete."""
+    total = 0j  # plain left-to-right sum; sum() may compensate
+    for label in rule.sites:
+        row = weak_value(sc.timeline, sc.prepost, sc.site(label).projector, rule.stage,
+                         tol=sc.tolerance)
+        if row.degenerate:
+            raise DegeneratePostselectionError(f"postselection amplitude vanished at stage {rule.stage!r}")
+        total += row.value
+    return total
+
+
 def _base_report(sc: Scenario, **sections) -> RunReport:
     tl, pp = sc.timeline, sc.prepost
     amp = sc.postselection_amplitude()
     degenerate = abs(amp) <= sc.tolerance
     sum_rules = tuple(
-        SumRuleResult(
-            sites=rule.sites,
-            stage=rule.stage,
-            total=sum_rule_check(
-                tl, pp, {label: sc.site(label).projector for label in rule.sites}, rule.stage,
-                sc.tolerance,
-            ),
-        )
+        SumRuleResult(sites=rule.sites, stage=rule.stage, total=_rule_total(sc, rule))
         for rule in (() if degenerate else sc.sum_rules)
     )
     defaults = dict(

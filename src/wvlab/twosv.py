@@ -10,10 +10,10 @@ an operator A at stage t is then one inner product,
 
     tau = <post(t)| A |pre(t)>,
 
-and a weak value divides tau by the bare amplitude <post(t)|pre(t)>.
-transition_amplitude, weak_value and sum_rule_check read the sweep of
-their timeline and pre/post pair; the latest sweep is kept, so the rows
-of one report all read one forward and one backward pass.
+and a weak value divides tau by the bare amplitude <post(t)|pre(t)>,
+stored per stage by the sweep. transition_amplitude, weak_value and
+sum_rule_check read the latest sweep of their timeline and pre/post
+pair, so a report row is one mat-vec and one inner product.
 """
 
 from __future__ import annotations
@@ -152,43 +152,53 @@ class Sweep:
     """Both halves of the two-state vector at every stage of a timeline.
 
     forward[k] is the pre state carried to stages[k], backward[k] the
-    post state dragged back to it; both are raw complex arrays.
+    post state dragged back to it; both are read-only (S, d) arrays.
+    overlaps[k] is the bare amplitude <post(stages[k])|pre(stages[k])>.
     """
 
     timeline: Timeline
-    forward: tuple[np.ndarray, ...]
-    backward: tuple[np.ndarray, ...]
+    forward: np.ndarray
+    backward: np.ndarray
+    overlaps: tuple[complex, ...]
 
     def overlap(self, stage: str) -> complex:
         """Bare pre-to-post amplitude <post(stage)|pre(stage)>."""
-        k = self.timeline.index(stage)
-        return complex(np.vdot(self.backward[k], self.forward[k]))
-
-    def amplitude(self, op: Operator, stage: str) -> complex:
-        """Transition amplitude <post(stage)| op |pre(stage)>."""
-        k = self.timeline.index(stage)
-        return complex(np.vdot(self.backward[k], op.matrix @ self.forward[k]))
+        return self.overlaps[self.timeline.index(stage)]
 
 
 @lru_cache(maxsize=1)
 def sweep(tl: Timeline, pp: PrePost) -> Sweep:
     """Evolve pre forward and post backward through every segment once.
 
-    Timelines and pre/post pairs are immutable and compare by identity,
-    so the latest sweep is kept: the amplitudes and weak values of one
-    report, asked for one at a time, all read the same sweep.
+    The post state travels as a bra, b_k = b_(k+1) U_k, conjugated once at
+    the end. Inputs are immutable and compare by identity, so the latest
+    sweep is kept and the rows of one report, asked one at a time, share it.
     """
     if tl.segments and tl.dim != pp.pre.dim:
         raise DimensionMismatchError(f"timeline dim {tl.dim} vs state dim {pp.pre.dim}")
-    forward = [pp.pre.amps]
-    for seg in tl.segments:
-        forward.append(seg.matrix @ forward[-1])
-    backward = [pp.post.amps]
-    for seg in reversed(tl.segments):
-        backward.append(seg.matrix.conj().T @ backward[-1])
-    for arr in forward + backward:
-        arr.setflags(write=False)
-    return Sweep(tl, tuple(forward), tuple(reversed(backward)))
+    forward = np.empty((len(tl.stages), pp.pre.dim), dtype=complex)
+    bras = np.empty_like(forward)
+    forward[0], bras[-1] = pp.pre.amps, pp.post.amps.conj()
+    for k, seg in enumerate(tl.segments):
+        forward[k + 1] = seg.matrix @ forward[k]
+    for k in range(len(tl.segments) - 1, -1, -1):
+        bras[k] = bras[k + 1] @ tl.segments[k].matrix
+    # One (1, d) @ (d, 1) product per stage: the same sums as np.vdot.
+    overlaps = tuple((bras[:, None, :] @ forward[:, :, None]).ravel().tolist())
+    backward = bras.conj()
+    forward.setflags(write=False)
+    backward.setflags(write=False)
+    return Sweep(tl, forward, backward, overlaps)
+
+
+def _row(tl: Timeline, pp: PrePost, op: Operator, stage: str, require_projector: bool):
+    """(<post(stage)| op |pre(stage)>, <post(stage)|pre(stage)>) for one table row."""
+    if require_projector and not op.is_projector():
+        raise ContractError("transition_amplitude expects a projector; pass require_projector=False to override")
+    if op.dim != pp.pre.dim:
+        raise DimensionMismatchError(f"operator dim {op.dim} vs state dim {pp.pre.dim}")
+    sw, k = sweep(tl, pp), tl.index(stage)
+    return complex(np.vdot(sw.backward[k], op.matrix @ sw.forward[k])), sw.overlaps[k]
 
 
 def transition_amplitude(
@@ -204,11 +214,7 @@ def transition_amplitude(
     op must pass the projector check unless require_projector=False is
     passed explicitly (linear-combination probes need that escape).
     """
-    if require_projector and not op.is_projector():
-        raise ContractError("transition_amplitude expects a projector; pass require_projector=False to override")
-    if op.dim != pp.pre.dim:
-        raise DimensionMismatchError(f"operator dim {op.dim} vs state dim {pp.pre.dim}")
-    return sweep(tl, pp).amplitude(op, stage)
+    return _row(tl, pp, op, stage, require_projector)[0]
 
 
 def weak_value(
@@ -222,8 +228,7 @@ def weak_value(
     require_projector: bool = True,
 ) -> WeakValueResult:
     """Weak value of op at stage for the given pre/post pair."""
-    num = transition_amplitude(tl, pp, op, stage, require_projector=require_projector)
-    den = sweep(tl, pp).overlap(stage)
+    num, den = _row(tl, pp, op, stage, require_projector)
     degenerate = abs(den) <= tol
     return WeakValueResult(site, stage, num, den, None if degenerate else num / den, degenerate)
 

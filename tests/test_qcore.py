@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wvlab.errors import ContractError
-from wvlab.qcore import basis_ket, identity, ket, operator, projector_from_ket
+from wvlab.qcore import basis_ket, identity, ket, operator, projector_from_ket, resolves_identity
 
 
 def _random_unitary(rng, n):
@@ -38,6 +38,14 @@ def test_identity_flags():
     for n in (2, 3, 5):
         assert operator(_random_unitary(rng, n)).is_unitary()
     assert not operator([[0.5, 0.5], [0.5, 0.6]]).is_projector()
+
+
+def test_resolves_identity():
+    assert resolves_identity([projector_from_ket(basis_ket(2, i)) for i in range(2)])
+    assert not resolves_identity([projector_from_ket(basis_ket(2, 0))])
+    assert not resolves_identity([])
+    # Mixed dimensions cannot sum to an identity; no broadcasting error.
+    assert not resolves_identity([identity(2), identity(3)])
 
 
 def test_arrays_are_read_only():

@@ -35,11 +35,19 @@ from wvlab.scenario import (
     _pairs,
     builtin,
     from_dict,
+    load,
     site_from_ket,
     site_from_matrix,
     to_dict,
 )
-from wvlab.twosv import PrePost, Timeline, identity_timeline, sweep, transition_amplitude
+from wvlab.twosv import (
+    PrePost,
+    Timeline,
+    identity_timeline,
+    sweep,
+    transition_amplitude,
+    weak_value,
+)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "cli_golden")
 # A file-loaded scenario beside the 3-dim built-ins: dim 4, five stages,
@@ -161,6 +169,62 @@ def test_report_matches_direct_formula(n_stages, dim):
     for row in rows:
         assert abs(row.undisturbed - direct_tau[row.site]) <= ATOL
         assert not row.disturbed
+
+
+RANDOM_SIZES = [(n_stages, dim) for n_stages in (2, 10, 200) for dim in (2, 3, 16)]
+
+
+def _report_scenario(case: str) -> Scenario:
+    if case == "four-level":
+        return load(FOUR_LEVEL)
+    if case.startswith("random-"):
+        n_stages, dim = map(int, case[len("random-"):].split("x"))
+        return _random_scenario(11, n_stages, dim)[0]
+    return builtin(case)
+
+
+REPORT_CASES = [*BUILTIN_NAMES, "four-level", *(f"random-{s}x{d}" for s, d in RANDOM_SIZES)]
+
+
+@pytest.mark.parametrize("case", REPORT_CASES)
+def test_report_rows_and_sum_rules_are_direct_weak_value_calls(case):
+    # Exact equality: a report row and a direct call run one code path.
+    sc = _report_scenario(case)
+    tl, pp = sc.timeline, sc.prepost
+    rep = run_weak_values(sc)
+    assert len(rep.weak_values) == len(sc.sites)
+    for site, row in zip(sc.sites, rep.weak_values):
+        assert row == weak_value(tl, pp, site.projector, site.stage, site=site.label, tol=sc.tolerance)
+    assert [(r.sites, r.stage) for r in rep.sum_rules] == [(r.sites, r.stage) for r in sc.sum_rules]
+    for rule, got in zip(sc.sum_rules, rep.sum_rules):
+        total = 0j
+        for label in rule.sites:
+            total += weak_value(tl, pp, sc.site(label).projector, rule.stage).value
+        assert got.total == total
+
+
+@pytest.mark.parametrize("n_stages, dim", RANDOM_SIZES)
+def test_sweep_holds_read_only_stacks_and_their_overlaps(n_stages, dim):
+    sc = _random_scenario(11, n_stages, dim)[0]
+    sw = sweep(sc.timeline, sc.prepost)
+    for arr in (sw.forward, sw.backward):
+        assert isinstance(arr, np.ndarray) and arr.shape == (n_stages, dim)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+    assert len(sw.overlaps) == n_stages
+    for k, stage in enumerate(sc.timeline.stages):
+        assert sw.overlaps[k] == np.vdot(sw.backward[k], sw.forward[k])
+        assert sw.overlap(stage) == sw.overlaps[k]
+
+
+def test_single_stage_timeline_sweeps_one_row():
+    tl = Timeline(("only",), ())
+    pp = PrePost(ket([0.6, 0.8j, 0.0]), ket([0.0, 0.6, 0.8]))
+    sw = sweep(tl, pp)
+    assert sw.forward.shape == sw.backward.shape == (1, 3)
+    row = weak_value(tl, pp, identity(3), "only")
+    assert not row.degenerate and row.value == 1
 
 
 def test_sweep_rejects_unknown_stage_and_mismatched_dimension():

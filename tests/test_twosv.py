@@ -200,6 +200,13 @@ def test_sum_rule_check():
         sum_rule_check(tl, degenerate, complete, "t_1")
 
 
+def test_sum_rule_check_rejects_mixed_dimensions_with_a_contract_error():
+    tl = identity_timeline(("a", "b"), 2)
+    pp = PrePost(basis_ket(2, 0), basis_ket(2, 0))
+    with pytest.raises(ContractError, match="does not resolve the identity"):
+        sum_rule_check(tl, pp, {"x": identity(2), "y": identity(3)}, "a")
+
+
 def test_random_complete_sets_sum_to_one():
     rng = np.random.default_rng(31)
     for _ in range(25):
