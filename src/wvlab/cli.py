@@ -86,12 +86,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit(text: str, out: str | None, code: int = EXIT_OK) -> int:
+    """Write text to out (stdout when None) and return code, or EXIT_IO if writing fails."""
+    try:
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return code
 
 
 def _tolerance_override(args) -> float | None:
@@ -189,12 +195,7 @@ def _run_analysis(args) -> int:
                 f"OK: dim {sc.dim}, {len(sc.timeline.stages)} stages, "
                 f"{len(sc.sites)} sites, {len(sc.pointers)} pointers\n"
             )
-        try:
-            _emit(text, args.out)
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return EXIT_IO
-        return EXIT_OK
+        return _emit(text, args.out)
 
     try:
         if args.command == "weak-values":
@@ -214,23 +215,13 @@ def _run_analysis(args) -> int:
         text = json.dumps(report_to_dict(report), indent=2) + "\n"
     else:
         text = render_text(report)
-    try:
-        _emit(text, args.out)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_DEGENERATE if report.degenerate else EXIT_OK
+    return _emit(text, args.out, EXIT_DEGENERATE if report.degenerate else EXIT_OK)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "export-default":
-        try:
-            _emit(scen.dumps(scen.builtin("three-path")) + "\n", args.out)
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return EXIT_IO
-        return EXIT_OK
+        return _emit(scen.dumps(scen.builtin("three-path")) + "\n", args.out)
     return _run_analysis(args)
 
 

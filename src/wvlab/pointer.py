@@ -8,20 +8,22 @@ that the projected branch translates by a small g; its post-kick state
 overlaps the ready state almost completely, which is what makes the
 coupling gentle.
 
-Internally a weak register occupies only the 2-dim span of its ready
-and kicked wavepackets (each register is kicked at most once, which the
-coupling contract enforces), so composite states stay small: system
-dimension times 2 per coupled register (a register not yet coupled is
-still ready and adds no factor). Position statistics are exact: the
-position operator is projected onto that span and marginal position
-distributions are reconstructed on the full grid.
+A PointerSpec declares a pointer and, once on construction, realizes
+its register as a 2-dim factor; composite states hold the specs as
+their registers. A weak register occupies only the 2-dim span of its
+ready and kicked wavepackets (each register is kicked at most once,
+which the coupling contract enforces), so composite states stay small:
+system dimension times 2 per coupled register (a register not yet
+coupled is still ready and adds no factor). Position statistics are
+exact: the position operator is projected onto that span and marginal
+position distributions are reconstructed on the full grid.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -52,7 +54,7 @@ WEAK = "weak"
 
 @dataclass(frozen=True)
 class PointerSpec:
-    """Declaration of one pointer: which site it probes and how.
+    """Declaration of one pointer, realized as its 2-dim register factor.
 
     Attributes:
         site: label of the probed site.
@@ -61,6 +63,14 @@ class PointerSpec:
         sigma: width of |G|^2 for the weak packet.
         grid_size: odd number of grid points (weak only).
         grid_extent: grid spans +-grid_extent*sigma (weak only).
+
+    The factor is built once, on construction, and read-only; it takes
+    no part in equality, hashing or repr. For a strong register the
+    factor basis is (ready, shifted). For a weak register it is an
+    orthonormal basis of span{ready packet, kicked packet} on the grid
+    positions; moved_coeffs are the kicked packet's coordinates in that
+    basis, mass_loss the probability the kick pushes off the grid, and
+    pos_op/pos2_op the projected position operator and its square.
     """
 
     site: str
@@ -69,6 +79,12 @@ class PointerSpec:
     sigma: float = 1.0
     grid_size: int = 201
     grid_extent: float = 6.0
+    moved_coeffs: np.ndarray = field(init=False, compare=False, repr=False)
+    mass_loss: float = field(default=0.0, init=False, compare=False, repr=False)
+    positions: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    basis: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    pos_op: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    pos2_op: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.site, str) or not self.site:
@@ -88,6 +104,7 @@ class PointerSpec:
             self._reject(f"grid_size must be an integer in 1..{MAX_GRID_SIZE}, got {size!r}")
         object.__setattr__(self, "grid_size", int(size))
         if self.kind != WEAK:
+            object.__setattr__(self, "moved_coeffs", _STRONG_MOVED)
             return
         scale = MAX_POINTER_SCALE
         if not 1.0 / scale <= self.sigma <= scale:
@@ -102,41 +119,39 @@ class PointerSpec:
             self._reject(
                 f"ready/kicked overlap {overlap:.4f} <= {MIN_WEAK_OVERLAP}, coupling is not weak"
             )
-        object.__setattr__(self, "_packets", _weak_packets(self))
-        mass_loss = self._packets[3]
+        q, ready, kicked, mass_loss = _weak_packets(self)
         if mass_loss > MASS_LOSS_LIMIT:
             self._reject(f"grid too small: kick g={self.g} loses {mass_loss:.3e} probability mass")
+        ov = float(np.dot(ready, kicked))
+        resid = kicked - ov * ready
+        rn = float(np.linalg.norm(resid))
+        if rn > WEAK_BASIS_FLOOR:
+            e1 = resid / rn
+        else:
+            # Kicked packet coincides with ready; pick any orthogonal
+            # completion so the factor stays 2-dim.
+            e1 = q * ready
+            e1 = e1 - np.dot(ready, e1) * ready
+            e1 = e1 / np.linalg.norm(e1)
+        basis = np.vstack([ready, e1])
+        factor = dict(
+            moved_coeffs=np.array([ov, rn]),
+            positions=q,
+            basis=basis,
+            pos_op=np.einsum("in,n,jn->ij", basis, q, basis),
+            pos2_op=np.einsum("in,n,jn->ij", basis, q**2, basis),
+        )
+        for name, arr in factor.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "mass_loss", mass_loss)
 
     def _reject(self, problem: str):
         raise ScenarioError(SCHEMA, f"pointer at {self.site!r}: {problem}")
 
 
-@dataclass(frozen=True, eq=False)
-class PointerRegister:
-    """A pointer realized as a concrete 2-dim factor of the composite.
-
-    For a strong register the factor basis is (ready, shifted). For a
-    weak register it is an orthonormal basis of span{ready packet,
-    kicked packet} on the grid; moved_coeffs are the kicked packet's
-    coordinates in that basis and pos_op/pos2_op are the projected
-    position operator and its square.
-    """
-
-    spec: PointerSpec
-    moved_coeffs: np.ndarray
-    mass_loss: float = 0.0
-    positions: np.ndarray | None = None
-    basis: np.ndarray | None = None
-    pos_op: np.ndarray | None = None
-    pos2_op: np.ndarray | None = None
-
-    @property
-    def site(self) -> str:
-        return self.spec.site
-
-    @property
-    def kind(self) -> str:
-        return self.spec.kind
+_STRONG_MOVED = np.array([0.0, 1.0])
+_STRONG_MOVED.setflags(write=False)
 
 
 def _weak_packets(spec: PointerSpec):
@@ -152,46 +167,6 @@ def _weak_packets(spec: PointerSpec):
     return q, raw / scale, kicked_raw / retained, abs(1.0 - retained**2)
 
 
-def _weak_register(spec: PointerSpec) -> PointerRegister:
-    q, ready, kicked, mass_loss = spec._packets
-    ov = float(np.dot(ready, kicked))
-    resid = kicked - ov * ready
-    rn = float(np.linalg.norm(resid))
-    if rn > WEAK_BASIS_FLOOR:
-        e1 = resid / rn
-    else:
-        # Kicked packet coincides with ready; pick any orthogonal
-        # completion so the factor stays 2-dim.
-        e1 = q * ready
-        e1 = e1 - np.dot(ready, e1) * ready
-        e1 = e1 / np.linalg.norm(e1)
-    basis = np.vstack([ready, e1])
-    pos = np.einsum("in,n,jn->ij", basis, q, basis)
-    pos2 = np.einsum("in,n,jn->ij", basis, q**2, basis)
-    for arr in (q, basis, pos, pos2):
-        arr.setflags(write=False)
-    moved = np.array([ov, rn])
-    moved.setflags(write=False)
-    return PointerRegister(
-        spec=spec,
-        moved_coeffs=moved,
-        mass_loss=mass_loss,
-        positions=q,
-        basis=basis,
-        pos_op=pos,
-        pos2_op=pos2,
-    )
-
-
-def make_register(spec: PointerSpec) -> PointerRegister:
-    """Realize a pointer spec as a register ready for coupling."""
-    if spec.kind == STRONG:
-        moved = np.array([0.0, 1.0])
-        moved.setflags(write=False)
-        return PointerRegister(spec=spec, moved_coeffs=moved)
-    return _weak_register(spec)
-
-
 @dataclass(frozen=True, eq=False)
 class CompositeState:
     """System plus pointer registers, stored as one amplitude block.
@@ -204,12 +179,12 @@ class CompositeState:
     use). Until its coupling a register sits in its ready state, so
     block keeps a 1-long axis for it (the ready slice) and a coupling
     widens that axis to 2: after k couplings the block holds
-    (system dim) * 2**k amplitudes. amps and tensor_view() give the full
-    layout, zero-padded while some register is still uncoupled.
+    (system dim) * 2**k amplitudes. tensor_view() gives the full layout,
+    zero-padded while some register is still uncoupled.
     """
 
     system_dim: int | None
-    registers: tuple[PointerRegister, ...]
+    registers: tuple[PointerSpec, ...]
     block: np.ndarray
     coupled: frozenset[str] = frozenset()
 
@@ -236,11 +211,6 @@ class CompositeState:
         head = () if self.system_dim is None else (self.system_dim,)
         return head + tuple(2 if r.site in self.coupled else 1 for r in self.registers)
 
-    @property
-    def amps(self) -> np.ndarray:
-        """The flat amplitude vector of the full layout."""
-        return self.tensor_view().reshape(-1)
-
     def tensor_view(self) -> np.ndarray:
         if self.block.shape == self.shape:
             return self.block
@@ -258,9 +228,6 @@ class CompositeState:
                 return k
         raise ContractError(f"no register at site {site!r}")
 
-    def register(self, site: str) -> PointerRegister:
-        return self.registers[self.register_index(site)]
-
     def _check_system(self, what: str, dim: int) -> None:
         """Reject acting on a system factor that is gone or of another dim."""
         if self.system_dim is None:
@@ -275,30 +242,26 @@ class CompositeState:
 
 
 def initial_state(system: Ket, pointers) -> CompositeState:
-    """System ket with every register attached in its ready state.
-
-    pointers may hold PointerSpec or PointerRegister entries.
-    """
-    regs = tuple(p if isinstance(p, PointerRegister) else make_register(p) for p in pointers)
-    return CompositeState(system_dim=system.dim, registers=regs, block=system.amps)
+    """System ket with every pointer's register attached in its ready state."""
+    return CompositeState(system_dim=system.dim, registers=pointers, block=system.amps)
 
 
 def _couple(state: CompositeState, proj: Operator, site: str, kind: str) -> CompositeState:
     state._check_system("projector", proj.dim)
     if site in state.coupled:
         raise ContractError(f"register at site {site!r} was already coupled once")
-    reg = state.register(site)
+    k = state.register_index(site)
+    reg = state.registers[k]
     if reg.kind != kind:
         raise ContractError(f"register at site {site!r} is {reg.kind}, not {kind}")
     if not proj.is_projector():
         raise ContractError(f"coupling at site {site!r} needs a projector")
-    ax = 1 + state.register_index(site)
     # The uncoupled register's 1-long axis is its ready slice: split it
     # into the miss branch (still ready) and the kicked hit branch.
     hit = np.tensordot(proj.matrix, state.block, axes=(1, 0))
     miss = state.block - hit
     hv = reg.moved_coeffs
-    new = np.concatenate([hit * hv[0] + miss, hit * hv[1]], axis=ax)
+    new = np.concatenate([hit * hv[0] + miss, hit * hv[1]], axis=1 + k)
     return replace(state, block=new, coupled=state.coupled | {site})
 
 

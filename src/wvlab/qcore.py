@@ -143,19 +143,10 @@ def resolves_identity(projectors) -> bool:
         return _residual(sum(op.matrix for op in ops), np.eye(ops[0].dim)) <= STRUCT_TOL
 
 
-def ket(amps) -> Ket:
-    """Build a Ket from a scalar or a sequence of amplitudes."""
-    return Ket(np.atleast_1d(amps))
-
-
 def basis_ket(dim: int, index: int) -> Ket:
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return Ket(amps)
-
-
-def operator(matrix) -> Operator:
-    return Operator(matrix)
 
 
 def identity(dim: int) -> Operator:

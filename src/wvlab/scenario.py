@@ -41,8 +41,6 @@ from .qcore import (
     Ket,
     Operator,
     basis_ket,
-    ket,
-    operator,
     projector_from_ket,
     resolves_identity,
 )
@@ -183,9 +181,6 @@ class Scenario:
     def postselection_amplitude(self) -> complex:
         return sweep(self.timeline, self.prepost).overlap(self.timeline.final)
 
-    def is_degenerate(self) -> bool:
-        return abs(self.postselection_amplitude()) <= self.tolerance
-
     def with_overrides(self, tolerance: float | None = None, g: float | None = None) -> Scenario:
         """Copy with a new tolerance and/or weak coupling strength g."""
         out = self
@@ -223,7 +218,7 @@ def _three_path(crossing_site, pointers) -> Scenario:
     return Scenario(
         dim=3,
         timeline=identity_timeline(("t_i", "t_1", "t_2", "t_3", "t_4", "t_f"), 3),
-        prepost=PrePost(ket([s3, s3, s3]), ket([s3, s3, -s3])),
+        prepost=PrePost(Ket([s3, s3, s3]), Ket([s3, s3, -s3])),
         sites=sites,
         pointers=tuple(pointers),
         sum_rules=(SumRule(("D", "E", "F"), "t_1"), SumRule(("D", "E'", "F'"), "t_3")),
@@ -239,7 +234,7 @@ def default_three_path(pointers=()) -> Scenario:
     Crossings project onto (|2>+|3>)/sqrt(2).
     """
     s2 = 1.0 / np.sqrt(2.0)
-    crossing = ket([0.0, s2, s2])
+    crossing = Ket([0.0, s2, s2])
     return _three_path(lambda label, stage: site_from_ket(label, stage, crossing), pointers)
 
 
@@ -249,7 +244,7 @@ def three_path_rank2_crossing(pointers=()) -> Scenario:
     Gives the same (zero) weak values at O and O' as the rank-1 model
     but different strong-coupling back-action.
     """
-    both = operator(np.diag([0.0, 1.0, 1.0]))
+    both = Operator(np.diag([0.0, 1.0, 1.0]))
     return _three_path(lambda label, stage: site_from_matrix(label, stage, both), pointers)
 
 
@@ -443,12 +438,12 @@ def from_dict(d: dict) -> Scenario:
         if segments[k] is not None:
             raise ScenarioError(SCHEMA, f"{name} appears twice")
         mat = _parse_array(_want(entry, "matrix", list, name), (dim, dim), f"{name} matrix")
-        segments[k] = operator(mat)
+        segments[k] = Operator(mat)
     for k, seg in enumerate(segments):
         if seg is None:
             raise ScenarioError(SCHEMA, f"segment {stages[k]}->{stages[k + 1]} is missing")
     timeline = Timeline(tuple(stages), tuple(segments))
-    prepost = PrePost(ket(pre), ket(post))
+    prepost = PrePost(Ket(pre), Ket(post))
 
     sites = []
     for where, entry in _items(d, "sites", _SITE_KEYS):
@@ -458,10 +453,10 @@ def from_dict(d: dict) -> Scenario:
         where = f"site {label!r}"
         if kind == KIND_KET:
             vec = _parse_array(_want(entry, "data", list, where), (dim,), f"{where} data")
-            sites.append(site_from_ket(label, stage, ket(vec)))
+            sites.append(site_from_ket(label, stage, Ket(vec)))
         elif kind == KIND_MATRIX:
             mat = _parse_array(_want(entry, "data", list, where), (dim, dim), f"{where} data")
-            sites.append(site_from_matrix(label, stage, operator(mat)))
+            sites.append(site_from_matrix(label, stage, Operator(mat)))
         else:
             raise ScenarioError(SCHEMA, f"{where} kind must be 'ket' or 'matrix', got {kind!r}")
 
@@ -496,9 +491,20 @@ def dumps(sc: Scenario) -> str:
     return json.dumps(to_dict(sc), indent=2)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, rejecting a key given twice."""
+    out = {}
+    for key, val in pairs:
+        if key in out:
+            raise ScenarioError(SCHEMA, f"key {key!r} appears twice in one object")
+        out[key] = val
+    return out
+
+
 def loads(text: str) -> Scenario:
+    """Parse a scenario from JSON text."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         # ValueError covers syntax errors and integer literals too long
         # to convert; RecursionError, nesting too deep to parse.
@@ -511,26 +517,18 @@ def save(sc: Scenario, path) -> None:
         fh.write(dumps(sc) + "\n")
 
 
-def _load_file(path) -> Scenario:
+def load(path) -> Scenario:
+    """Load a scenario from the UTF-8 file at path; JSON text goes through loads.
+
+    I/O errors propagate as OSError; a file that is not UTF-8 is a
+    schema error.
+    """
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ScenarioError(SCHEMA, f"not valid UTF-8: {exc}") from exc
     return loads(text)
-
-
-def load(source) -> Scenario:
-    """Load a scenario from a file path or a JSON string.
-
-    Strings starting with "{" are parsed directly; anything else is
-    treated as a path to a UTF-8 file. I/O errors propagate as OSError;
-    a file that is not UTF-8 is a schema error.
-    """
-    text = str(source)
-    if text.lstrip().startswith("{"):
-        return loads(text)
-    return _load_file(source)
 
 
 def resolve(source: str) -> Scenario:
@@ -541,4 +539,4 @@ def resolve(source: str) -> Scenario:
     """
     if source.startswith("builtin:"):
         return builtin(source[len("builtin:") :])
-    return _load_file(source)
+    return load(source)

@@ -86,10 +86,6 @@ class Timeline:
         return self.segments[0].dim
 
     @property
-    def initial(self) -> str:
-        return self.stages[0]
-
-    @property
     def final(self) -> str:
         return self.stages[-1]
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from wvlab.cli import EXIT_OK, main
 from wvlab.pointer import PointerSpec, couple_strong, couple_weak, initial_state
-from wvlab.qcore import ket, operator, projector_from_ket
+from wvlab.qcore import Ket, Operator, projector_from_ket
 from wvlab.runner import disturbance_table, run_pointers
 from wvlab.scenario import builtin
 from wvlab.twosv import PrePost, Timeline, sum_rule_check, transition_amplitude, weak_value
@@ -163,13 +163,13 @@ def test_criterion_6_property_suite():
             dim = int(rng.integers(2, 6))
             stages = ("t_i", "t_1", "t_2", "t_f")
             mats = [_random_unitary(rng, dim) for _ in stages[:-1]]
-            tl = Timeline(stages, tuple(operator(m) for m in mats))
+            tl = Timeline(stages, tuple(Operator(m) for m in mats))
             pre = _random_state(rng, dim)
             u_total = mats[2] @ mats[1] @ mats[0]
             post = _random_state(rng, dim)
             while abs(np.vdot(post, u_total @ pre)) <= 0.05:
                 post = _random_state(rng, dim)
-            pp = PrePost(ket(pre), ket(post))
+            pp = PrePost(Ket(pre), Ket(post))
             k = int(rng.integers(0, len(stages)))
             stage = stages[k]
             u_before = np.eye(dim, dtype=complex)
@@ -182,14 +182,14 @@ def test_criterion_6_property_suite():
             # Complete orthogonal set: weak values sum to 1.
             basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
             projs = {
-                f"b{j}": projector_from_ket(ket(basis[:, j])) for j in range(dim)
+                f"b{j}": projector_from_ket(Ket(basis[:, j])) for j in range(dim)
             }
             total = sum_rule_check(tl, pp, projs, stage)
             assert abs(total - 1.0) <= 1e-9
 
             # Generic rank-1 site: engine equals the raw matrix-product formula.
             v = _random_state(rng, dim)
-            proj = projector_from_ket(ket(v))
+            proj = projector_from_ket(Ket(v))
             res = weak_value(tl, pp, proj, stage)
             den = np.vdot(post, u_total @ pre)
             num = np.vdot(post, u_after @ proj.matrix @ (u_before @ pre))
@@ -204,7 +204,7 @@ def test_criterion_6_property_suite():
             w = _random_state(rng, dim)
             w_null = w - back * np.vdot(back, w)
             if np.linalg.norm(w_null) > 1e-6:
-                null_proj = projector_from_ket(ket(w_null))
+                null_proj = projector_from_ket(Ket(w_null))
                 ta = transition_amplitude(tl, pp, null_proj, stage)
                 null_res = weak_value(tl, pp, null_proj, stage)
                 assert abs(ta) <= 1e-12
@@ -212,11 +212,11 @@ def test_criterion_6_property_suite():
 
             # Couplings preserve the joint norm.
             state = initial_state(
-                ket(pre),
+                Ket(pre),
                 (PointerSpec(site="S", kind="strong"), PointerSpec(site="W", kind="weak")),
             )
             state = couple_strong(state, proj, "S")
             assert abs(state.norm() - 1.0) <= 1e-12
-            state = couple_weak(state, projector_from_ket(ket(w)), "W")
+            state = couple_weak(state, projector_from_ket(Ket(w)), "W")
             assert abs(state.norm() - 1.0) <= 1e-12
         assert time.perf_counter() - start < 30.0

@@ -147,6 +147,23 @@ def test_missing_file_exits_io(capsys, tmp_path):
     assert "cannot read scenario" in err
 
 
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ('"tolerance": 1e-10', '"tolerance": 0.5, "tolerance": 1e-10'),
+        ('"kind": "ket"', '"kind": "matrix", "kind": "ket"'),
+    ],
+    ids=["top-level", "nested"],
+)
+def test_repeated_key_exits_validation(capsys, tmp_path, old, new):
+    text = json.dumps(to_dict(builtin("three-path")))
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", "--scenario", str(path))
+    assert code == EXIT_VALIDATION and out == ""
+    assert "validation error [schema]" in err and "appears twice" in err
+
+
 def test_path_starting_with_brace_is_opened_as_a_file(capsys, tmp_path, monkeypatch):
     src = os.path.join(os.path.dirname(__file__), "data", "four_level.json")
     shutil.copy(src, tmp_path / "{x}.json")
@@ -242,9 +259,10 @@ def test_out_writes_file_and_silences_stdout(capsys, tmp_path):
 
 def test_unwritable_out_exits_io(capsys, tmp_path):
     target = tmp_path / "missing-dir" / "report.json"
-    code, out, err = run_cli(capsys, "weak-values", "--out", str(target))
-    assert code == EXIT_IO
-    assert "cannot write output" in err
+    for command in ("weak-values", "validate", "export-default"):
+        code, out, err = run_cli(capsys, command, "--out", str(target))
+        assert code == EXIT_IO and out == ""
+        assert "cannot write output" in err
 
 
 def test_module_entry_point_smoke():
@@ -311,15 +329,16 @@ def test_non_finite_and_unbounded_numbers_exit_validation(
 ):
     import wvlab.pointer
 
-    def no_register(spec):
-        raise AssertionError(f"register built for rejected spec {spec}")
-
-    monkeypatch.setattr(wvlab.pointer, "make_register", no_register)
     d = to_dict(builtin("three-path-allweak"))
     target = {"pre": d["pre"], "segment": d["segments"][1]["matrix"], "pointer": d["pointers"][0]}
     target[where][key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(d), encoding="utf-8")
+
+    def no_grid(spec):
+        raise AssertionError(f"grid built for rejected spec {spec}")
+
+    monkeypatch.setattr(wvlab.pointer, "_weak_packets", no_grid)
     code, out, err = run_cli(capsys, "run", "--scenario", str(path))
     assert code == EXIT_VALIDATION and out == ""
     assert "[schema]" in err and needle in err

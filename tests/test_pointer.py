@@ -7,6 +7,8 @@ representation used by the package must agree to machine precision.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,13 +20,20 @@ from wvlab.pointer import (
     couple_strong,
     couple_weak,
     initial_state,
-    make_register,
     pattern_amplitudes,
     postselect,
 )
-from wvlab.qcore import PATTERN_FLOOR, basis_ket, identity, ket, operator, projector_from_ket
+from wvlab.qcore import PATTERN_FLOOR, Ket, Operator, basis_ket, identity, projector_from_ket
 from wvlab.runner import disturbance_rows, run_pointers
-from wvlab.scenario import from_dict
+from wvlab.scenario import (
+    Scenario,
+    default_three_path,
+    from_dict,
+    site_from_ket,
+    site_from_matrix,
+    three_path_rank2_crossing,
+)
+from wvlab.twosv import PrePost, Timeline, transition_amplitude
 
 S3 = 1.0 / np.sqrt(3.0)
 PSI = np.array([S3, S3, S3])
@@ -36,7 +45,7 @@ def _proj(index):
 
 
 def _crossing():
-    return projector_from_ket(ket([0.0, 1.0, 1.0]))
+    return projector_from_ket(Ket([0.0, 1.0, 1.0]))
 
 
 def _random_unitary(rng, n):
@@ -130,33 +139,32 @@ def test_pointer_spec_rejections(kwargs):
 
 
 def test_strong_register_states_are_orthogonal():
-    reg = make_register(PointerSpec(site="D", kind="strong"))
+    spec = PointerSpec(site="D", kind="strong")
     ready = np.array([1.0, 0.0])
-    assert np.array_equal(reg.moved_coeffs, [0.0, 1.0])
-    assert np.dot(ready, reg.moved_coeffs) == 0.0
+    assert np.array_equal(spec.moved_coeffs, [0.0, 1.0])
+    assert np.dot(ready, spec.moved_coeffs) == 0.0
 
 
 def test_weak_register_waves():
     spec = PointerSpec(site="O", kind="weak", g=0.01)
-    reg = make_register(spec)
     q, g0, g1 = _grid_waves(spec)
-    ready, moved = reg.basis[0], reg.moved_coeffs @ reg.basis
+    ready, moved = spec.basis[0], spec.moved_coeffs @ spec.basis
     assert abs(np.linalg.norm(ready) - 1.0) <= 1e-8
     assert np.max(np.abs(ready - g0)) <= 1e-15
     assert np.max(np.abs(moved - g1)) <= 1e-12
     # Overlap follows the Gaussian law up to grid truncation.
     analytic = np.exp(-(spec.g**2) / (8.0 * spec.sigma**2))
     assert abs(float(np.dot(g0, g1)) - analytic) <= 1e-8
-    assert abs(np.dot(reg.moved_coeffs, reg.moved_coeffs) - 1.0) <= 1e-12
+    assert abs(np.dot(spec.moved_coeffs, spec.moved_coeffs) - 1.0) <= 1e-12
     # Ready packet is centered.
-    assert abs(reg.pos_op[0, 0]) <= 1e-12
-    assert reg.mass_loss <= 1e-6
+    assert abs(spec.pos_op[0, 0]) <= 1e-12
+    assert spec.mass_loss <= 1e-6
 
 
 def test_weak_register_with_zero_g_stays_two_dimensional():
-    reg = make_register(PointerSpec(site="O", kind="weak", g=0.0))
-    assert np.allclose(reg.moved_coeffs, [1.0, 0.0])
-    gram = reg.basis @ reg.basis.T
+    spec = PointerSpec(site="O", kind="weak", g=0.0)
+    assert np.allclose(spec.moved_coeffs, [1.0, 0.0])
+    gram = spec.basis @ spec.basis.T
     assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
 
 
@@ -173,7 +181,7 @@ def test_translation_off_the_grid_is_rejected():
 
 
 def _fresh(pointers):
-    return initial_state(ket(PSI), pointers)
+    return initial_state(Ket(PSI), pointers)
 
 
 def test_initial_state_shape_and_labels():
@@ -182,15 +190,16 @@ def test_initial_state_shape_and_labels():
     assert np.isclose(state.norm(), 1.0)
     # Flat index 4 * path + 2 * D + O: the system amplitudes sit where
     # every register is ready.
-    assert np.array_equal(state.amps[[0, 4, 8]], PSI)
-    assert np.count_nonzero(state.amps) == 3
+    flat = state.tensor_view().reshape(-1)
+    assert np.array_equal(flat[[0, 4, 8]], PSI)
+    assert np.count_nonzero(flat) == 3
 
 
 def test_couple_strong_zero_and_identity_projectors():
-    zero = operator(np.zeros((3, 3)))
+    zero = Operator(np.zeros((3, 3)))
     state = _fresh([PointerSpec(site="D", kind="strong")])
     same = couple_strong(state, zero, "D")
-    assert np.array_equal(same.amps, state.amps)
+    assert np.array_equal(same.tensor_view(), state.tensor_view())
     full = couple_strong(state, identity(3), "D")
     t = full.tensor_view()
     assert np.allclose(t[:, 1], PSI)
@@ -213,7 +222,7 @@ def test_couple_kind_must_match_register():
 def test_couple_requires_projector_and_matching_dim():
     state = _fresh([PointerSpec(site="D", kind="strong")])
     with pytest.raises(ContractError):
-        couple_strong(state, operator(0.5 * np.eye(3)), "D")
+        couple_strong(state, Operator(0.5 * np.eye(3)), "D")
     from wvlab.errors import DimensionMismatchError
 
     with pytest.raises(DimensionMismatchError):
@@ -224,14 +233,14 @@ def test_couplings_preserve_norm():
     rng = np.random.default_rng(41)
     for _ in range(30):
         n = int(rng.integers(2, 5))
-        sys = ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
+        sys = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
         specs = [
             PointerSpec(site="s", kind="strong"),
             PointerSpec(site="w", kind="weak", g=0.05, grid_size=61),
         ]
         state = initial_state(sys, specs)
-        u = ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
-        v = ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
+        u = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
+        v = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
         state = couple_strong(state, projector_from_ket(u), "s")
         state = couple_weak(state, projector_from_ket(v), "w")
         assert abs(state.norm() - 1.0) <= 1e-12
@@ -241,16 +250,16 @@ def test_same_stage_orthogonal_strong_couplings_commute():
     specs = [PointerSpec(site="D", kind="strong"), PointerSpec(site="O", kind="strong")]
     a = couple_strong(couple_strong(_fresh(specs), _proj(0), "D"), _crossing(), "O")
     b = couple_strong(couple_strong(_fresh(specs), _crossing(), "O"), _proj(0), "D")
-    assert np.max(np.abs(a.amps - b.amps)) <= 1e-14
+    assert np.max(np.abs(a.tensor_view() - b.tensor_view())) <= 1e-14
 
 
 def test_postselect_bare_state():
     state = _fresh([])
-    res = postselect(state, ket(CHI))
+    res = postselect(state, Ket(CHI))
     assert np.isclose(res.probability, 1.0 / 9.0, atol=1e-12)
     assert not res.degenerate
     assert np.isclose(res.conditional.norm(), 1.0)
-    orth = postselect(state, ket([0.0, 1.0 / np.sqrt(2), -1.0 / np.sqrt(2)]))
+    orth = postselect(state, Ket([0.0, 1.0 / np.sqrt(2), -1.0 / np.sqrt(2)]))
     assert orth.degenerate
     assert orth.conditional is None
     assert orth.probability <= 1e-20
@@ -258,7 +267,7 @@ def test_postselect_bare_state():
 
 def test_coupling_after_postselection_rejected():
     state = _fresh([PointerSpec(site="D", kind="strong")])
-    res = postselect(state, ket(CHI))
+    res = postselect(state, Ket(CHI))
     with pytest.raises(ContractError):
         couple_strong(res.conditional, _proj(0), "D")
 
@@ -268,7 +277,7 @@ def _run_fig1():
     state = _fresh(specs)
     state = couple_strong(state, _proj(0), "D")
     state = couple_strong(state, _crossing(), "O")
-    return postselect(state, ket(CHI))
+    return postselect(state, Ket(CHI))
 
 
 def test_two_strong_pointers_give_certain_detector_click():
@@ -290,7 +299,7 @@ def test_four_strong_pointers_split_into_three_patterns():
     state = couple_strong(state, _crossing(), "O")
     state = couple_strong(state, _proj(1), "E'")
     state = couple_strong(state, _proj(2), "F'")
-    res = postselect(state, ket(CHI))
+    res = postselect(state, Ket(CHI))
     assert np.isclose(res.probability, 1.0 / 3.0, atol=1e-12)
     stats = click_readout(res.conditional)
     third = 1.0 / 3.0
@@ -308,7 +317,7 @@ def test_click_readout_contracts():
     state = _fresh([])
     with pytest.raises(ContractError):
         click_readout(state)  # system still present
-    res = postselect(state, ket(CHI))
+    res = postselect(state, Ket(CHI))
     with pytest.raises(ContractError):
         click_readout(res.unnormalized)
 
@@ -316,7 +325,7 @@ def test_click_readout_contracts():
 def test_composite_state_validation():
     with pytest.raises(ContractError):
         initial_state(
-            ket(PSI), [PointerSpec(site="X", kind="strong"), PointerSpec(site="X", kind="weak")]
+            Ket(PSI), [PointerSpec(site="X", kind="strong"), PointerSpec(site="X", kind="weak")]
         )
 
 
@@ -324,14 +333,14 @@ def test_composite_state_validation():
 
 
 def _package_run(psi, chi, couplings, specs):
-    state = initial_state(ket(psi), specs)
+    state = initial_state(Ket(psi), specs)
+    kinds = {spec.site: spec.kind for spec in specs}
     for proj, site in couplings:
-        reg = state.register(site)
-        if reg.kind == "strong":
+        if kinds[site] == "strong":
             state = couple_strong(state, proj, site)
         else:
             state = couple_weak(state, proj, site)
-    res = postselect(state, ket(chi))
+    res = postselect(state, Ket(chi))
     return res, click_readout(res.conditional) if not res.degenerate else None
 
 
@@ -416,7 +425,7 @@ def test_weak_coupling_with_identity_projector_shifts_fully():
 def test_weak_coupling_with_zero_g_is_identity():
     state = _fresh([PointerSpec(site="O", kind="weak", g=0.0)])
     out = couple_weak(state, _crossing(), "O")
-    assert np.max(np.abs(out.amps - state.amps)) <= 1e-15
+    assert np.max(np.abs(out.tensor_view() - state.tensor_view())) <= 1e-15
 
 
 # --- growing composite and floored readout -----------------------------------
@@ -435,8 +444,8 @@ def _random_scenario(rng, n_ptr):
     dim = int(rng.integers(2, 6))
     stages = [f"t{k}" for k in range(int(rng.integers(2, 5)))]
     mats = [_random_unitary(rng, dim) for _ in stages[1:]]
-    pre = ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized().amps
-    post = ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized().amps
+    pre = Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized().amps
+    post = Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized().amps
     forward = [pre]
     for u in mats:
         forward.append(u @ forward[-1])
@@ -539,10 +548,10 @@ def _mixed_state(rng, dim, kinds):
     specs = [
         PointerSpec(site=f"r{k}", kind=kind, g=0.2, grid_size=31) for k, kind in enumerate(kinds)
     ]
-    psi = ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized()
+    psi = Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized()
     state = initial_state(psi, specs)
     for spec in specs:
-        v = ket(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        v = Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim))
         couple = couple_strong if spec.kind == "strong" else couple_weak
         state = couple(state, projector_from_ket(v), spec.site)
     return state
@@ -552,7 +561,7 @@ def test_pattern_keys_come_in_ndindex_order():
     rng = np.random.default_rng(5)
     kinds = ("strong", "weak", "strong", "strong", "weak", "strong", "strong")
     state = _mixed_state(rng, 3, kinds)
-    res = postselect(state, ket(rng.normal(size=3) + 0j).normalized())
+    res = postselect(state, Ket(rng.normal(size=3) + 0j).normalized())
     strong = [f"r{k}" for k, kind in enumerate(kinds) if kind == "strong"]
     order = [
         tuple(site for site, bit in zip(strong, combo) if bit)
@@ -574,7 +583,7 @@ def test_block_grows_by_one_factor_two_per_coupling():
         state = couple_strong(state, proj, site)
         assert state.block.size == 3 * 2**k
         assert state.shape == (3, 2, 2, 2, 2)
-    assert postselect(state, ket(CHI)).unnormalized.block.size == 2**4
+    assert postselect(state, Ket(CHI)).unnormalized.block.size == 2**4
     with pytest.raises(ContractError):
         CompositeState(system_dim=3, registers=state.registers, block=state.block[:1])
 
@@ -587,13 +596,11 @@ def test_partially_coupled_state_keeps_the_full_layout():
     sim.couple(_crossing(), 1)
     sim.couple(_proj(2), 3)
     assert state.tensor_view().shape == (3, 2, 2, 2, 2)
-    assert state.amps.shape == (3 * 2**4,)
     assert np.max(np.abs(state.tensor_view() - sim.t)) <= 1e-15
-    assert np.array_equal(state.amps, state.tensor_view().reshape(-1))
     # Uncoupled registers are still ready: their shifted halves are zero.
     t = state.tensor_view()
     assert not np.any(t[:, 1]) and not np.any(t[:, :, :, 1])
-    res = postselect(state, ket(CHI))
+    res = postselect(state, Ket(CHI))
     assert res.conditional.tensor_view().shape == (2, 2, 2, 2)
     stats = click_readout(res.conditional)
     assert stats.strong["D"] == 0.0 and stats.strong["E'"] == 0.0
@@ -605,11 +612,11 @@ def test_click_patterns_hold_only_values_above_the_floor():
     # pattern with C exactly zero. Neither kind is reported.
     specs = [PointerSpec(site="A", kind="strong"), PointerSpec(site="C", kind="strong")]
     specs.append(PointerSpec(site="W", kind="weak", g=0.2, grid_size=31))
-    state = initial_state(ket([0.0, 1.0]), specs)
-    state = couple_strong(state, projector_from_ket(ket([1.0, 1e-7])), "A")
-    state = couple_strong(state, operator(np.zeros((2, 2))), "C")
+    state = initial_state(Ket([0.0, 1.0]), specs)
+    state = couple_strong(state, projector_from_ket(Ket([1.0, 1e-7])), "A")
+    state = couple_strong(state, Operator(np.zeros((2, 2))), "C")
     state = couple_weak(state, identity(2), "W")
-    res = postselect(state, ket([1.0, 1.0]).normalized())
+    res = postselect(state, Ket([1.0, 1.0]).normalized())
     joint = (np.abs(res.conditional.tensor_view()) ** 2).sum(axis=-1)
     assert 0.0 < joint[1, 0] < PATTERN_FLOOR
     stats = click_readout(res.conditional)
@@ -619,5 +626,82 @@ def test_click_patterns_hold_only_values_above_the_floor():
     fig2 = _fresh([PointerSpec(site=s, kind="strong") for s in ("D", "O", "E'", "F'")])
     for proj, site in [(_proj(0), "D"), (_crossing(), "O"), (_proj(1), "E'"), (_proj(2), "F'")]:
         fig2 = couple_strong(fig2, proj, site)
-    four = postselect(fig2, ket(CHI))
+    four = postselect(fig2, Ket(CHI))
     assert set(click_readout(four.conditional).patterns) == {("D",), ("O", "E'"), ("O", "F'")}
+
+
+# --- the paper's claim: a lone strong detector -------------------------------
+
+
+def _lone_detector_scenario(rng):
+    """Random timeline (d 2-6, 2-10 stages) with rank-1 and rank-2 sites.
+
+    Half the sites are null by construction: their subspace is
+    orthogonal to the evolved pre state, or to the post state dragged
+    back, at their stage.
+    """
+    dim = int(rng.integers(2, 7))
+    stages = tuple(f"t{k}" for k in range(int(rng.integers(2, 11))))
+    mats = [_random_unitary(rng, dim) for _ in stages[1:]]
+    pre, post = (
+        Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized().amps for _ in range(2)
+    )
+    forward, backward = [pre], [post]
+    for u, u_back in zip(mats, reversed(mats)):
+        forward.append(u @ forward[-1])
+        backward.insert(0, u_back.conj().T @ backward[0])
+    sites = []
+    for rank, null in ((1, False), (1, True), (2, False), (2, True)):
+        if rank == 2 and null and dim < 3:
+            continue
+        s = int(rng.integers(len(stages)))
+        cols = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        if null:
+            psi = (forward if rng.random() < 0.5 else backward)[s]
+            cols = cols - np.outer(psi, psi.conj() @ cols)
+        label, stage = f"s{len(sites)}", stages[s]
+        if rank == 1:
+            sites.append(site_from_ket(label, stage, Ket(cols[:, 0])))
+        else:
+            q = np.linalg.qr(cols)[0]
+            sites.append(site_from_matrix(label, stage, Operator(q @ q.conj().T)))
+    return Scenario(
+        dim=dim,
+        timeline=Timeline(stages, tuple(Operator(u) for u in mats)),
+        prepost=PrePost(Ket(pre), Ket(post)),
+        sites=tuple(sites),
+    )
+
+
+def _check_lone_detector(sc, site) -> bool:
+    """One strong pointer at site: clicks at |tau|^2 / (|tau|^2 + |miss|^2).
+
+    tau is the site's transition amplitude and miss the amplitude
+    through 1 - P at the same stage, so the detector is silent exactly
+    where the weak value is null. Returns whether the site is null.
+    """
+    rep = run_pointers(replace(sc, pointers=(PointerSpec(site=site.label, kind="strong"),)))
+    tl, pp = sc.timeline, sc.prepost
+    tau = transition_amplitude(tl, pp, site.projector, site.stage)
+    rest = Operator(np.eye(sc.dim) - site.projector.matrix)
+    miss = transition_amplitude(tl, pp, rest, site.stage)
+    den = abs(tau) ** 2 + abs(miss) ** 2
+    assert not rep.degenerate
+    assert abs(rep.postselection_probability - den) <= 1e-12
+    assert abs(rep.clicks[site.label] - abs(tau) ** 2 / den) <= 1e-12
+    null = abs(tau) <= sc.tolerance
+    if null:
+        assert all(site.label not in pattern for pattern in rep.patterns)
+    return null
+
+
+def test_lone_strong_detector_is_silent_exactly_where_the_weak_value_is_null():
+    nulls = 0
+    for sc in (default_three_path(), three_path_rank2_crossing()):
+        nulls += sum(_check_lone_detector(sc, site) for site in sc.sites)
+    assert nulls == 4  # O and O' in both crossing models
+    rng = np.random.default_rng(20261018)
+    for _ in range(100):
+        sc = _lone_detector_scenario(rng)
+        nulls += sum(_check_lone_detector(sc, site) for site in sc.sites)
+    assert nulls >= 150

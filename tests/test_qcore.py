@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wvlab.errors import ContractError
-from wvlab.qcore import basis_ket, identity, ket, operator, projector_from_ket, resolves_identity
+from wvlab.qcore import Ket, Operator, basis_ket, identity, projector_from_ket, resolves_identity
 
 
 def _random_unitary(rng, n):
@@ -17,7 +17,7 @@ def _random_unitary(rng, n):
 
 
 def test_projector_from_ket_properties():
-    u = ket([0.0, 1.0, 1.0])  # renormalized internally
+    u = Ket([0.0, 1.0, 1.0])  # renormalized internally
     p = projector_from_ket(u)
     assert p.is_projector()
     assert np.isclose(np.trace(p.matrix), 1.0)
@@ -26,18 +26,18 @@ def test_projector_from_ket_properties():
 
 def test_projector_from_zero_ket_rejected():
     with pytest.raises(ContractError):
-        projector_from_ket(ket([0.0, 0.0]))
+        projector_from_ket(Ket([0.0, 0.0]))
 
 
 def test_identity_flags():
     eye = identity(4)
     assert eye.is_unitary()
     assert eye.is_projector()
-    assert not operator([[1.0, 1.0], [0.0, 1.0]]).is_unitary()
+    assert not Operator([[1.0, 1.0], [0.0, 1.0]]).is_unitary()
     rng = np.random.default_rng(19)
     for n in (2, 3, 5):
-        assert operator(_random_unitary(rng, n)).is_unitary()
-    assert not operator([[0.5, 0.5], [0.5, 0.6]]).is_projector()
+        assert Operator(_random_unitary(rng, n)).is_unitary()
+    assert not Operator([[0.5, 0.5], [0.5, 0.6]]).is_projector()
 
 
 def test_resolves_identity():
@@ -58,18 +58,18 @@ def test_arrays_are_read_only():
 
 def test_non_finite_entries_rejected():
     with pytest.raises(ContractError):
-        ket([np.nan, 0.0])
+        Ket([np.nan, 0.0])
     with pytest.raises(ContractError):
-        operator([[np.inf, 0.0], [0.0, 1.0]])
+        Operator([[np.inf, 0.0], [0.0, 1.0]])
 
 
 def test_normalized_rejects_zero_and_scales():
-    k = ket([3.0, 4.0])
+    k = Ket([3.0, 4.0])
     assert np.isclose(k.normalized().norm(), 1.0)
     rng = np.random.default_rng(23)
     for n in (2, 3, 4):
-        out = ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
+        out = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
         assert np.all(np.isfinite(out.amps))
         assert np.isclose(out.norm(), 1.0)
     with pytest.raises(ContractError):
-        ket([0.0, 0.0]).normalized()
+        Ket([0.0, 0.0]).normalized()

@@ -18,6 +18,7 @@ from wvlab.errors import (
     ScenarioError,
 )
 from wvlab.pointer import PointerSpec
+from wvlab.runner import run_weak_values
 from wvlab.scenario import (
     BUILTIN_NAMES,
     builtin,
@@ -52,7 +53,8 @@ def test_default_scenario_layout():
     assert sc.timeline.stages == ("t_i", "t_1", "t_2", "t_3", "t_4", "t_f")
     assert tuple(s.label for s in sc.sites) == ("E", "F", "D", "O", "E'", "F'", "O'")
     assert tuple(s.stage for s in sc.sites) == ("t_1", "t_1", "t_2", "t_2", "t_3", "t_3", "t_4")
-    assert not sc.is_degenerate()
+    assert abs(sc.postselection_amplitude()) > sc.tolerance
+    assert not run_weak_values(sc).degenerate
     assert len(sc.checksum) == 64
 
 
@@ -179,11 +181,34 @@ def test_round_trip_through_file(tmp_path):
     assert load(path).sites[0].label == "É"
 
 
-def test_load_accepts_json_text():
-    sc = loads(dumps(builtin("three-path")))
+def test_loads_parses_text_and_load_opens_paths_only(tmp_path):
+    text = dumps(builtin("three-path"))
+    sc = loads(text)
     assert sc.dim == 3
-    direct = load(dumps(builtin("three-path")))
-    assert direct.checksum == sc.checksum
+    # A path is opened as a path, even one whose name starts with "{".
+    path = tmp_path / "{x}.json"
+    path.write_text(text, encoding="utf-8")
+    assert load(path).checksum == load(str(path)).checksum == sc.checksum
+    with pytest.raises(OSError):
+        load(text)
+
+
+@pytest.mark.parametrize(
+    "old,new,key",
+    [
+        ('"tolerance": 1e-10', '"tolerance": 0.5, "tolerance": 1e-10', "tolerance"),
+        ('"kind": "ket"', '"kind": "matrix", "kind": "ket"', "kind"),
+    ],
+    ids=["top-level", "nested"],
+)
+def test_repeated_key_is_rejected(old, new, key):
+    text = json.dumps(to_dict(builtin("three-path")))
+    assert old in text
+    loads(text)
+    with pytest.raises(ScenarioError) as err:
+        loads(text.replace(old, new, 1))
+    assert err.value.code == SCHEMA
+    assert repr(key) in str(err.value)
 
 
 def test_rank2_variant_round_trips_matrix_sites():
@@ -361,7 +386,8 @@ def test_degenerate_scenario_flagged():
     s2 = 1.0 / np.sqrt(2.0)
     d["post"] = [[0.0, 0.0], [s2, 0.0], [-s2, 0.0]]
     sc = from_dict(d)
-    assert sc.is_degenerate()
+    assert abs(sc.postselection_amplitude()) <= sc.tolerance
+    assert run_weak_values(sc).degenerate
 
 
 def test_checksums_distinguish_builtins():
@@ -413,18 +439,18 @@ def test_nested_objects_reject_unknown_keys(kind, element):
 
 
 def test_owning_types_raise_coded_errors():
-    from wvlab.qcore import identity, ket, operator
+    from wvlab.qcore import Ket, Operator, identity
     from wvlab.twosv import PrePost, Timeline
 
     assert issubclass(ScenarioError, ContractError)
     with pytest.raises(ScenarioError) as err:
-        Timeline(("a", "b"), (operator([[1.0, 1.0], [0.0, 1.0]]),))
+        Timeline(("a", "b"), (Operator([[1.0, 1.0], [0.0, 1.0]]),))
     assert err.value.code == NON_UNITARY_SEGMENT and "a->b" in str(err.value)
     with pytest.raises(ScenarioError) as err:
         Timeline(("a", "a"), (identity(2),))
     assert err.value.code == SCHEMA
     with pytest.raises(ScenarioError) as err:
-        PrePost(ket([1.0, 0.0]), ket([1.0, 1.0]))
+        PrePost(Ket([1.0, 0.0]), Ket([1.0, 1.0]))
     assert err.value.code == NON_NORMALIZED_STATE and "post" in str(err.value)
     with pytest.raises(ScenarioError) as err:
         PointerSpec(site="O", kind="weak", grid_size=201.0)

@@ -25,8 +25,8 @@ import pytest
 
 from wvlab import cli
 from wvlab.errors import SCHEMA, UNKNOWN_SITE, ContractError, DimensionMismatchError, ScenarioError
-from wvlab.pointer import WEAK, PointerSpec, make_register
-from wvlab.qcore import basis_ket, identity, ket, operator
+from wvlab.pointer import WEAK, PointerSpec
+from wvlab.qcore import Ket, Operator, basis_ket, identity
 from wvlab.runner import disturbance_rows, disturbance_table, run_weak_values
 from wvlab.scenario import (
     BUILTIN_NAMES,
@@ -93,25 +93,25 @@ def _random_scenario(seed: int, n_stages: int, dim: int):
     picks = sorted({0, n_stages - 1, *rng.integers(0, n_stages, size=min(n_stages, 12)).tolist()})
     sites = []
     for k in picks:
-        sites.append(site_from_ket(f"g{k}", stages[k], ket(_random_state(rng, dim))))
+        sites.append(site_from_ket(f"g{k}", stages[k], Ket(_random_state(rng, dim))))
     for k in picks[:3]:
         back = post
         for m in reversed(mats[k:]):
             back = m.conj().T @ back
         w = _random_state(rng, dim)
         null = w - np.vdot(back, w) / np.vdot(back, back) * back
-        sites.append(site_from_ket(f"n{k}", stages[k], ket(null)))
+        sites.append(site_from_ket(f"n{k}", stages[k], Ket(null)))
     basis = _random_unitary(rng, dim)
     rank2 = basis[:, :2] @ basis[:, :2].conj().T
-    sites.append(site_from_matrix("r", stages[picks[-1]], operator(rank2)))
+    sites.append(site_from_matrix("r", stages[picks[-1]], Operator(rank2)))
     # The complete set sits at one stage but its sum rule is taken at another.
     set_stage, rule_stage = stages[picks[0]], stages[picks[len(picks) // 2]]
     for j in range(dim):
-        sites.append(site_from_ket(f"b{j}", set_stage, ket(basis[:, j])))
+        sites.append(site_from_ket(f"b{j}", set_stage, Ket(basis[:, j])))
     sc = Scenario(
         dim=dim,
-        timeline=Timeline(stages, tuple(operator(m) for m in mats)),
-        prepost=PrePost(ket(pre), ket(post)),
+        timeline=Timeline(stages, tuple(Operator(m) for m in mats)),
+        prepost=PrePost(Ket(pre), Ket(post)),
         sites=tuple(sites),
         sum_rules=(SumRule(tuple(f"b{j}" for j in range(dim)), rule_stage),),
     )
@@ -220,7 +220,7 @@ def test_sweep_holds_read_only_stacks_and_their_overlaps(n_stages, dim):
 
 def test_single_stage_timeline_sweeps_one_row():
     tl = Timeline(("only",), ())
-    pp = PrePost(ket([0.6, 0.8j, 0.0]), ket([0.0, 0.6, 0.8]))
+    pp = PrePost(Ket([0.6, 0.8j, 0.0]), Ket([0.0, 0.6, 0.8]))
     sw = sweep(tl, pp)
     assert sw.forward.shape == sw.backward.shape == (1, 3)
     row = weak_value(tl, pp, identity(3), "only")
@@ -229,11 +229,11 @@ def test_single_stage_timeline_sweeps_one_row():
 
 def test_sweep_rejects_unknown_stage_and_mismatched_dimension():
     tl = identity_timeline(("a", "b"), 2)
-    sw = sweep(tl, PrePost(ket([1.0, 0.0]), ket([0.0, 1.0])))
+    sw = sweep(tl, PrePost(Ket([1.0, 0.0]), Ket([0.0, 1.0])))
     with pytest.raises(ContractError):
         sw.overlap("c")
     with pytest.raises(DimensionMismatchError):
-        sweep(tl, PrePost(ket([1.0, 0.0, 0.0]), ket([0.0, 1.0, 0.0])))
+        sweep(tl, PrePost(Ket([1.0, 0.0, 0.0]), Ket([0.0, 1.0, 0.0])))
 
 
 def test_one_sweep_per_report_and_per_pre_post_pair():
@@ -300,11 +300,23 @@ def test_coarse_weak_grid_fails_validate_with_schema(change, tmp_path, capsys):
     assert "probability mass" in captured.err
 
 
-def test_weak_register_reuses_the_packets_checked_at_load():
-    spec = PointerSpec("E", WEAK)
-    reg = make_register(spec)
-    assert reg.positions is spec._packets[0]
-    assert reg.mass_loss == spec._packets[3]
+def test_pointer_spec_factor_is_read_only_and_rebuilt_on_override():
+    sc = builtin("three-path-allweak")
+    spec = sc.pointers[0]
+    assert spec.kind == WEAK and spec.mass_loss <= 1e-6
+    for arr in (spec.moved_coeffs, spec.positions, spec.basis, spec.pos_op, spec.pos2_op):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        spec.moved_coeffs[0] = 0.0
+    # The factor takes no part in equality, hashing or repr.
+    twin = PointerSpec("E", WEAK)
+    assert twin == spec and hash(twin) == hash(spec) and twin.basis is not spec.basis
+    assert "moved_coeffs" not in repr(spec)
+    # A new g builds a new factor: the kicked packet moves off the ready one.
+    kicked = sc.with_overrides(g=0.05).pointers[0]
+    assert kicked.moved_coeffs[1] > spec.moved_coeffs[1] > 0.0
+    assert kicked.moved_coeffs[0] < spec.moved_coeffs[0] < 1.0
+    assert np.array_equal(kicked.moved_coeffs, PointerSpec("E", WEAK, g=0.05).moved_coeffs)
 
 
 # --- CLI output pinned byte for byte ----------------------------------------

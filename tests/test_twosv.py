@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wvlab.errors import ContractError, DegeneratePostselectionError
-from wvlab.qcore import basis_ket, identity, ket, operator, projector_from_ket
+from wvlab.qcore import Ket, Operator, basis_ket, identity, projector_from_ket
 from wvlab.twosv import (
     PrePost,
     Timeline,
@@ -24,7 +24,7 @@ STAGES = ("t_i", "t_1", "t_2", "t_3", "t_4", "t_f")
 def _three_path():
     """The reference interferometer, assembled from primitives only."""
     tl = identity_timeline(STAGES, 3)
-    pp = PrePost(ket([S3, S3, S3]), ket([S3, S3, -S3]))
+    pp = PrePost(Ket([S3, S3, S3]), Ket([S3, S3, -S3]))
     return tl, pp
 
 
@@ -33,7 +33,7 @@ def _proj(index):
 
 
 def _crossing_proj():
-    return projector_from_ket(ket([0.0, 1.0, 1.0]))
+    return projector_from_ket(Ket([0.0, 1.0, 1.0]))
 
 
 def _random_unitary(rng, n):
@@ -49,7 +49,7 @@ def test_timeline_validation():
     with pytest.raises(ContractError):
         Timeline(("a", "b"), ())
     with pytest.raises(ContractError):
-        Timeline(("a", "b"), (operator([[1.0, 1.0], [0.0, 1.0]]),))
+        Timeline(("a", "b"), (Operator([[1.0, 1.0], [0.0, 1.0]]),))
     tl = identity_timeline(("a", "b"), 2)
     with pytest.raises(ContractError):
         tl.index("c")
@@ -59,9 +59,9 @@ def test_forward_and_backward_sweeps_pair_consistently():
     # <post(t)|pre(t)> must not depend on the stage t.
     rng = np.random.default_rng(5)
     stages = ("s0", "s1", "s2", "s3")
-    tl = Timeline(stages, tuple(operator(_random_unitary(rng, 3)) for _ in range(3)))
-    pre = ket(rng.normal(size=3) + 1j * rng.normal(size=3)).normalized()
-    post = ket(rng.normal(size=3) + 1j * rng.normal(size=3)).normalized()
+    tl = Timeline(stages, tuple(Operator(_random_unitary(rng, 3)) for _ in range(3)))
+    pre = Ket(rng.normal(size=3) + 1j * rng.normal(size=3)).normalized()
+    post = Ket(rng.normal(size=3) + 1j * rng.normal(size=3)).normalized()
     sw = sweep(tl, PrePost(pre, post))
     pairings = [sw.overlap(s) for s in stages]
     assert np.allclose(pairings, pairings[0])
@@ -82,7 +82,7 @@ def test_transition_amplitude_reference_values():
 
 def test_transition_amplitude_requires_projector_by_default():
     tl, pp = _three_path()
-    tilted = operator(0.5 * np.eye(3))
+    tilted = Operator(0.5 * np.eye(3))
     with pytest.raises(ContractError):
         transition_amplitude(tl, pp, tilted, "t_1")
     # Explicit opt-out admits arbitrary operators.
@@ -93,14 +93,14 @@ def test_transition_amplitude_requires_projector_by_default():
 def test_transition_amplitude_is_linear_in_the_operator():
     rng = np.random.default_rng(13)
     stages = ("a", "b", "c")
-    tl = Timeline(stages, tuple(operator(_random_unitary(rng, 4)) for _ in range(2)))
-    pre = ket(rng.normal(size=4) + 1j * rng.normal(size=4)).normalized()
-    post = ket(rng.normal(size=4) + 1j * rng.normal(size=4)).normalized()
+    tl = Timeline(stages, tuple(Operator(_random_unitary(rng, 4)) for _ in range(2)))
+    pre = Ket(rng.normal(size=4) + 1j * rng.normal(size=4)).normalized()
+    post = Ket(rng.normal(size=4) + 1j * rng.normal(size=4)).normalized()
     pp = PrePost(pre, post)
-    pa = projector_from_ket(ket(rng.normal(size=4) + 1j * rng.normal(size=4)))
-    pb = projector_from_ket(ket(rng.normal(size=4) + 1j * rng.normal(size=4)))
+    pa = projector_from_ket(Ket(rng.normal(size=4) + 1j * rng.normal(size=4)))
+    pb = projector_from_ket(Ket(rng.normal(size=4) + 1j * rng.normal(size=4)))
     alpha, beta = 0.7 - 0.2j, -1.1 + 0.4j
-    combo = operator(alpha * pa.matrix + beta * pb.matrix)
+    combo = Operator(alpha * pa.matrix + beta * pb.matrix)
     lhs = transition_amplitude(tl, pp, combo, "b", require_projector=False)
     rhs = alpha * transition_amplitude(tl, pp, pa, "b") + beta * transition_amplitude(
         tl, pp, pb, "b"
@@ -110,11 +110,11 @@ def test_transition_amplitude_is_linear_in_the_operator():
 
 def test_rank1_transition_amplitude_factorizes():
     rng = np.random.default_rng(17)
-    tl = Timeline(("a", "b", "c"), tuple(operator(_random_unitary(rng, 3)) for _ in range(2)))
-    pre = ket(rng.normal(size=3) + 1j * rng.normal(size=3)).normalized()
-    post = ket(rng.normal(size=3) + 1j * rng.normal(size=3)).normalized()
+    tl = Timeline(("a", "b", "c"), tuple(Operator(_random_unitary(rng, 3)) for _ in range(2)))
+    pre = Ket(rng.normal(size=3) + 1j * rng.normal(size=3)).normalized()
+    post = Ket(rng.normal(size=3) + 1j * rng.normal(size=3)).normalized()
     pp = PrePost(pre, post)
-    u = ket(rng.normal(size=3) + 1j * rng.normal(size=3)).normalized()
+    u = Ket(rng.normal(size=3) + 1j * rng.normal(size=3)).normalized()
     tau = transition_amplitude(tl, pp, projector_from_ket(u), "b")
     sw = sweep(tl, pp)
     factored = np.vdot(sw.backward[1], u.amps) * np.vdot(u.amps, sw.forward[1])
@@ -158,20 +158,20 @@ def test_null_weak_value_iff_null_transition_amplitude():
     rng = np.random.default_rng(29)
     for _ in range(50):
         n = int(rng.integers(2, 6))
-        tl = Timeline(("a", "b", "c"), tuple(operator(_random_unitary(rng, n)) for _ in range(2)))
-        pre = ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
-        post = ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
+        tl = Timeline(("a", "b", "c"), tuple(Operator(_random_unitary(rng, n)) for _ in range(2)))
+        pre = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
+        post = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
         pp = PrePost(pre, post)
         sw = sweep(tl, pp)
         if abs(sw.overlap("a")) <= 0.05:
             continue
         # One generic site and one engineered-null site.
-        w = ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
+        w = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
         back = sw.backward[1]
         v = w.amps - np.vdot(back, w.amps) / np.vdot(back, back) * back
         probes = [w]
         if np.linalg.norm(v) > 1e-6:
-            probes.append(ket(v).normalized())
+            probes.append(Ket(v).normalized())
         for u in probes:
             res = weak_value(tl, pp, projector_from_ket(u), "b")
             eps = 1e-9
@@ -211,14 +211,14 @@ def test_random_complete_sets_sum_to_one():
     rng = np.random.default_rng(31)
     for _ in range(25):
         n = int(rng.integers(2, 6))
-        tl = Timeline(("a", "b", "c"), tuple(operator(_random_unitary(rng, n)) for _ in range(2)))
-        pre = ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
-        post = ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
+        tl = Timeline(("a", "b", "c"), tuple(Operator(_random_unitary(rng, n)) for _ in range(2)))
+        pre = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
+        post = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
         pp = PrePost(pre, post)
         if abs(sweep(tl, pp).overlap("a")) <= 0.05:
             continue
         basis = _random_unitary(rng, n)
-        projs = {f"p{i}": projector_from_ket(ket(basis[:, i])) for i in range(n)}
+        projs = {f"p{i}": projector_from_ket(Ket(basis[:, i])) for i in range(n)}
         assert abs(sum_rule_check(tl, pp, projs, "b") - 1.0) <= 1e-9
 
 
@@ -229,11 +229,11 @@ def test_weak_value_against_direct_formula():
         n = int(rng.integers(2, 6))
         u1 = _random_unitary(rng, n)
         u2 = _random_unitary(rng, n)
-        tl = Timeline(("a", "b", "c"), (operator(u1), operator(u2)))
-        pre = ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
-        post = ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
+        tl = Timeline(("a", "b", "c"), (Operator(u1), Operator(u2)))
+        pre = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
+        post = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
         pp = PrePost(pre, post)
-        uvec = ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
+        uvec = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
         proj = projector_from_ket(uvec)
         den = post.amps.conj() @ (u2 @ u1) @ pre.amps
         if abs(den) <= 0.05:
@@ -246,7 +246,7 @@ def test_weak_value_against_direct_formula():
 
 def test_prepost_validation():
     with pytest.raises(ContractError):
-        PrePost(ket([1.0, 1.0]), basis_ket(2, 0))
+        PrePost(Ket([1.0, 1.0]), basis_ket(2, 0))
     from wvlab.errors import DimensionMismatchError
 
     with pytest.raises(DimensionMismatchError):
