@@ -12,9 +12,14 @@ A PointerSpec declares a pointer and, once on construction, realizes
 its register as a 2-dim factor; composite states hold the specs as
 their registers. A weak register occupies only the 2-dim span of its
 ready and kicked wavepackets (each register is kicked at most once,
-which the coupling contract enforces), so composite states stay small:
-system dimension times 2 per coupled register (a register not yet
-coupled is still ready and adds no factor). Position statistics are
+which the coupling contract enforces). A composite state stores only
+its live branches, one system vector per setting of the registers
+that is not exactly zero: system dimension × (live branches)
+amplitudes. A register not yet coupled is still ready, and a coupling
+drops the branches it leaves exactly zero, as the zero transition
+amplitudes of an interferometer do, so a sparse run stays small where
+the full composite would hold system dimension × 2**n amplitudes.
+Readout builds the full 2**n pointer layout. Position statistics are
 exact: the position operator is projected onto that span and marginal
 position distributions are reconstructed on the full grid.
 """
@@ -38,6 +43,7 @@ from .qcore import (
     DEFAULT_TOLERANCE,
     MASS_LOSS_LIMIT,
     MAX_GRID_SIZE,
+    MAX_POINTER_REGISTERS,
     MAX_POINTER_SCALE,
     MIN_WEAK_OVERLAP,
     PATTERN_FLOOR,
@@ -167,60 +173,79 @@ def _weak_packets(spec: PointerSpec):
     return q, raw / scale, kicked_raw / retained, abs(1.0 - retained**2)
 
 
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _read_only(data, dtype) -> np.ndarray:
+    """data as a read-only array of dtype; only writable input is copied."""
+    if isinstance(data, np.ndarray) and data.dtype == dtype and not data.flags.writeable:
+        return data
+    return _freeze(np.array(data, dtype=dtype))
+
+
 @dataclass(frozen=True, eq=False)
 class CompositeState:
-    """System plus pointer registers, stored as one amplitude block.
+    """System plus pointer registers, stored as its live branches.
 
     The full layout has the system axis (system_dim long, absent once
     the system has been postselected away and system_dim is None) and
-    then one 2-long axis per register. coupled tracks which registers
-    have been consumed by a coupling; coupling one twice is a contract
-    violation (the compact weak-factor representation relies on single
-    use). Until its coupling a register sits in its ready state, so
-    block keeps a 1-long axis for it (the ready slice) and a coupling
-    widens that axis to 2: after k couplings the block holds
-    (system dim) * 2**k amplitudes. tensor_view() gives the full layout,
-    zero-padded while some register is still uncoupled.
+    then one 2-long axis per register. A branch is one setting of every
+    register, and its code is its flat np.ndindex index over the
+    register axes: bit n-1-k is set when register k is shifted.
+    branches holds one system vector per live branch, (system_dim, B),
+    or one amplitude per branch, (B,), once the system is gone; codes
+    holds their (B,) int64 codes. Every branch not in codes is exactly
+    zero: a register stays ready until its coupling, and a coupling
+    drops the branches it leaves exactly zero, which no later linear
+    map can revive. So after k couplings the state holds system dim ×
+    (live branches) amplitudes, at most system dim × 2**k.
+    tensor_view() scatters them into the full layout; only readout
+    builds it. coupled tracks which registers have been consumed by a
+    coupling; coupling one twice is a contract violation (the compact
+    weak-factor representation relies on single use).
     """
 
     system_dim: int | None
     registers: tuple[PointerSpec, ...]
-    block: np.ndarray
+    branches: np.ndarray
+    codes: np.ndarray
     coupled: frozenset[str] = frozenset()
 
     def __post_init__(self):
         object.__setattr__(self, "registers", tuple(self.registers))
+        if len(self.registers) > MAX_POINTER_REGISTERS:
+            raise ContractError(
+                f"{len(self.registers)} pointer registers exceed the limit of "
+                f"{MAX_POINTER_REGISTERS}"
+            )
         sites = [r.site for r in self.registers]
         if len(set(sites)) != len(sites):
             raise ContractError(f"duplicate register sites in {sites}")
-        arr = np.array(self.block, dtype=complex)
-        shape = self.block_shape
-        if arr.size != math.prod(shape):
-            raise ContractError(f"amplitude block has size {arr.size}, expected {math.prod(shape)}")
-        arr = arr.reshape(shape)
-        arr.setflags(write=False)
-        object.__setattr__(self, "block", arr)
+        branches = _read_only(self.branches, complex)
+        codes = _read_only(self.codes, np.int64)
+        head = () if self.system_dim is None else (self.system_dim,)
+        if codes.ndim != 1 or branches.shape != head + codes.shape:
+            raise ContractError(
+                f"branches of shape {branches.shape} do not fit system dim "
+                f"{self.system_dim} and codes of shape {codes.shape}"
+            )
+        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "codes", codes)
 
     @property
     def shape(self) -> tuple[int, ...]:
         head = () if self.system_dim is None else (self.system_dim,)
         return head + (2,) * len(self.registers)
 
-    @property
-    def block_shape(self) -> tuple[int, ...]:
-        head = () if self.system_dim is None else (self.system_dim,)
-        return head + tuple(2 if r.site in self.coupled else 1 for r in self.registers)
-
     def tensor_view(self) -> np.ndarray:
-        if self.block.shape == self.shape:
-            return self.block
-        t = np.zeros(self.shape, dtype=complex)
-        t[tuple(slice(n) for n in self.block.shape)] = self.block
-        t.setflags(write=False)
-        return t
+        t = np.zeros(self.branches.shape[:-1] + (2 ** len(self.registers),), dtype=complex)
+        t[..., self.codes] = self.branches
+        return _freeze(t.reshape(self.shape))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.block))
+        return float(np.linalg.norm(self.branches))
 
     def register_index(self, site: str) -> int:
         for k, reg in enumerate(self.registers):
@@ -238,12 +263,17 @@ class CompositeState:
     def apply_system(self, op: Operator) -> CompositeState:
         """Act with an operator on the system factor alone."""
         self._check_system("operator", op.dim)
-        return replace(self, block=np.tensordot(op.matrix, self.block, axes=(1, 0)))
+        return replace(self, branches=_freeze(op.matrix @ self.branches))
+
+
+_READY_CODE = _freeze(np.zeros(1, dtype=np.int64))
 
 
 def initial_state(system: Ket, pointers) -> CompositeState:
     """System ket with every pointer's register attached in its ready state."""
-    return CompositeState(system_dim=system.dim, registers=pointers, block=system.amps)
+    return CompositeState(
+        system_dim=system.dim, registers=pointers, branches=system.amps[:, None], codes=_READY_CODE
+    )
 
 
 def _couple(state: CompositeState, proj: Operator, site: str, kind: str) -> CompositeState:
@@ -256,13 +286,24 @@ def _couple(state: CompositeState, proj: Operator, site: str, kind: str) -> Comp
         raise ContractError(f"register at site {site!r} is {reg.kind}, not {kind}")
     if not proj.is_projector():
         raise ContractError(f"coupling at site {site!r} needs a projector")
-    # The uncoupled register's 1-long axis is its ready slice: split it
-    # into the miss branch (still ready) and the kicked hit branch.
-    hit = np.tensordot(proj.matrix, state.block, axes=(1, 0))
-    miss = state.block - hit
-    hv = reg.moved_coeffs
-    new = np.concatenate([hit * hv[0] + miss, hit * hv[1]], axis=1 + k)
-    return replace(state, block=new, coupled=state.coupled | {site})
+    # Every branch has the register ready: split it into the miss branch
+    # (still ready) and the kicked hit branch, which gets the register's bit.
+    hit = proj.matrix @ state.branches
+    miss = state.branches - hit
+    if kind == STRONG:
+        # moved_coeffs are exactly (0, 1): the products change no value.
+        new = np.concatenate([miss, hit], axis=1)
+    else:
+        hv = reg.moved_coeffs
+        new = np.concatenate([hit * hv[0] + miss, hit * hv[1]], axis=1)
+    bit = 1 << (len(state.registers) - 1 - k)
+    codes = np.concatenate([state.codes, state.codes | bit])
+    live = new.any(axis=0)
+    if not live.all():
+        new, codes = new[:, live], codes[live]
+    return replace(
+        state, branches=_freeze(new), codes=_freeze(codes), coupled=state.coupled | {site}
+    )
 
 
 def couple_strong(state: CompositeState, proj: Operator, site: str) -> CompositeState:
@@ -300,13 +341,15 @@ def postselect(
 ) -> PostselectionResult:
     """Contract the system factor with <post|, leaving pointer registers."""
     state._check_system("postselection", post.dim)
-    contracted = np.tensordot(post.amps.conj(), state.block, axes=(0, 0))
-    unnorm = replace(state, system_dim=None, block=contracted)
-    prob = float(np.linalg.norm(contracted) ** 2)
+    amps = _freeze(post.amps.conj() @ state.branches)
+    unnorm = replace(state, system_dim=None, branches=amps)
+    # The norm runs over the full layout, zeros included, so it rounds as
+    # it would over a dense composite.
+    prob = float(np.linalg.norm(unnorm.tensor_view()) ** 2)
     degenerate = bool(np.sqrt(prob) <= tol)
     conditional = None
     if not degenerate:
-        conditional = replace(unnorm, block=unnorm.block / np.sqrt(prob))
+        conditional = replace(unnorm, branches=_freeze(amps / np.sqrt(prob)))
     return PostselectionResult(
         unnormalized=unnorm, probability=prob, conditional=conditional, degenerate=degenerate
     )
@@ -372,7 +415,7 @@ def click_readout(state: CompositeState) -> ClickStats:
     """Full readout statistics of a normalized pointer-only state."""
     if state.system_dim is not None:
         raise ContractError("postselect the system away before reading the pointers out")
-    if not is_normalized(state.block, READOUT_NORM_TOL):
+    if not is_normalized(state.branches, READOUT_NORM_TOL):
         raise ContractError(f"click_readout needs a normalized state, got norm {state.norm():.6g}")
     t = state.tensor_view()
     strong_axes, weak_axes = _axes(state, STRONG), _axes(state, WEAK)

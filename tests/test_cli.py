@@ -265,6 +265,37 @@ def test_unwritable_out_exits_io(capsys, tmp_path):
         assert "cannot write output" in err
 
 
+def _with_path_detectors(n):
+    """The three-path scenario as a dict, plus n strong detectors on path projectors."""
+    d = to_dict(default_three_path())
+    stages = d["stages"]
+    for k in range(n):
+        data = [[0.0, 0.0]] * d["dim"]
+        data[k // len(stages) % d["dim"]] = [1.0, 0.0]
+        d["sites"].append({"label": f"x{k}", "stage": stages[k % len(stages)], "kind": "ket",
+                           "data": data})
+        d["pointers"].append({"site": f"x{k}", "kind": "strong"})
+    return d
+
+
+def test_oversize_pointer_set_validates_but_does_not_run(capsys, tmp_path):
+    path = tmp_path / "forty.json"
+    path.write_text(json.dumps(_with_path_detectors(40)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", "--scenario", str(path))
+    assert code == EXIT_OK and err == ""
+    assert out == "OK: dim 3, 6 stages, 47 sites, 40 pointers\n"
+    want = "validation error: 40 pointer registers exceed the limit of 26\n"
+    code, out, err = run_cli(capsys, "disturbance", "--scenario", str(path))
+    assert (code, out, err) == (EXIT_VALIDATION, "", want)
+    proc = subprocess.run(
+        [sys.executable, "-m", "wvlab.cli", "run", "--scenario", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_VALIDATION, "", want)
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "wvlab.cli", "weak-values"],

@@ -23,7 +23,15 @@ from wvlab.pointer import (
     pattern_amplitudes,
     postselect,
 )
-from wvlab.qcore import PATTERN_FLOOR, Ket, Operator, basis_ket, identity, projector_from_ket
+from wvlab.qcore import (
+    MAX_POINTER_REGISTERS,
+    PATTERN_FLOOR,
+    Ket,
+    Operator,
+    basis_ket,
+    identity,
+    projector_from_ket,
+)
 from wvlab.runner import disturbance_rows, run_pointers
 from wvlab.scenario import (
     Scenario,
@@ -457,6 +465,11 @@ def _random_scenario(rng, n_ptr):
             psi = forward[s]
             v = v - np.vdot(psi, v) * psi
         sites.append({"label": f"s{k}", "stage": stages[s], "kind": "ket", "data": _pairs(v)})
+    return _assemble(dim, stages, mats, pre, post, sites, _random_pointers(rng, n_ptr))
+
+
+def _random_pointers(rng, n_ptr):
+    """n_ptr pointers on n_ptr of the sites s0 to s{n_ptr}, up to two of them weak."""
     n_weak = int(rng.integers(0, min(2, n_ptr) + 1))
     weak = set(rng.choice(n_ptr, size=n_weak, replace=False).tolist())
     pointers = []
@@ -466,7 +479,12 @@ def _random_scenario(rng, n_ptr):
             pointers.append({"site": f"s{k}", "kind": "weak", "g": g, "grid_size": 31})
         else:
             pointers.append({"site": f"s{k}", "kind": "strong"})
-    d = {
+    return pointers
+
+
+def _assemble(dim, stages, mats, pre, post, sites, pointers):
+    """Validated scenario from its parts, through the file format."""
+    return from_dict({
         "dim": dim,
         "stages": stages,
         "segments": [
@@ -476,8 +494,35 @@ def _random_scenario(rng, n_ptr):
         "post": _pairs(post),
         "sites": sites,
         "pointers": pointers,
-    }
-    return from_dict(d)
+    })
+
+
+def _sparse_interferometer(rng, n_ptr):
+    """Path projectors behind identity and permutation segments.
+
+    Some paths start empty and the segments only move paths around, so
+    most branches are exactly zero and get dropped. Sites s0 to
+    s{n_ptr-1} sit on random paths; the two extra sites sit on paths empty at their
+    stage, so their amplitude vanishes and they get disturbance rows.
+    """
+    dim = int(rng.integers(3, 6))
+    stages = [f"t{k}" for k in range(int(rng.integers(2, 6)))]
+    eye = np.eye(dim)
+    mats = [eye[rng.permutation(dim)] if rng.random() < 0.7 else eye for _ in stages[1:]]
+    pre = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    pre[rng.choice(dim, size=int(rng.integers(1, dim)), replace=False)] = 0.0
+    pre = pre / np.linalg.norm(pre)
+    post = Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized().amps
+    forward = [pre]
+    for u in mats:
+        forward.append(u @ forward[-1])
+    sites = []
+    for k in range(n_ptr + 2):
+        s = int(rng.integers(len(stages)))
+        paths = np.flatnonzero(forward[s] == 0) if k >= n_ptr else np.arange(dim)
+        v = eye[int(rng.choice(paths))]
+        sites.append({"label": f"s{k}", "stage": stages[s], "kind": "ket", "data": _pairs(v)})
+    return _assemble(dim, stages, mats, pre, post, sites, _random_pointers(rng, n_ptr))
 
 
 def _dense_pipeline(sc, insert=None):
@@ -508,10 +553,14 @@ def _strong_branches(sim, sc):
     return out, bool(weak)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_run_pointers_matches_dense_oracle_on_random_scenarios(seed):
+@pytest.mark.parametrize(
+    "make,seed",
+    [pytest.param(_random_scenario, seed, id=str(seed)) for seed in range(12)]
+    + [pytest.param(_sparse_interferometer, seed, id=f"sparse-{seed}") for seed in range(8)],
+)
+def test_run_pointers_matches_dense_oracle_on_random_scenarios(make, seed):
     rng = np.random.default_rng(1000 + seed)
-    sc = _random_scenario(rng, int(rng.integers(1, 11)))
+    sc = make(rng, int(rng.integers(1, 11)))
     rep = run_pointers(sc)
     sim = _dense_pipeline(sc)
     prob = float(np.linalg.norm(sim.t) ** 2)
@@ -544,6 +593,59 @@ def test_run_pointers_matches_dense_oracle_on_random_scenarios(seed):
                 assert pat not in row.branches
 
 
+def _dephased_probability(sc, clicked=None):
+    """<post|rho|post> with every strong pointer traced out as a dephasing channel.
+
+    Each coupling maps rho to P rho P + Q rho Q, Q = 1 - P; at the
+    pointer of site clicked only the click branch P rho P is kept.
+    """
+    rho = np.outer(sc.prepost.pre.amps, sc.prepost.pre.amps.conj())
+    for k, stage in enumerate(sc.timeline.stages):
+        if k > 0:
+            u = sc.timeline.segments[k - 1].matrix
+            rho = u @ rho @ u.conj().T
+        for ps in sc.pointers:
+            site = sc.site(ps.site)
+            if site.stage == stage:
+                p = site.projector.matrix
+                q = np.eye(sc.dim) - p
+                rho = p @ rho @ p if ps.site == clicked else p @ rho @ p + q @ rho @ q
+    post = sc.prepost.post.amps
+    return float(np.real(np.vdot(post, rho @ post)))
+
+
+def test_twenty_strong_pointers_on_a_sparse_interferometer_match_the_dephasing_channel():
+    # The full composite would hold 4 * 2**20 amplitudes; a few branches live.
+    rng = np.random.default_rng(20)
+    dim, n_ptr = 4, 20
+    stages = [f"t{k}" for k in range(7)]
+    eye = np.eye(dim)
+    mats = [eye[rng.permutation(dim)] if rng.random() < 0.7 else eye for _ in stages[1:]]
+    # One 50:50 beam splitter mid-way, so the detectors decohere paths
+    # that later interfere.
+    pair = rng.choice(dim, size=2, replace=False)
+    mats[2] = eye.copy()
+    mats[2][np.ix_(pair, pair)] = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    slots = [(stage, path) for stage in stages[1:-1] for path in range(dim)]
+    sites = [
+        {"label": f"k{stage}p{path}", "stage": stage, "kind": "ket", "data": _pairs(eye[path])}
+        for stage, path in slots
+    ]
+    assert len(sites) == n_ptr
+    pre, post = (
+        Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized().amps for _ in range(2)
+    )
+    pointers = [{"site": site["label"], "kind": "strong"} for site in rng.permutation(sites)]
+    sc = _assemble(dim, stages, mats, pre, post, sites, pointers)
+    rep = run_pointers(sc)
+    prob = _dephased_probability(sc)
+    assert abs(rep.postselection_probability - prob) <= 1e-12
+    assert len(rep.clicks) == n_ptr
+    for ps in sc.pointers:
+        assert abs(rep.clicks[ps.site] - _dephased_probability(sc, ps.site) / prob) <= 1e-12
+    assert abs(sum(rep.patterns.values()) - 1.0) <= 1e-12
+
+
 def _mixed_state(rng, dim, kinds):
     specs = [
         PointerSpec(site=f"r{k}", kind=kind, g=0.2, grid_size=31) for k, kind in enumerate(kinds)
@@ -573,25 +675,45 @@ def test_pattern_keys_come_in_ndindex_order():
     assert list(stats.patterns) == [p for p in order if p in stats.patterns]
 
 
-def test_block_grows_by_one_factor_two_per_coupling():
+def test_live_branches_grow_at_most_twofold_per_coupling():
     specs = [PointerSpec(site=s, kind="strong") for s in ("D", "O", "E'", "F'")]
     state = _fresh(specs)
-    assert state.block.size == 3
-    for k, (proj, site) in enumerate(
-        [(_proj(0), "D"), (_crossing(), "O"), (_proj(1), "E'"), (_proj(2), "F'")], start=1
-    ):
+    assert state.branches.shape == (3, 1) and state.codes.tolist() == [0]
+    sim = DenseSim(PSI, specs)
+    couplings = [(_proj(0), "D"), (_crossing(), "O"), (_proj(1), "E'"), (_proj(2), "F'")]
+    # Out of 2, 4, 8 and 16 branches, the rest are exactly zero.
+    for k, ((proj, site), live) in enumerate(zip(couplings, (2, 3, 5, 5))):
         state = couple_strong(state, proj, site)
-        assert state.block.size == 3 * 2**k
+        sim.couple(proj, k)
+        assert state.branches.shape == (3, live) and state.codes.shape == (live,)
+        assert state.codes.dtype == np.int64 and len(set(state.codes.tolist())) == live
+        assert not state.branches.flags.writeable and not state.codes.flags.writeable
+        assert np.all(state.branches.any(axis=0))
         assert state.shape == (3, 2, 2, 2, 2)
-    assert postselect(state, Ket(CHI)).unnormalized.block.size == 2**4
-    with pytest.raises(ContractError):
-        CompositeState(system_dim=3, registers=state.registers, block=state.block[:1])
+        assert np.max(np.abs(state.tensor_view() - sim.t)) <= 1e-15
+        dropped = np.setdiff1d(np.arange(16), state.codes)
+        assert not np.any(sim.t.reshape(3, 16)[:, dropped])
+    res = postselect(state, Ket(CHI))
+    assert res.unnormalized.branches.shape == (5,)
+    assert np.array_equal(res.unnormalized.codes, state.codes)
+    regs = state.registers
+    for system_dim, branches, codes in [
+        (3, state.branches[:1], state.codes),
+        (3, state.branches, state.codes[:-1]),
+        (3, state.branches, state.codes[:, None]),
+        (None, state.branches, state.codes),
+        (None, res.unnormalized.branches[:-1], state.codes),
+    ]:
+        with pytest.raises(ContractError):
+            CompositeState(system_dim=system_dim, registers=regs, branches=branches, codes=codes)
 
 
 def test_partially_coupled_state_keeps_the_full_layout():
     specs = [PointerSpec(site=s, kind="strong") for s in ("D", "O", "E'", "F'")]
     state = couple_strong(couple_strong(_fresh(specs), _crossing(), "O"), _proj(2), "F'")
-    assert state.block.shape == (3, 1, 2, 1, 2)
+    # Only the bits of O (0b0100) and F' (0b0001) are ever set.
+    assert sorted(state.codes.tolist()) == [0b0000, 0b0001, 0b0100, 0b0101]
+    assert state.branches.shape == (3, 4)
     sim = DenseSim(PSI, specs)
     sim.couple(_crossing(), 1)
     sim.couple(_proj(2), 3)
@@ -604,6 +726,43 @@ def test_partially_coupled_state_keeps_the_full_layout():
     assert res.conditional.tensor_view().shape == (2, 2, 2, 2)
     stats = click_readout(res.conditional)
     assert stats.strong["D"] == 0.0 and stats.strong["E'"] == 0.0
+
+
+def test_composite_state_copies_only_writable_input():
+    state = couple_strong(_fresh([PointerSpec(site="D", kind="strong")]), _proj(0), "D")
+    again = replace(state, coupled=frozenset())
+    assert again.branches is state.branches and again.codes is state.codes
+    writable = np.array(state.branches)
+    copied = replace(state, branches=writable)
+    assert copied.branches is not writable and not copied.branches.flags.writeable
+    writable[:] = 0.0
+    assert np.array_equal(copied.branches, state.branches)
+
+
+def test_composite_holds_at_most_max_pointer_registers():
+    specs = [PointerSpec(site=f"r{k}", kind="strong") for k in range(MAX_POINTER_REGISTERS + 1)]
+    state = initial_state(Ket(PSI), specs[:-1])
+    assert state.shape == (3,) + (2,) * MAX_POINTER_REGISTERS
+    with pytest.raises(ContractError, match="27 pointer registers exceed the limit of 26"):
+        initial_state(Ket(PSI), specs)
+
+
+def _with_path_detectors(sc, n):
+    """sc plus n strong detectors on path projectors, cycling over stages, then paths."""
+    stages = sc.timeline.stages
+    sites = tuple(
+        site_from_ket(f"x{k}", stages[k % len(stages)], basis_ket(sc.dim, k // len(stages) % sc.dim))
+        for k in range(n)
+    )
+    pointers = tuple(PointerSpec(site=site.label, kind="strong") for site in sites)
+    return replace(sc, sites=sc.sites + sites, pointers=pointers)
+
+
+def test_forty_pointer_scenario_is_refused_by_run_pointers():
+    sc = _with_path_detectors(default_three_path(), 40)
+    for run in (run_pointers, disturbance_rows):  # O and O' are null sites
+        with pytest.raises(ContractError, match="40 pointer registers exceed the limit of 26"):
+            run(sc)
 
 
 def test_click_patterns_hold_only_values_above_the_floor():
