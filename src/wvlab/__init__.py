@@ -11,8 +11,8 @@ from JSON files and run through the `wvlab` command-line tool.
 The top level holds the entry points of the quick start and the demos.
 Lower-level pieces live in their submodules: `wvlab.qcore` (kets and
 operators), `wvlab.twosv` (timelines, two-state evolution),
-`wvlab.pointer` (composite system+pointer states), `wvlab.runner`
-(reports) and `wvlab.scenario` (scenario files).
+`wvlab.pointer` (pointer specs and the array steps of a pointer run),
+`wvlab.runner` (reports) and `wvlab.scenario` (scenario files).
 """
 
 from .errors import ScenarioError, WvlabError

@@ -9,49 +9,46 @@ overlaps the ready state almost completely, which is what makes the
 coupling gentle.
 
 A PointerSpec declares a pointer and, once on construction, realizes
-its register as a 2-dim factor; composite states hold the specs as
-their registers. A weak register occupies only the 2-dim span of its
-ready and kicked wavepackets (each register is kicked at most once,
-which the coupling contract enforces). A composite state stores only
-its live branches, one system vector per setting of the registers
-that is not exactly zero: system dimension × (live branches)
-amplitudes. A register not yet coupled is still ready, and a coupling
-drops the branches it leaves exactly zero, as the zero transition
-amplitudes of an interferometer do, so a sparse run stays small where
-the full composite would hold system dimension × 2**n amplitudes.
-Readout builds the full 2**n pointer layout. Position statistics are
-exact: the position operator is projected onto that span and marginal
-position distributions are reconstructed on the full grid.
+its register as a 2-dim factor. A weak register occupies only the
+2-dim span of its ready and kicked wavepackets (each register is
+kicked at most once: a scenario holds one pointer per site).
+
+A pointer run is one pass over two read-only arrays, with no state
+object: the live branches, one system vector per setting of the
+registers that is not exactly zero, (system dim, B), and their (B,)
+int64 click codes. register_bits settles the register limit and each
+register's bit before anything is allocated. A register not yet coupled
+is still ready; couple_strong and couple_weak split every branch into
+its miss and hit parts and drop the ones left exactly zero, as the zero
+transition amplitudes of an interferometer do, so a sparse run keeps a
+handful of the 2**n branches. postselect scatters the postselected
+branches into the full (2,) * n pointer layout, once per run: its
+squared norm is the postselection probability, click_readout reads it
+normalized in place, and pattern_amplitudes reads it unnormalized. The
+layout caps a run at MAX_POINTER_REGISTERS registers. Position
+statistics are exact: the position operator is projected onto the weak
+span and marginal position distributions are reconstructed on the full
+grid.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import (
-    SCHEMA,
-    ContractError,
-    DimensionMismatchError,
-    ScenarioError,
-)
+from .errors import SCHEMA, ContractError, ScenarioError
 from .qcore import (
-    DEFAULT_TOLERANCE,
     MASS_LOSS_LIMIT,
     MAX_GRID_SIZE,
     MAX_POINTER_REGISTERS,
     MAX_POINTER_SCALE,
     MIN_WEAK_OVERLAP,
     PATTERN_FLOOR,
-    READOUT_NORM_TOL,
     WEAK_BASIS_FLOOR,
-    Ket,
-    Operator,
-    is_normalized,
 )
 
 STRONG = "strong"
@@ -178,181 +175,81 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _read_only(data, dtype) -> np.ndarray:
-    """data as a read-only array of dtype; only writable input is copied."""
-    if isinstance(data, np.ndarray) and data.dtype == dtype and not data.flags.writeable:
-        return data
-    return _freeze(np.array(data, dtype=dtype))
+def register_bits(pointers) -> dict[str, int]:
+    """Site -> click bit of each pointer's register, in declaration order.
 
-
-@dataclass(frozen=True, eq=False)
-class CompositeState:
-    """System plus pointer registers, stored as its live branches.
-
-    The full layout has the system axis (system_dim long, absent once
-    the system has been postselected away and system_dim is None) and
-    then one 2-long axis per register. A branch is one setting of every
-    register, and its code is its flat np.ndindex index over the
-    register axes: bit n-1-k is set when register k is shifted.
-    branches holds one system vector per live branch, (system_dim, B),
-    or one amplitude per branch, (B,), once the system is gone; codes
-    holds their (B,) int64 codes. Every branch not in codes is exactly
-    zero: a register stays ready until its coupling, and a coupling
-    drops the branches it leaves exactly zero, which no later linear
-    map can revive. So after k couplings the state holds system dim ×
-    (live branches) amplitudes, at most system dim × 2**k.
-    tensor_view() scatters them into the full layout; only readout
-    builds it. coupled tracks which registers have been consumed by a
-    coupling; coupling one twice is a contract violation (the compact
-    weak-factor representation relies on single use).
+    Register k of n sets bit n-1-k, so a branch's code is its flat
+    np.ndindex index over the (2,) * n pointer layout. Raises
+    ContractError, before anything is allocated, for more than
+    MAX_POINTER_REGISTERS registers.
     """
-
-    system_dim: int | None
-    registers: tuple[PointerSpec, ...]
-    branches: np.ndarray
-    codes: np.ndarray
-    coupled: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "registers", tuple(self.registers))
-        if len(self.registers) > MAX_POINTER_REGISTERS:
-            raise ContractError(
-                f"{len(self.registers)} pointer registers exceed the limit of "
-                f"{MAX_POINTER_REGISTERS}"
-            )
-        sites = [r.site for r in self.registers]
-        if len(set(sites)) != len(sites):
-            raise ContractError(f"duplicate register sites in {sites}")
-        branches = _read_only(self.branches, complex)
-        codes = _read_only(self.codes, np.int64)
-        head = () if self.system_dim is None else (self.system_dim,)
-        if codes.ndim != 1 or branches.shape != head + codes.shape:
-            raise ContractError(
-                f"branches of shape {branches.shape} do not fit system dim "
-                f"{self.system_dim} and codes of shape {codes.shape}"
-            )
-        object.__setattr__(self, "branches", branches)
-        object.__setattr__(self, "codes", codes)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        head = () if self.system_dim is None else (self.system_dim,)
-        return head + (2,) * len(self.registers)
-
-    def tensor_view(self) -> np.ndarray:
-        t = np.zeros(self.branches.shape[:-1] + (2 ** len(self.registers),), dtype=complex)
-        t[..., self.codes] = self.branches
-        return _freeze(t.reshape(self.shape))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.branches))
-
-    def register_index(self, site: str) -> int:
-        for k, reg in enumerate(self.registers):
-            if reg.site == site:
-                return k
-        raise ContractError(f"no register at site {site!r}")
-
-    def _check_system(self, what: str, dim: int) -> None:
-        """Reject acting on a system factor that is gone or of another dim."""
-        if self.system_dim is None:
-            raise ContractError(f"{what}: the system was already postselected away")
-        if dim != self.system_dim:
-            raise DimensionMismatchError(f"{what} dim {dim} vs system dim {self.system_dim}")
-
-    def apply_system(self, op: Operator) -> CompositeState:
-        """Act with an operator on the system factor alone."""
-        self._check_system("operator", op.dim)
-        return replace(self, branches=_freeze(op.matrix @ self.branches))
+    n = len(pointers)
+    if n > MAX_POINTER_REGISTERS:
+        raise ContractError(
+            f"{n} pointer registers exceed the limit of {MAX_POINTER_REGISTERS}"
+        )
+    return {ps.site: 1 << (n - 1 - k) for k, ps in enumerate(pointers)}
 
 
-_READY_CODE = _freeze(np.zeros(1, dtype=np.int64))
+READY_CODE = _freeze(np.zeros(1, dtype=np.int64))
 
 
-def initial_state(system: Ket, pointers) -> CompositeState:
-    """System ket with every pointer's register attached in its ready state."""
-    return CompositeState(
-        system_dim=system.dim, registers=pointers, branches=system.amps[:, None], codes=_READY_CODE
-    )
+def act(matrix: np.ndarray, branches: np.ndarray) -> np.ndarray:
+    """A system operator applied to every live branch."""
+    return _freeze(matrix @ branches)
 
 
-def _couple(state: CompositeState, proj: Operator, site: str, kind: str) -> CompositeState:
-    state._check_system("projector", proj.dim)
-    if site in state.coupled:
-        raise ContractError(f"register at site {site!r} was already coupled once")
-    k = state.register_index(site)
-    reg = state.registers[k]
-    if reg.kind != kind:
-        raise ContractError(f"register at site {site!r} is {reg.kind}, not {kind}")
-    if not proj.is_projector():
-        raise ContractError(f"coupling at site {site!r} needs a projector")
+def _couple(branches, codes, proj, bit, moved=None):
     # Every branch has the register ready: split it into the miss branch
     # (still ready) and the kicked hit branch, which gets the register's bit.
-    hit = proj.matrix @ state.branches
-    miss = state.branches - hit
-    if kind == STRONG:
-        # moved_coeffs are exactly (0, 1): the products change no value.
+    hit = proj @ branches
+    miss = branches - hit
+    if moved is None:
         new = np.concatenate([miss, hit], axis=1)
     else:
-        hv = reg.moved_coeffs
-        new = np.concatenate([hit * hv[0] + miss, hit * hv[1]], axis=1)
-    bit = 1 << (len(state.registers) - 1 - k)
-    codes = np.concatenate([state.codes, state.codes | bit])
+        new = np.concatenate([hit * moved[0] + miss, hit * moved[1]], axis=1)
+    codes = np.concatenate([codes, codes | bit])
     live = new.any(axis=0)
     if not live.all():
         new, codes = new[:, live], codes[live]
-    return replace(
-        state, branches=_freeze(new), codes=_freeze(codes), coupled=state.coupled | {site}
-    )
+    return _freeze(new), _freeze(codes)
 
 
-def couple_strong(state: CompositeState, proj: Operator, site: str) -> CompositeState:
-    """Shift the strong register at site in the proj branch of the system.
+def couple_strong(branches, codes, proj, bit):
+    """Shift a ready strong register (click bit `bit`) in the proj branch.
 
-    The miss branch leaves the register ready; norms are preserved
-    exactly. Coupling to the zero projector is a no-op on amplitudes,
-    to the identity a full shift.
+    branches is (system dim, B), one system vector per live branch, and
+    codes their (B,) int64 click codes. Returns both, read-only, with
+    each branch split into its miss and hit parts and the exactly-zero
+    columns dropped: no later linear map revives them. The strong
+    register's moved_coeffs are exactly (0, 1), so no product is taken.
+    Norms are preserved exactly; the zero projector changes no
+    amplitude, the identity shifts every branch.
     """
-    return _couple(state, proj, site, STRONG)
+    return _couple(branches, codes, proj, bit)
 
 
-def couple_weak(state: CompositeState, proj: Operator, site: str) -> CompositeState:
-    """Translate the weak register's packet by g in the proj branch."""
-    return _couple(state, proj, site, WEAK)
+def couple_weak(branches, codes, proj, bit, moved):
+    """Translate a ready weak register's packet in the proj branch.
 
-
-@dataclass(frozen=True, eq=False)
-class PostselectionResult:
-    """Outcome of projecting the system onto a final state.
-
-    unnormalized keeps the raw branch; probability is its squared norm.
-    conditional is the renormalized pointer state, or None when the
-    postselection amplitude is degenerate (sqrt(probability) <= tol).
+    As couple_strong, with the hit part split over the register's
+    factor basis by its moved_coeffs.
     """
-
-    unnormalized: CompositeState
-    probability: float
-    conditional: CompositeState | None
-    degenerate: bool
+    return _couple(branches, codes, proj, bit, moved)
 
 
-def postselect(
-    state: CompositeState, post: Ket, tol: float = DEFAULT_TOLERANCE
-) -> PostselectionResult:
-    """Contract the system factor with <post|, leaving pointer registers."""
-    state._check_system("postselection", post.dim)
-    amps = _freeze(post.amps.conj() @ state.branches)
-    unnorm = replace(state, system_dim=None, branches=amps)
-    # The norm runs over the full layout, zeros included, so it rounds as
-    # it would over a dense composite.
-    prob = float(np.linalg.norm(unnorm.tensor_view()) ** 2)
-    degenerate = bool(np.sqrt(prob) <= tol)
-    conditional = None
-    if not degenerate:
-        conditional = replace(unnorm, branches=_freeze(amps / np.sqrt(prob)))
-    return PostselectionResult(
-        unnormalized=unnorm, probability=prob, conditional=conditional, degenerate=degenerate
-    )
+def postselect(branches, codes, post, n):
+    """The (2,) * n pointer layout left by <post| and its squared norm.
+
+    The postselected branches are scattered into a fresh, writable
+    layout, every other entry exactly zero; the squared norm, the
+    postselection probability, runs over the whole layout, zeros
+    included, so it rounds as it would over a dense composite.
+    """
+    layout = np.zeros(2**n, dtype=complex)
+    layout[codes] = post.conj() @ branches
+    prob = float(np.linalg.norm(layout) ** 2)
+    return layout.reshape((2,) * n), prob
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,20 +304,15 @@ def _pattern_names(sites: tuple[str, ...], flat: np.ndarray) -> list[tuple[str, 
     return [high_names[i >> low] + low_names[i & mask] for i in flat.tolist()]
 
 
-def _axes(state: CompositeState, kind: str) -> list[int]:
-    return [k for k, r in enumerate(state.registers) if r.kind == kind]
+def _axes(registers, kind: str) -> list[int]:
+    return [k for k, r in enumerate(registers) if r.kind == kind]
 
 
-def click_readout(state: CompositeState) -> ClickStats:
-    """Full readout statistics of a normalized pointer-only state."""
-    if state.system_dim is not None:
-        raise ContractError("postselect the system away before reading the pointers out")
-    if not is_normalized(state.branches, READOUT_NORM_TOL):
-        raise ContractError(f"click_readout needs a normalized state, got norm {state.norm():.6g}")
-    t = state.tensor_view()
-    strong_axes, weak_axes = _axes(state, STRONG), _axes(state, WEAK)
-    strong_sites = tuple(state.registers[k].site for k in strong_axes)
-    p = np.abs(t) ** 2
+def click_readout(layout: np.ndarray, registers) -> ClickStats:
+    """Full readout statistics of a normalized (2,) * n pointer layout."""
+    strong_axes, weak_axes = _axes(registers, STRONG), _axes(registers, WEAK)
+    strong_sites = tuple(registers[k].site for k in strong_axes)
+    p = np.abs(layout) ** 2
     joint = p.sum(axis=tuple(weak_axes)) if weak_axes else p
 
     strong = {site: float(np.take(joint, 1, axis=j).sum()) for j, site in enumerate(strong_sites)}
@@ -431,8 +323,8 @@ def click_readout(state: CompositeState) -> ClickStats:
 
     weak = {}
     for k in weak_axes:
-        reg = state.registers[k]
-        m = np.moveaxis(t, k, 0).reshape(2, -1)
+        reg = registers[k]
+        m = np.moveaxis(layout, k, 0).reshape(2, -1)
         rho = m @ m.conj().T
         mean = float(np.real(np.trace(rho @ reg.pos_op)))
         second = float(np.real(np.trace(rho @ reg.pos2_op)))
@@ -448,22 +340,19 @@ def click_readout(state: CompositeState) -> ClickStats:
     return ClickStats(strong=strong, patterns=patterns, weak=weak)
 
 
-def pattern_amplitudes(state: CompositeState) -> dict[tuple[str, ...], complex]:
-    """Branch amplitude per strong click pattern of a system-free state.
+def pattern_amplitudes(layout: np.ndarray, registers) -> dict[tuple[str, ...], complex]:
+    """Branch amplitude per strong click pattern of a (2,) * n pointer layout.
 
-    Every pattern is present, in np.ndindex order over the strong
-    registers. With weak registers present a branch is a vector, so its
-    norm is returned (as a non-negative real); without them the complex
-    branch amplitude itself.
+    Only the patterns whose branch is not exactly zero are present, in
+    np.ndindex order over the strong registers. With weak registers
+    present a branch is a vector, so its norm is returned (as a
+    non-negative real); without them the complex branch amplitude itself.
     """
-    if state.system_dim is not None:
-        raise ContractError("pattern amplitudes are defined after postselection")
-    strong_axes, weak_axes = _axes(state, STRONG), _axes(state, WEAK)
-    strong_sites = tuple(state.registers[k].site for k in strong_axes)
-    branches = np.transpose(state.tensor_view(), strong_axes + weak_axes).reshape(
-        2 ** len(strong_axes), -1
-    )
-    names = _pattern_names(strong_sites, np.arange(branches.shape[0]))
+    strong_axes, weak_axes = _axes(registers, STRONG), _axes(registers, WEAK)
+    strong_sites = tuple(registers[k].site for k in strong_axes)
+    branches = np.transpose(layout, strong_axes + weak_axes).reshape(2 ** len(strong_axes), -1)
+    live = np.flatnonzero(branches.any(axis=1))
+    names = _pattern_names(strong_sites, live)
     if weak_axes:
-        return {name: complex(np.linalg.norm(b)) for name, b in zip(names, branches)}
-    return dict(zip(names, branches[:, 0].tolist()))
+        return {name: complex(np.linalg.norm(branches[i])) for name, i in zip(names, live.tolist())}
+    return dict(zip(names, branches[live, 0].tolist()))

@@ -34,17 +34,15 @@ MASS_LOSS_LIMIT = 1e-6
 MIN_WEAK_OVERLAP = 0.9
 # Largest pointer grid; each grid point costs a few floats per register.
 MAX_GRID_SIZE = 100_001
-# Most pointer registers one composite state holds: readout builds the
-# full layout of 2**26 amplitudes, 1 GiB, and int64 branch codes carry
-# one bit per register, so they could hold at most 63.
+# Most pointer registers one run couples: postselection builds the full
+# layout of 2**26 amplitudes, 1 GiB, and int64 branch codes carry one
+# bit per register, so they could hold at most 63.
 MAX_POINTER_REGISTERS = 26
 # Weak-pointer sigma lies in [1/MAX_POINTER_SCALE, MAX_POINTER_SCALE] and
 # grid_extent in (0, MAX_POINTER_SCALE], so squared positions stay finite.
 MAX_POINTER_SCALE = 1e50
 # Kicked and ready packets closer than this share one direction.
 WEAK_BASIS_FLOOR = 1e-8
-# Largest |norm - 1| of a pointer state handed to readout.
-READOUT_NORM_TOL = 1e-9
 # Click patterns at or below this probability are left out of reports.
 PATTERN_FLOOR = 1e-12
 # Text mode only: parts below this print as 0. JSON keeps raw values.
@@ -79,7 +77,7 @@ class Ket:
         return _norm(self.amps)
 
     def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return is_normalized(self.amps, tol)
+        return abs(self.norm() - 1.0) <= tol
 
     def normalized(self) -> Ket:
         n = self.norm()
@@ -131,11 +129,6 @@ def _residual(a: np.ndarray, b: np.ndarray) -> float:
 def _norm(amps: np.ndarray) -> float:
     with np.errstate(all="ignore"):
         return float(np.linalg.norm(amps))
-
-
-def is_normalized(amps: np.ndarray, tol: float = NORM_TOL) -> bool:
-    """Whether an amplitude vector has unit norm within tol."""
-    return abs(_norm(amps) - 1.0) <= tol
 
 
 def resolves_identity(projectors) -> bool:

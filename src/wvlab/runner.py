@@ -14,14 +14,16 @@ import numpy as np
 
 from .errors import ContractError, DegeneratePostselectionError
 from .pointer import (
+    READY_CODE,
     STRONG,
     WeakPointerStats,
+    act,
     click_readout,
     couple_strong,
     couple_weak,
-    initial_state,
     pattern_amplitudes,
     postselect,
+    register_bits,
 )
 from .scenario import Scenario, Site, SumRule
 from .twosv import WeakValueResult, transition_amplitude, weak_value
@@ -134,26 +136,33 @@ def run_weak_values(sc: Scenario) -> RunReport:
 
 def _simulate(sc: Scenario, insert: Site | None = None):
     """Run the coupling pipeline, optionally projecting the system
-    through insert's projector right before that stage's couplings."""
-    state = initial_state(sc.prepost.pre, sc.pointers)
+    through insert's projector right before that stage's couplings.
+
+    The pass holds two read-only arrays, the live branches (system dim,
+    B) and their click codes (B,), and replaces both at every step.
+    Returns the postselected pointer layout (unnormalized, writable),
+    the postselection probability and the coupling order.
+    """
+    bits = register_bits(sc.pointers)
     couplings = {}
     for ps in sc.pointers:
         site = sc.site(ps.site)
-        couplings.setdefault(site.stage, []).append((ps, site.projector))
+        couplings.setdefault(site.stage, []).append((ps, site.projector.matrix))
+    branches, codes = sc.prepost.pre.amps[:, None], READY_CODE
     order = []
     for k, stage in enumerate(sc.timeline.stages):
         if k > 0:
-            state = state.apply_system(sc.timeline.segments[k - 1])
+            branches = act(sc.timeline.segments[k - 1].matrix, branches)
         if insert is not None and insert.stage == stage:
-            state = state.apply_system(insert.projector)
+            branches = act(insert.projector.matrix, branches)
         for ps, proj in couplings.get(stage, ()):
             if ps.kind == STRONG:
-                state = couple_strong(state, proj, ps.site)
+                branches, codes = couple_strong(branches, codes, proj, bits[ps.site])
             else:
-                state = couple_weak(state, proj, ps.site)
+                branches, codes = couple_weak(branches, codes, proj, bits[ps.site], ps.moved_coeffs)
             order.append(ps.site)
-    result = postselect(state, sc.prepost.post, tol=sc.tolerance)
-    return result, tuple(order)
+    layout, prob = postselect(branches, codes, sc.prepost.post.amps, len(sc.pointers))
+    return layout, prob, tuple(order)
 
 
 def run_pointers(sc: Scenario) -> RunReport:
@@ -165,14 +174,12 @@ def run_pointers(sc: Scenario) -> RunReport:
     """
     if not sc.pointers:
         raise ContractError("run_pointers needs a scenario with at least one pointer")
-    result, order = _simulate(sc)
-    sections = dict(
-        coupling_order=order,
-        postselection_probability=result.probability,
-        degenerate=result.degenerate,
-    )
-    if not result.degenerate:
-        stats = click_readout(result.conditional)
+    layout, prob, order = _simulate(sc)
+    degenerate = bool(np.sqrt(prob) <= sc.tolerance)
+    sections = dict(coupling_order=order, postselection_probability=prob, degenerate=degenerate)
+    if not degenerate:
+        layout /= np.sqrt(prob)
+        stats = click_readout(layout, sc.pointers)
         sections.update(clicks=stats.strong, patterns=stats.patterns, weak_stats=stats.weak)
     return _base_report(sc, **sections)
 
@@ -191,8 +198,8 @@ def disturbance_rows(sc: Scenario) -> tuple[DisturbanceRow, ...]:
         tau = transition_amplitude(sc.timeline, sc.prepost, site.projector, site.stage)
         if abs(tau) > sc.tolerance:
             continue
-        result, _ = _simulate(sc, insert=site)
-        amps = pattern_amplitudes(result.unnormalized)
+        layout, _, _ = _simulate(sc, insert=site)
+        amps = pattern_amplitudes(layout, sc.pointers)
         branches = {pat: amp for pat, amp in amps.items() if abs(amp) > sc.tolerance}
         rows.append(
             DisturbanceRow(

@@ -195,7 +195,10 @@ class Scenario:
 
     @cached_property
     def checksum(self) -> str:
-        canonical = json.dumps(to_dict(self), sort_keys=True, separators=(",", ":"))
+        # to_dict builds a fresh, acyclic dict, so the cycle check is skipped.
+        canonical = json.dumps(
+            to_dict(self), sort_keys=True, separators=(",", ":"), check_circular=False
+        )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from wvlab.errors import (
     ScenarioError,
 )
 from wvlab.pointer import PointerSpec
+from wvlab.qcore import Ket
 from wvlab.runner import run_weak_values
 from wvlab.scenario import (
     BUILTIN_NAMES,
@@ -29,6 +32,7 @@ from wvlab.scenario import (
     loads,
     resolve,
     save,
+    site_from_ket,
     three_path_rank2_crossing,
     to_dict,
 )
@@ -274,6 +278,13 @@ def test_non_projector_site_rejected_with_name():
         from_dict(d)
     assert err.value.code == NON_PROJECTOR_SITE
     assert "D" in str(err.value)
+    # A projector of another dimension is refused at load too, so no
+    # pointer coupling ever meets one.
+    sc = default_three_path()
+    with pytest.raises(ScenarioError) as err:
+        replace(sc, sites=sc.sites + (site_from_ket("X", "t_2", Ket([1.0, 0.0])),))
+    assert err.value.code == SCHEMA
+    assert "'X' projector has dimension 2" in str(err.value)
 
 
 def test_zero_ket_site_rejected():
@@ -394,6 +405,37 @@ def test_checksums_distinguish_builtins():
     sums = {builtin(name).checksum for name in BUILTIN_NAMES}
     assert len(sums) == len(BUILTIN_NAMES)
     assert builtin("three-path").checksum == builtin("three-path").checksum
+
+
+def _pairs(vec):
+    return [[float(z.real), float(z.imag)] for z in np.ravel(vec)]
+
+
+def test_checksum_is_the_sha256_of_default_flag_canonical_json():
+    # A seeded scenario that is no built-in: d = 5, four stages, rank-1
+    # and rank-2 sites, a strong and a weak pointer and a sum rule.
+    rng = np.random.default_rng(20261018)
+    dim, stages = 5, ["a", "b", "c", "d"]
+    mats = [np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+            for _ in stages[1:]]
+    pre, post = (v / np.linalg.norm(v) for v in rng.normal(size=(2, dim)) + 0.5j)
+    basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    rank2 = basis[:, 3:] @ basis[:, 3:].conj().T
+    sc = from_dict({
+        "dim": dim,
+        "stages": stages,
+        "segments": [{"from": a, "to": b, "matrix": _pairs(u)}
+                     for a, b, u in zip(stages, stages[1:], mats)],
+        "pre": _pairs(pre),
+        "post": _pairs(post),
+        "sites": [{"label": f"b{j}", "stage": "b", "kind": "ket", "data": _pairs(basis[:, j])}
+                  for j in range(3)]
+        + [{"label": "r", "stage": "b", "kind": "matrix", "data": _pairs(rank2)}],
+        "pointers": [{"site": "b0", "kind": "strong"}, {"site": "r", "kind": "weak", "g": 0.02}],
+        "sum_rules": [{"sites": ["b0", "b1", "b2", "r"], "stage": "b"}],
+    })
+    canonical = json.dumps(to_dict(sc), sort_keys=True, separators=(",", ":"))
+    assert sc.checksum == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def test_dumps_is_valid_json_in_stable_key_order():
