@@ -16,19 +16,20 @@ kicked at most once: a scenario holds one pointer per site).
 A pointer run is one pass over two read-only arrays, with no state
 object: the live branches, one system vector per setting of the
 registers that is not exactly zero, (system dim, B), and their (B,)
-int64 click codes. register_bits settles the register limit and each
-register's bit before anything is allocated. A register not yet coupled
-is still ready; couple_strong and couple_weak split every branch into
-its miss and hit parts and drop the ones left exactly zero, as the zero
+int64 click codes. register_bits settles each register's bit before
+anything is allocated, so a run couples at most MAX_POINTER_REGISTERS
+registers, the bits of an int64 code. A register not yet coupled is
+still ready; couple_strong and couple_weak split every branch into its
+miss and hit parts and drop the ones left exactly zero, as the zero
 transition amplitudes of an interferometer do, so a sparse run keeps a
-handful of the 2**n branches. postselect scatters the postselected
-branches into the full (2,) * n pointer layout, once per run: its
-squared norm is the postselection probability, click_readout reads it
-normalized in place, and pattern_amplitudes reads it unnormalized. The
-layout caps a run at MAX_POINTER_REGISTERS registers. Position
-statistics are exact: the position operator is projected onto the weak
-span and marginal position distributions are reconstructed on the full
-grid.
+handful of the 2**n branches. strong_block sorts the postselected
+branches by code and groups them by their strong bits into one
+(live strong codes, 2**n_weak) block, dense over the weak registers
+only: click_readout reads it normalized and pattern_amplitudes
+unnormalized. A coupling split or a block larger than
+MAX_LIVE_AMPLITUDES is refused. Position statistics are exact: the
+position operator is projected onto the weak span and marginal position
+distributions are reconstructed on the full grid.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .errors import SCHEMA, ContractError, ScenarioError
 from .qcore import (
     MASS_LOSS_LIMIT,
     MAX_GRID_SIZE,
+    MAX_LIVE_AMPLITUDES,
     MAX_POINTER_REGISTERS,
     MAX_POINTER_SCALE,
     MIN_WEAK_OVERLAP,
@@ -176,19 +178,30 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def register_bits(pointers) -> dict[str, int]:
-    """Site -> click bit of each pointer's register, in declaration order.
+    """Site -> click bit of each pointer's register.
 
-    Register k of n sets bit n-1-k, so a branch's code is its flat
-    np.ndindex index over the (2,) * n pointer layout. Raises
-    ContractError, before anything is allocated, for more than
-    MAX_POINTER_REGISTERS registers.
+    The strong registers take the high bits and the weak registers the
+    low bits, each group in declaration order from the highest bit
+    down, so a code's strong part is code >> n_weak and code order is
+    np.ndindex order over the strong registers. Raises ContractError,
+    before anything is allocated, for more than MAX_POINTER_REGISTERS
+    registers.
     """
     n = len(pointers)
     if n > MAX_POINTER_REGISTERS:
         raise ContractError(
             f"{n} pointer registers exceed the limit of {MAX_POINTER_REGISTERS}"
         )
-    return {ps.site: 1 << (n - 1 - k) for k, ps in enumerate(pointers)}
+    ordered = [ps for ps in pointers if ps.kind == STRONG]
+    ordered += [ps for ps in pointers if ps.kind == WEAK]
+    return {ps.site: 1 << (n - 1 - k) for k, ps in enumerate(ordered)}
+
+
+def _check_size(size: int, what: str):
+    if size > MAX_LIVE_AMPLITUDES:
+        raise ContractError(
+            f"{what} would hold {size} amplitudes, over the limit of {MAX_LIVE_AMPLITUDES}"
+        )
 
 
 READY_CODE = _freeze(np.zeros(1, dtype=np.int64))
@@ -202,12 +215,17 @@ def act(matrix: np.ndarray, branches: np.ndarray) -> np.ndarray:
 def _couple(branches, codes, proj, bit, moved=None):
     # Every branch has the register ready: split it into the miss branch
     # (still ready) and the kicked hit branch, which gets the register's bit.
-    hit = proj @ branches
-    miss = branches - hit
-    if moved is None:
-        new = np.concatenate([miss, hit], axis=1)
-    else:
-        new = np.concatenate([hit * moved[0] + miss, hit * moved[1]], axis=1)
+    # Both parts are written in place, so the split allocates only its
+    # 2 * branches.size result.
+    _check_size(2 * branches.size, "a coupling")
+    b = branches.shape[1]
+    new = np.empty((branches.shape[0], 2 * b), dtype=complex)
+    miss, hit = new[:, :b], new[:, b:]
+    np.matmul(proj, branches, out=hit)
+    np.subtract(branches, hit, out=miss)
+    if moved is not None:
+        miss += hit * moved[0]
+        hit *= moved[1]
     codes = np.concatenate([codes, codes | bit])
     live = new.any(axis=0)
     if not live.all():
@@ -238,18 +256,29 @@ def couple_weak(branches, codes, proj, bit, moved):
     return _couple(branches, codes, proj, bit, moved)
 
 
-def postselect(branches, codes, post, n):
-    """The (2,) * n pointer layout left by <post| and its squared norm.
+def strong_block(amps, codes, n_weak):
+    """Postselected live amplitudes grouped by their strong click code.
 
-    The postselected branches are scattered into a fresh, writable
-    layout, every other entry exactly zero; the squared norm, the
-    postselection probability, runs over the whole layout, zeros
-    included, so it rounds as it would over a dense composite.
+    amps are the (B,) amplitudes <post|branch> and codes their click
+    codes (register_bits). Returns the sorted live strong codes and a
+    fresh, writable (live strong codes, 2**n_weak) block: row i holds
+    the amplitudes of strong code i, scattered over the weak codes,
+    every other entry exactly zero. Without weak registers the block is
+    the amplitudes sorted by code, one column.
     """
-    layout = np.zeros(2**n, dtype=complex)
-    layout[codes] = post.conj() @ branches
-    prob = float(np.linalg.norm(layout) ** 2)
-    return layout.reshape((2,) * n), prob
+    order = np.argsort(codes)
+    codes = codes[order]
+    if not n_weak:
+        return codes, amps[order][:, None]
+    high = codes >> n_weak
+    first = np.ones(high.size, dtype=bool)
+    first[1:] = high[1:] != high[:-1]
+    strong = high[first]
+    # A block's rows span all 2**n_weak weak codes, even with no row.
+    _check_size(max(strong.size, 1) << n_weak, "the readout block")
+    block = np.zeros((strong.size, 1 << n_weak), dtype=complex)
+    block[np.cumsum(first) - 1, codes & ((1 << n_weak) - 1)] = amps[order]
+    return strong, block
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,41 +319,50 @@ def _site_tuples(sites: tuple[str, ...]) -> list[tuple[str, ...]]:
     return names
 
 
-def _pattern_names(sites: tuple[str, ...], flat: np.ndarray) -> list[tuple[str, ...]]:
-    """Clicked sites of each flat index into a (2,) * len(sites) array.
+def _pattern_names(sites: tuple[str, ...], codes: np.ndarray) -> list[tuple[str, ...]]:
+    """Clicked sites of each code, site k holding bit len(sites)-1-k.
 
-    An index is named from two prefix tables, one for its high bits and
-    one for its low bits, so the cost follows the indices asked for and
-    the tables hold about 2 * 2**(len(sites) / 2) tuples.
+    A code is named from max(2, ceil(len(sites) / 8)) balanced chunks
+    of its bits, one table of clicked sites per chunk, so the cost
+    follows the codes asked for and no table holds more than 256 tuples.
     """
-    low = len(sites) // 2
-    high_names = _site_tuples(sites[: len(sites) - low])
-    low_names = _site_tuples(sites[len(sites) - low :])
-    mask = (1 << low) - 1
-    return [high_names[i >> low] + low_names[i & mask] for i in flat.tolist()]
+    n = len(sites)
+    chunks = max(2, -(-n // 8))
+    cuts = [n * c // chunks for c in range(chunks + 1)]
+    parts = [
+        (_site_tuples(sites[lo:hi]), ((codes >> (n - hi)) & ((1 << (hi - lo)) - 1)).tolist())
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+    (first, i0), (second, i1) = parts[:2]
+    names = [first[a] + second[b] for a, b in zip(i0, i1)]
+    for table, idx in parts[2:]:
+        names = [name + table[i] for name, i in zip(names, idx)]
+    return names
 
 
-def _axes(registers, kind: str) -> list[int]:
-    return [k for k, r in enumerate(registers) if r.kind == kind]
+def _sites(registers, kind: str) -> tuple[str, ...]:
+    return tuple(r.site for r in registers if r.kind == kind)
 
 
-def click_readout(layout: np.ndarray, registers) -> ClickStats:
-    """Full readout statistics of a normalized (2,) * n pointer layout."""
-    strong_axes, weak_axes = _axes(registers, STRONG), _axes(registers, WEAK)
-    strong_sites = tuple(registers[k].site for k in strong_axes)
-    p = np.abs(layout) ** 2
-    joint = p.sum(axis=tuple(weak_axes)) if weak_axes else p
+def click_readout(strong, block, registers) -> ClickStats:
+    """Full readout statistics of a normalized block (see strong_block)."""
+    strong_sites = _sites(registers, STRONG)
+    weak_regs = [r for r in registers if r.kind == WEAK]
+    joint = (np.abs(block) ** 2).sum(axis=1)
 
-    strong = {site: float(np.take(joint, 1, axis=j).sum()) for j, site in enumerate(strong_sites)}
+    n = len(strong_sites)
+    clicks = {
+        site: float(joint[(strong & (1 << (n - 1 - j))) != 0].sum())
+        for j, site in enumerate(strong_sites)
+    }
 
-    flat = joint.reshape(-1)
-    kept = np.flatnonzero(flat > PATTERN_FLOOR)
-    patterns = dict(zip(_pattern_names(strong_sites, kept), flat[kept].tolist()))
+    kept = np.flatnonzero(joint > PATTERN_FLOOR)
+    patterns = dict(zip(_pattern_names(strong_sites, strong[kept]), joint[kept].tolist()))
 
     weak = {}
-    for k in weak_axes:
-        reg = registers[k]
-        m = np.moveaxis(layout, k, 0).reshape(2, -1)
+    cube = block.reshape((-1,) + (2,) * len(weak_regs))
+    for k, reg in enumerate(weak_regs):
+        m = np.moveaxis(cube, 1 + k, 0).reshape(2, -1)
         rho = m @ m.conj().T
         mean = float(np.real(np.trace(rho @ reg.pos_op)))
         second = float(np.real(np.trace(rho @ reg.pos2_op)))
@@ -337,22 +375,19 @@ def click_readout(layout: np.ndarray, registers) -> ClickStats:
             positions=reg.positions,
             probabilities=dist,
         )
-    return ClickStats(strong=strong, patterns=patterns, weak=weak)
+    return ClickStats(strong=clicks, patterns=patterns, weak=weak)
 
 
-def pattern_amplitudes(layout: np.ndarray, registers) -> dict[tuple[str, ...], complex]:
-    """Branch amplitude per strong click pattern of a (2,) * n pointer layout.
+def pattern_amplitudes(strong, block, registers) -> dict[tuple[str, ...], complex]:
+    """Branch amplitude per strong click pattern of an unnormalized block.
 
     Only the patterns whose branch is not exactly zero are present, in
     np.ndindex order over the strong registers. With weak registers
-    present a branch is a vector, so its norm is returned (as a
+    present a branch is a block row, so its norm is returned (as a
     non-negative real); without them the complex branch amplitude itself.
     """
-    strong_axes, weak_axes = _axes(registers, STRONG), _axes(registers, WEAK)
-    strong_sites = tuple(registers[k].site for k in strong_axes)
-    branches = np.transpose(layout, strong_axes + weak_axes).reshape(2 ** len(strong_axes), -1)
-    live = np.flatnonzero(branches.any(axis=1))
-    names = _pattern_names(strong_sites, live)
-    if weak_axes:
-        return {name: complex(np.linalg.norm(branches[i])) for name, i in zip(names, live.tolist())}
-    return dict(zip(names, branches[live, 0].tolist()))
+    live = np.flatnonzero(block.any(axis=1))
+    names = _pattern_names(_sites(registers, STRONG), strong[live])
+    if block.shape[1] > 1:
+        return {name: complex(np.linalg.norm(block[i])) for name, i in zip(names, live.tolist())}
+    return dict(zip(names, block[live, 0].tolist()))

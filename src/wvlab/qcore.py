@@ -34,10 +34,12 @@ MASS_LOSS_LIMIT = 1e-6
 MIN_WEAK_OVERLAP = 0.9
 # Largest pointer grid; each grid point costs a few floats per register.
 MAX_GRID_SIZE = 100_001
-# Most pointer registers one run couples: postselection builds the full
-# layout of 2**26 amplitudes, 1 GiB, and int64 branch codes carry one
-# bit per register, so they could hold at most 63.
-MAX_POINTER_REGISTERS = 26
+# Most pointer registers one run couples: int64 click codes carry one
+# bit per register.
+MAX_POINTER_REGISTERS = 63
+# Most amplitudes one array of a pointer run may hold, 1 GiB of complex
+# numbers: a coupling split or a readout block beyond it is refused.
+MAX_LIVE_AMPLITUDES = 2**26
 # Weak-pointer sigma lies in [1/MAX_POINTER_SCALE, MAX_POINTER_SCALE] and
 # grid_extent in (0, MAX_POINTER_SCALE], so squared positions stay finite.
 MAX_POINTER_SCALE = 1e50

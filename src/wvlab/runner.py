@@ -3,7 +3,7 @@
 Each run is a pure function of a Scenario and produces a RunReport.
 Reports serialize to a schema-stable JSON dict with fixed top-level
 keys (scenario, weak_values, postselection_probability, clicks,
-patterns, weak_stats, disturbance, tolerance) and read back losslessly.
+patterns, weak_stats, disturbance, tolerance).
 """
 
 from __future__ import annotations
@@ -16,14 +16,15 @@ from .errors import ContractError, DegeneratePostselectionError
 from .pointer import (
     READY_CODE,
     STRONG,
+    WEAK,
     WeakPointerStats,
     act,
     click_readout,
     couple_strong,
     couple_weak,
     pattern_amplitudes,
-    postselect,
     register_bits,
+    strong_block,
 )
 from .scenario import Scenario, Site, SumRule
 from .twosv import WeakValueResult, transition_amplitude, weak_value
@@ -140,8 +141,9 @@ def _simulate(sc: Scenario, insert: Site | None = None):
 
     The pass holds two read-only arrays, the live branches (system dim,
     B) and their click codes (B,), and replaces both at every step.
-    Returns the postselected pointer layout (unnormalized, writable),
-    the postselection probability and the coupling order.
+    Returns the live strong codes and the unnormalized, writable block
+    of their postselected amplitudes (strong_block), and the coupling
+    order.
     """
     bits = register_bits(sc.pointers)
     couplings = {}
@@ -161,8 +163,9 @@ def _simulate(sc: Scenario, insert: Site | None = None):
             else:
                 branches, codes = couple_weak(branches, codes, proj, bits[ps.site], ps.moved_coeffs)
             order.append(ps.site)
-    layout, prob = postselect(branches, codes, sc.prepost.post.amps, len(sc.pointers))
-    return layout, prob, tuple(order)
+    n_weak = sum(ps.kind == WEAK for ps in sc.pointers)
+    strong, block = strong_block(sc.prepost.post.amps.conj() @ branches, codes, n_weak)
+    return strong, block, tuple(order)
 
 
 def run_pointers(sc: Scenario) -> RunReport:
@@ -174,12 +177,13 @@ def run_pointers(sc: Scenario) -> RunReport:
     """
     if not sc.pointers:
         raise ContractError("run_pointers needs a scenario with at least one pointer")
-    layout, prob, order = _simulate(sc)
+    strong, block, order = _simulate(sc)
+    prob = float(np.linalg.norm(block) ** 2)
     degenerate = bool(np.sqrt(prob) <= sc.tolerance)
     sections = dict(coupling_order=order, postselection_probability=prob, degenerate=degenerate)
     if not degenerate:
-        layout /= np.sqrt(prob)
-        stats = click_readout(layout, sc.pointers)
+        block /= np.sqrt(prob)
+        stats = click_readout(strong, block, sc.pointers)
         sections.update(clicks=stats.strong, patterns=stats.patterns, weak_stats=stats.weak)
     return _base_report(sc, **sections)
 
@@ -198,8 +202,8 @@ def disturbance_rows(sc: Scenario) -> tuple[DisturbanceRow, ...]:
         tau = transition_amplitude(sc.timeline, sc.prepost, site.projector, site.stage)
         if abs(tau) > sc.tolerance:
             continue
-        layout, _, _ = _simulate(sc, insert=site)
-        amps = pattern_amplitudes(layout, sc.pointers)
+        strong, block, _ = _simulate(sc, insert=site)
+        amps = pattern_amplitudes(strong, block, sc.pointers)
         branches = {pat: amp for pat, amp in amps.items() if abs(amp) > sc.tolerance}
         rows.append(
             DisturbanceRow(
@@ -228,10 +232,6 @@ def _pair(z: complex) -> list:
 
 def _pattern_key(pattern: tuple[str, ...]) -> str:
     return PATTERN_SEP.join(pattern)
-
-
-def _pattern_from_key(key: str) -> tuple[str, ...]:
-    return tuple(key.split(PATTERN_SEP)) if key else ()
 
 
 def report_to_dict(report: RunReport) -> dict:
@@ -288,65 +288,3 @@ def report_to_dict(report: RunReport) -> dict:
         "disturbance": disturbance,
         "tolerance": float(report.tolerance),
     }
-
-
-def _complex_of(pair) -> complex:
-    return complex(pair[0], pair[1])
-
-
-def report_from_dict(d: dict) -> RunReport:
-    """Rebuild a RunReport from its JSON form (inverse of report_to_dict)."""
-    scen = d["scenario"]
-    rows = tuple(
-        WeakValueResult(
-            site=r["site"],
-            stage=r["stage"],
-            numerator=_complex_of(r["numerator"]),
-            denominator=_complex_of(r["denominator"]),
-            value=None if r["value"] is None else _complex_of(r["value"]),
-            degenerate=bool(r["degenerate"]),
-        )
-        for r in d["weak_values"]["table"]
-    )
-    rules = tuple(
-        SumRuleResult(sites=tuple(r["sites"]), stage=r["stage"], total=_complex_of(r["total"]))
-        for r in d["weak_values"]["sum_rules"]
-    )
-    weak_stats = {}
-    for site, st in d["weak_stats"].items():
-        positions = np.array(st["positions"], dtype=float)
-        probabilities = np.array(st["probabilities"], dtype=float)
-        positions.setflags(write=False)
-        probabilities.setflags(write=False)
-        weak_stats[site] = WeakPointerStats(
-            site=site,
-            mean=float(st["mean"]),
-            variance=float(st["variance"]),
-            positions=positions,
-            probabilities=probabilities,
-        )
-    disturbance = tuple(
-        DisturbanceRow(
-            site=r["site"],
-            stage=r["stage"],
-            undisturbed=_complex_of(r["undisturbed"]),
-            branches={_pattern_from_key(k): _complex_of(a) for k, a in r["branches"].items()},
-            disturbed=bool(r["disturbed"]),
-        )
-        for r in d["disturbance"]
-    )
-    return RunReport(
-        checksum=scen["checksum"],
-        dim=int(scen["dim"]),
-        stages=tuple(scen["stages"]),
-        coupling_order=tuple(scen["coupling_order"]),
-        tolerance=float(d["tolerance"]),
-        weak_values=rows,
-        sum_rules=rules,
-        postselection_probability=float(d["postselection_probability"]),
-        degenerate=bool(scen["degenerate"]),
-        clicks={site: float(p) for site, p in d["clicks"].items()},
-        patterns={_pattern_from_key(k): float(v) for k, v in d["patterns"].items()},
-        weak_stats=weak_stats,
-        disturbance=disturbance,
-    )

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from wvlab.cli import (
@@ -19,7 +20,6 @@ from wvlab.cli import (
     format_complex,
     main,
 )
-from wvlab.runner import report_from_dict
 from wvlab.scenario import builtin, default_three_path, from_dict, load, to_dict
 
 TOP_KEYS = (
@@ -100,9 +100,8 @@ def test_run_fig2_json_patterns_and_clicks(capsys):
 def test_run_report_round_trips_from_cli_json(capsys):
     code, payload, _ = run_json(capsys, "run", "--scenario", "builtin:three-path-allweak")
     assert code == EXIT_OK
-    rep = report_from_dict(payload)
-    assert rep.checksum == payload["scenario"]["checksum"]
-    assert set(rep.weak_stats) == {"E", "F", "D", "O", "E'", "F'", "O'"}
+    assert payload["scenario"]["checksum"] == builtin("three-path-allweak").checksum
+    assert set(payload["weak_stats"]) == {"E", "F", "D", "O", "E'", "F'", "O'"}
 
 
 def test_disturbance_json_flags(capsys):
@@ -278,22 +277,96 @@ def _with_path_detectors(n):
     return d
 
 
+def _pairs(vec):
+    return [[float(z.real), float(z.imag)] for z in np.ravel(vec)]
+
+
+def _pointer_file(dim, stages, mats, pre, post, sites, pointers):
+    return {
+        "dim": dim,
+        "stages": stages,
+        "segments": [
+            {"from": a, "to": b, "matrix": _pairs(u)} for a, b, u in zip(stages, stages[1:], mats)
+        ],
+        "pre": _pairs(pre),
+        "post": _pairs(post),
+        "sites": sites,
+        "pointers": pointers,
+    }
+
+
+def _dense_strong_file(n, dim=9):
+    """n strong pointers on random rank-1 sites behind random segments.
+
+    No coupling leaves a branch exactly zero, so the live amplitudes
+    double with every coupling. The site "null" is orthogonal to the
+    post state at the last stage, after every coupling.
+    """
+    rng = np.random.default_rng(n)
+
+    def vec():
+        return rng.normal(size=dim) + 1j * rng.normal(size=dim)
+
+    stages = ["t0", "t1", "t2", "t3"]
+    mats = [np.linalg.qr(np.array([vec() for _ in range(dim)]))[0] for _ in stages[1:]]
+    pre, post = (v / np.linalg.norm(v) for v in (vec(), vec()))
+    sites = [
+        {"label": f"s{k}", "stage": stages[k % 3], "kind": "ket", "data": _pairs(vec())}
+        for k in range(n)
+    ]
+    v = vec()
+    sites.append({"label": "null", "stage": "t3", "kind": "ket",
+                  "data": _pairs(v - np.vdot(post, v) * post)})
+    pointers = [{"site": f"s{k}", "kind": "strong"} for k in range(n)]
+    return _pointer_file(dim, stages, mats, pre, post, sites, pointers)
+
+
+def _weak_on_empty_path_file(n):
+    """n weak pointers on path 2, which carries no amplitude.
+
+    The readout block spans all 2**n weak codes. The site "z" on path 0
+    is null because the post state misses that path, so its disturbance
+    rerun keeps a live branch.
+    """
+    eye = np.eye(3)
+    stages = ["t0", "t1", "t2", "t3"]
+    sites = [
+        {"label": f"e{k}", "stage": stages[k % 4], "kind": "ket", "data": _pairs(eye[2])}
+        for k in range(n)
+    ]
+    sites.append({"label": "z", "stage": "t1", "kind": "ket", "data": _pairs(eye[0])})
+    pointers = [{"site": f"e{k}", "kind": "weak", "g": 0.2, "grid_size": 31} for k in range(n)]
+    pre, post = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0), np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
+    return _pointer_file(3, stages, [eye] * 3, pre, post, sites, pointers)
+
+
 def test_oversize_pointer_set_validates_but_does_not_run(capsys, tmp_path):
     path = tmp_path / "forty.json"
     path.write_text(json.dumps(_with_path_detectors(40)), encoding="utf-8")
-    code, out, err = run_cli(capsys, "validate", "--scenario", str(path))
-    assert code == EXIT_OK and err == ""
-    assert out == "OK: dim 3, 6 stages, 47 sites, 40 pointers\n"
-    want = "validation error: 40 pointer registers exceed the limit of 26\n"
-    code, out, err = run_cli(capsys, "disturbance", "--scenario", str(path))
-    assert (code, out, err) == (EXIT_VALIDATION, "", want)
-    proc = subprocess.run(
-        [sys.executable, "-m", "wvlab.cli", "run", "--scenario", str(path)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_VALIDATION, "", want)
+    assert run_cli(capsys, "run", "--scenario", str(path))[0] == EXIT_OK
+    bound = "over the limit of 67108864"
+    for name, d, summary, problem in (
+        ("sixty-four", _with_path_detectors(64), "dim 3, 6 stages, 71 sites, 64 pointers",
+         "64 pointer registers exceed the limit of 63"),
+        ("dense", _dense_strong_file(30), "dim 9, 4 stages, 31 sites, 30 pointers",
+         f"a coupling would hold 75497472 amplitudes, {bound}"),
+        ("weak", _weak_on_empty_path_file(30), "dim 3, 4 stages, 31 sites, 30 pointers",
+         f"the readout block would hold 1073741824 amplitudes, {bound}"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", "--scenario", str(path))
+        assert (code, out, err) == (EXIT_OK, f"OK: {summary}\n", "")
+        want = f"validation error: {problem}\n"
+        code, out, err = run_cli(capsys, "disturbance", "--scenario", str(path))
+        assert (code, out, err) == (EXIT_VALIDATION, "", want)
+        proc = subprocess.run(
+            [sys.executable, "-m", "wvlab.cli", "run", "--scenario", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_VALIDATION, "", want)
 
 
 def test_module_entry_point_smoke():

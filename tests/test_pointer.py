@@ -1,4 +1,4 @@
-"""Pointer registers, couplings, postselection, readout.
+"""Pointer registers, couplings, the postselected readout block, readout.
 
 The weak-register math is cross-checked against a brute-force oracle
 that keeps every register on its full position grid, so the compact
@@ -17,14 +17,16 @@ from wvlab.errors import SCHEMA, ContractError, ScenarioError
 from wvlab.pointer import (
     READY_CODE,
     PointerSpec,
+    _pattern_names,
     click_readout,
     couple_strong,
     couple_weak,
     pattern_amplitudes,
-    postselect,
     register_bits,
+    strong_block,
 )
 from wvlab.qcore import (
+    MAX_LIVE_AMPLITUDES,
     MAX_POINTER_REGISTERS,
     PATTERN_FLOOR,
     Ket,
@@ -210,20 +212,44 @@ def _couple_all(psi, specs, couplings):
     return branches, codes
 
 
-def _layout(branches, codes, n):
-    """A fresh scatter of live branches into the full (2,) * n register layout."""
+def _layout(branches, codes, specs):
+    """A fresh scatter of live branches into the full (2,) * n register layout.
+
+    The layout's axes are the registers in declaration order, as
+    DenseSim holds them; each code is mapped from register_bits' bits.
+    """
+    n = len(specs)
+    bits = register_bits(specs)
+    index = np.zeros(len(codes), dtype=np.int64)
+    for k, spec in enumerate(specs):
+        index |= ((codes & bits[spec.site]) != 0).astype(np.int64) << (n - 1 - k)
     head = branches.shape[:-1]
     t = np.zeros(head + (2**n,), dtype=complex)
-    t[..., codes] = branches
+    t[..., index] = branches
     return t.reshape(head + (2,) * n)
+
+
+def _n_weak(specs):
+    return sum(spec.kind == "weak" for spec in specs)
+
+
+def _postselected(branches, codes, chi, specs):
+    """Live strong codes and unnormalized block, as runner._simulate leaves them."""
+    return strong_block(np.asarray(chi).conj() @ branches, codes, _n_weak(specs))
+
+
+def _block_layout(strong, block, specs):
+    """A fresh scatter of the block into the full layout (see _layout)."""
+    codes = (strong[:, None] << _n_weak(specs)) | np.arange(block.shape[1])
+    return _layout(block.reshape(-1), codes.reshape(-1), specs)
 
 
 def _package_run(psi, chi, couplings, specs):
     """Probability, normalized layout and readout, as run_pointers reads them."""
-    branches, codes = _couple_all(psi, specs, couplings)
-    layout, prob = postselect(branches, codes, Ket(chi).amps, len(specs))
-    layout /= np.sqrt(prob)
-    return prob, layout, click_readout(layout, specs)
+    strong, block = _postselected(*_couple_all(psi, specs, couplings), chi, specs)
+    prob = float(np.linalg.norm(block) ** 2)
+    block /= np.sqrt(prob)
+    return prob, _block_layout(strong, block, specs), click_readout(strong, block, specs)
 
 
 def test_couple_strong_zero_and_identity_projectors():
@@ -233,7 +259,7 @@ def test_couple_strong_zero_and_identity_projectors():
     assert np.array_equal(same, ready) and codes.tolist() == [0]
     full, codes = couple_strong(ready, code, identity(3).matrix, 1)
     assert codes.tolist() == [1]
-    t = _layout(full, codes, 1)
+    t = _layout(full, codes, _strong_specs(("D",)))
     assert np.allclose(t[:, 1], PSI)
     assert np.allclose(t[:, 0], 0.0)
 
@@ -256,18 +282,18 @@ def test_couplings_preserve_norm():
 
 def test_same_stage_orthogonal_strong_couplings_commute():
     specs = [PointerSpec(site="D", kind="strong"), PointerSpec(site="O", kind="strong")]
-    a = _layout(*_couple_all(PSI, specs, [(_proj(0), "D"), (_crossing(), "O")]), 2)
-    b = _layout(*_couple_all(PSI, specs, [(_crossing(), "O"), (_proj(0), "D")]), 2)
+    a = _layout(*_couple_all(PSI, specs, [(_proj(0), "D"), (_crossing(), "O")]), specs)
+    b = _layout(*_couple_all(PSI, specs, [(_crossing(), "O"), (_proj(0), "D")]), specs)
     assert np.max(np.abs(a - b)) <= 1e-14
 
 
 def test_postselect_bare_state():
-    layout, prob = postselect(*_ready(), Ket(CHI).amps, 0)
-    assert layout.shape == ()
-    assert np.isclose(prob, 1.0 / 9.0, atol=1e-12)
-    assert np.isclose(complex(layout), np.vdot(CHI, PSI))
-    _, orth = postselect(*_ready(), Ket([0.0, 1.0 / np.sqrt(2), -1.0 / np.sqrt(2)]).amps, 0)
-    assert orth <= 1e-20
+    strong, block = _postselected(*_ready(), CHI, [])
+    assert strong.tolist() == [0] and block.shape == (1, 1)
+    assert np.isclose(np.linalg.norm(block) ** 2, 1.0 / 9.0, atol=1e-12)
+    assert np.isclose(block[0, 0], np.vdot(CHI, PSI))
+    _, orth = _postselected(*_ready(), [0.0, 1.0 / np.sqrt(2), -1.0 / np.sqrt(2)], [])
+    assert np.linalg.norm(orth) ** 2 <= 1e-20
 
 
 _FIG2 = [(_proj(0), "D"), (_crossing(), "O"), (_proj(1), "E'"), (_proj(2), "F'")]
@@ -296,8 +322,7 @@ def test_four_strong_pointers_split_into_three_patterns():
     assert set(nonzero) == {("D",), ("O", "E'"), ("O", "F'")}
     for v in nonzero.values():
         assert abs(v - third) <= 1e-12
-    layout, _ = postselect(*_couple_all(PSI, specs, _FIG2), Ket(CHI).amps, 4)
-    amps = pattern_amplitudes(layout, specs)
+    amps = pattern_amplitudes(*_postselected(*_couple_all(PSI, specs, _FIG2), CHI, specs), specs)
     assert abs(amps[("D",)] - third) <= 1e-12
     assert abs(amps[("O", "E'")] - third) <= 1e-12
     assert abs(amps[("O", "F'")] + third) <= 1e-12
@@ -307,16 +332,22 @@ def test_four_strong_pointers_split_into_three_patterns():
     "kinds", [("strong",) * 4, ("strong", "weak", "strong"), ("weak", "weak")]
 )
 def test_readout_layout_is_a_fresh_scatter_of_the_conditional_branches(kinds):
-    # Postselection scatters the layout once and readout divides it in
-    # place; the bytes must equal a scatter of the normalized branches.
+    # The block holds one fresh, writable row per live strong code, in
+    # code order, and readout divides it in place; its bytes must equal
+    # a scatter of the normalized branches.
     rng = np.random.default_rng(7)
     specs, branches, codes = _mixed_state(rng, 4, kinds)
     chi = Ket(rng.normal(size=4) + 1j * rng.normal(size=4)).normalized().amps
-    amps, n = chi.conj() @ branches, len(specs)
-    layout, prob = postselect(branches, codes, chi, n)
-    assert prob == float(np.linalg.norm(_layout(amps, codes, n)) ** 2)
-    layout /= np.sqrt(prob)
-    assert np.array_equal(layout, _layout(amps / np.sqrt(prob), codes, n))
+    amps = chi.conj() @ branches
+    strong, block = _postselected(branches, codes, chi, specs)
+    n_weak = _n_weak(specs)
+    assert strong.tolist() == sorted(set((codes >> n_weak).tolist()))
+    assert block.shape == (len(strong), 2**n_weak) and block.flags.writeable
+    prob = float(np.linalg.norm(block) ** 2)
+    assert abs(prob - np.linalg.norm(amps) ** 2) <= 1e-15
+    block /= np.sqrt(prob)
+    fresh = _layout(amps / np.sqrt(prob), codes, specs)
+    assert np.array_equal(_block_layout(strong, block, specs), fresh)
 
 
 # --- weak registers against the dense oracle --------------------------------
@@ -403,7 +434,7 @@ def test_weak_coupling_with_identity_projector_shifts_fully():
 def test_weak_coupling_with_zero_g_is_identity():
     spec = PointerSpec(site="O", kind="weak", g=0.0)
     out = _couple_all(PSI, [spec], [(_crossing(), "O")])
-    assert np.max(np.abs(_layout(*out, 1) - _layout(*_ready(), 1))) <= 1e-15
+    assert np.max(np.abs(_layout(*out, [spec]) - _layout(*_ready(), [spec]))) <= 1e-15
 
 
 # --- growing composite and floored readout -----------------------------------
@@ -584,11 +615,12 @@ def _dephased_probability(sc, clicked=None):
     return float(np.real(np.vdot(post, rho @ post)))
 
 
-def test_twenty_strong_pointers_on_a_sparse_interferometer_match_the_dephasing_channel():
-    # The full composite would hold 4 * 2**20 amplitudes; a few branches live.
-    rng = np.random.default_rng(20)
-    dim, n_ptr = 4, 20
-    stages = [f"t{k}" for k in range(7)]
+@pytest.mark.parametrize("n_ptr", [20, 48, 63])
+def test_twenty_strong_pointers_on_a_sparse_interferometer_match_the_dephasing_channel(n_ptr):
+    # The full composite would hold 4 * 2**n_ptr amplitudes; a few branches live.
+    rng = np.random.default_rng(n_ptr)
+    dim = 4
+    stages = [f"t{k}" for k in range(-(-n_ptr // dim) + 2)]
     eye = np.eye(dim)
     mats = [eye[rng.permutation(dim)] if rng.random() < 0.7 else eye for _ in stages[1:]]
     # One 50:50 beam splitter mid-way, so the detectors decohere paths
@@ -599,9 +631,8 @@ def test_twenty_strong_pointers_on_a_sparse_interferometer_match_the_dephasing_c
     slots = [(stage, path) for stage in stages[1:-1] for path in range(dim)]
     sites = [
         {"label": f"k{stage}p{path}", "stage": stage, "kind": "ket", "data": _pairs(eye[path])}
-        for stage, path in slots
+        for stage, path in slots[:n_ptr]
     ]
-    assert len(sites) == n_ptr
     pre, post = (
         Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized().amps for _ in range(2)
     )
@@ -613,7 +644,23 @@ def test_twenty_strong_pointers_on_a_sparse_interferometer_match_the_dephasing_c
     assert len(rep.clicks) == n_ptr
     for ps in sc.pointers:
         assert abs(rep.clicks[ps.site] - _dephased_probability(sc, ps.site) / prob) <= 1e-12
+        marginal = sum(v for pattern, v in rep.patterns.items() if ps.site in pattern)
+        assert abs(rep.clicks[ps.site] - marginal) <= 1e-12
     assert abs(sum(rep.patterns.values()) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 8, 9, 16, 17, 63])
+def test_pattern_names_decode_every_bit(n):
+    rng = np.random.default_rng(n)
+    sites = tuple(f"r{k}" for k in range(n))
+    top = (1 << n) - 1
+    codes = np.array([0, top] + rng.integers(0, top, size=200, endpoint=True).tolist())
+    want = [
+        tuple(site for k, site in enumerate(sites) if code >> (n - 1 - k) & 1)
+        for code in codes.tolist()
+    ]
+    assert codes.dtype == np.int64
+    assert _pattern_names(sites, codes) == want
 
 
 def test_sparse_disturbance_rows_at_sixteen_pointers_match_the_dense_oracle():
@@ -668,17 +715,18 @@ def test_pattern_keys_come_in_ndindex_order():
     rng = np.random.default_rng(5)
     kinds = ("strong", "weak", "strong", "strong", "weak", "strong", "strong")
     specs, branches, codes = _mixed_state(rng, 3, kinds)
-    layout, prob = postselect(branches, codes, Ket(rng.normal(size=3) + 0j).normalized().amps, 7)
+    chi = Ket(rng.normal(size=3) + 0j).normalized().amps
+    live, block = _postselected(branches, codes, chi, specs)
     strong = [f"r{k}" for k, kind in enumerate(kinds) if kind == "strong"]
     order = [
         tuple(site for site, bit in zip(strong, combo) if bit)
         for combo in np.ndindex((2,) * len(strong))
     ]
-    amps = pattern_amplitudes(layout, specs)
+    amps = pattern_amplitudes(live, block, specs)
     assert len(amps) > 1
     assert list(amps) == [p for p in order if p in amps]
-    layout /= np.sqrt(prob)
-    stats = click_readout(layout, specs)
+    block /= np.linalg.norm(block)
+    stats = click_readout(live, block, specs)
     assert len(stats.patterns) > 1
     assert list(stats.patterns) == [p for p in order if p in stats.patterns]
 
@@ -698,12 +746,13 @@ def test_live_branches_grow_at_most_twofold_per_coupling():
         assert codes.dtype == np.int64 and len(set(codes.tolist())) == live
         assert not branches.flags.writeable and not codes.flags.writeable
         assert np.all(branches.any(axis=0))
-        assert np.max(np.abs(_layout(branches, codes, 4) - sim.t)) <= 1e-15
+        assert np.max(np.abs(_layout(branches, codes, specs) - sim.t)) <= 1e-15
         dropped = np.setdiff1d(np.arange(16), codes)
         assert not np.any(sim.t.reshape(3, 16)[:, dropped])
-    layout, _ = postselect(branches, codes, Ket(CHI).amps, 4)
-    assert layout.shape == (2, 2, 2, 2) and layout.flags.writeable
-    assert not np.any(np.delete(layout.reshape(-1), codes))
+    strong, block = _postselected(branches, codes, CHI, specs)
+    assert strong.tolist() == sorted(codes.tolist()) and block.shape == (5, 1)
+    assert block.flags.writeable and not np.shares_memory(block, branches)
+    assert np.array_equal(block[:, 0], (CHI @ branches)[np.argsort(codes)])
 
 
 def test_partially_coupled_state_keeps_the_full_layout():
@@ -715,16 +764,19 @@ def test_partially_coupled_state_keeps_the_full_layout():
     sim = DenseSim(PSI, specs)
     sim.couple(_crossing(), 1)
     sim.couple(_proj(2), 3)
-    t = _layout(branches, codes, 4)
+    t = _layout(branches, codes, specs)
     assert np.max(np.abs(t - sim.t)) <= 1e-15
     # Uncoupled registers are still ready: their shifted halves are zero.
     assert not np.any(t[:, 1]) and not np.any(t[:, :, :, 1])
-    layout, prob = postselect(branches, codes, Ket(CHI).amps, 4)
-    assert layout.shape == (2, 2, 2, 2)
+    strong, block = _postselected(branches, codes, CHI, specs)
+    # One row per live code, in code order; the full layout is its scatter.
+    assert strong.tolist() == [0b0000, 0b0001, 0b0100, 0b0101] and block.shape == (4, 1)
+    fresh = _layout(CHI @ branches, codes, specs)
+    assert np.array_equal(_block_layout(strong, block, specs), fresh)
     # Only patterns of live branches are named: D and E' never click.
-    assert list(pattern_amplitudes(layout, specs)) == [(), ("F'",), ("O",), ("O", "F'")]
-    layout /= np.sqrt(prob)
-    stats = click_readout(layout, specs)
+    assert list(pattern_amplitudes(strong, block, specs)) == [(), ("F'",), ("O",), ("O", "F'")]
+    block /= np.linalg.norm(block)
+    stats = click_readout(strong, block, specs)
     assert stats.strong["D"] == 0.0 and stats.strong["E'"] == 0.0
 
 
@@ -732,8 +784,11 @@ def test_composite_holds_at_most_max_pointer_registers():
     specs = _strong_specs([f"r{k}" for k in range(MAX_POINTER_REGISTERS + 1)])
     bits = register_bits(specs[:-1])
     assert sorted(bits.values()) == [1 << k for k in range(MAX_POINTER_REGISTERS)]
-    with pytest.raises(ContractError, match="27 pointer registers exceed the limit of 26"):
+    with pytest.raises(ContractError, match="64 pointer registers exceed the limit of 63"):
         register_bits(specs)
+    # Strong registers take the high bits, weak ones the low bits.
+    specs = [PointerSpec(site=f"r{k}", kind=kind) for k, kind in enumerate(("strong", "weak") * 2)]
+    assert register_bits(specs) == {"r0": 0b1000, "r2": 0b0100, "r1": 0b0010, "r3": 0b0001}
 
 
 def _with_path_detectors(sc, n):
@@ -747,17 +802,76 @@ def _with_path_detectors(sc, n):
     return replace(sc, sites=sc.sites + sites, pointers=pointers)
 
 
+def _dense_strong_scenario(n, dim=9):
+    """n strong pointers on random rank-1 sites behind random segments.
+
+    No coupling leaves a branch exactly zero, so the live amplitudes
+    double with every coupling. The site "null" is orthogonal to the
+    post state at the last stage, after every coupling.
+    """
+    rng = np.random.default_rng(n)
+    stages = [f"t{k}" for k in range(4)]
+    mats = [_random_unitary(rng, dim) for _ in stages[1:]]
+    pre, post = (
+        Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized().amps for _ in range(2)
+    )
+    sites = [
+        {"label": f"s{k}", "stage": stages[k % 3], "kind": "ket",
+         "data": _pairs(rng.normal(size=dim) + 1j * rng.normal(size=dim))}
+        for k in range(n)
+    ]
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    sites.append({"label": "null", "stage": stages[-1], "kind": "ket",
+                  "data": _pairs(v - np.vdot(post, v) * post)})
+    pointers = [{"site": f"s{k}", "kind": "strong"} for k in range(n)]
+    return _assemble(dim, stages, mats, pre, post, sites, pointers)
+
+
+def _weak_on_empty_path_scenario(n):
+    """n weak pointers on path 2, which carries no amplitude.
+
+    Every branch stays live, but the readout block spans all 2**n weak
+    codes. The site "z" on path 0 is null because the post state misses
+    that path, so its disturbance rerun keeps a live branch.
+    """
+    eye = np.eye(3)
+    stages = [f"t{k}" for k in range(4)]
+    sites = [
+        {"label": f"e{k}", "stage": stages[k % 4], "kind": "ket", "data": _pairs(eye[2])}
+        for k in range(n)
+    ]
+    sites.append({"label": "z", "stage": "t1", "kind": "ket", "data": _pairs(eye[0])})
+    pointers = [{"site": f"e{k}", "kind": "weak", "g": 0.2, "grid_size": 31} for k in range(n)]
+    pre, post = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0), np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
+    return _assemble(3, stages, [eye] * 3, pre, post, sites, pointers)
+
+
 def test_forty_pointer_scenario_is_refused_by_run_pointers(monkeypatch):
-    sc = _with_path_detectors(default_three_path(), 40)
+    # Forty sparse path detectors run: a handful of branches stay live.
+    rep = run_pointers(_with_path_detectors(default_three_path(), 40))
+    assert len(rep.clicks) == 40 and abs(sum(rep.patterns.values()) - 1.0) <= 1e-12
+
+    # A dense run or a wide weak block is refused by the amplitude bound,
+    # also where a disturbance rerun leaves no live branch at all.
+    bound = f"over the limit of {MAX_LIVE_AMPLITUDES}"
+    for sc, what in (
+        (_dense_strong_scenario(30), "a coupling would hold 75497472 amplitudes"),
+        (_weak_on_empty_path_scenario(30), "the readout block would hold 1073741824 amplitudes"),
+        (_weak_on_empty_path_scenario(63), f"the readout block would hold {2**63} amplitudes"),
+    ):
+        for run in (run_pointers, disturbance_rows):
+            with pytest.raises(ContractError, match=f"^{what}, {bound}$"):
+                run(sc)
 
     def allocates(*args):
         raise AssertionError("the pass allocated before checking the register limit")
 
-    # The limit is settled before the first array step runs.
-    for step in ("act", "couple_strong", "couple_weak", "postselect"):
+    # The register limit is settled before the first array step runs.
+    sc = _with_path_detectors(default_three_path(), 64)
+    for step in ("act", "couple_strong", "couple_weak", "strong_block"):
         monkeypatch.setattr(runner, step, allocates)
     for run in (run_pointers, disturbance_rows):  # O and O' are null sites
-        with pytest.raises(ContractError, match="40 pointer registers exceed the limit of 26"):
+        with pytest.raises(ContractError, match="64 pointer registers exceed the limit of 63"):
             run(sc)
 
 
