@@ -32,7 +32,7 @@ class ScenarioError(ContractError):
     """A scenario definition or file was rejected.
 
     Raised by the type that owns the broken invariant (Timeline,
-    PrePost, PointerSpec, Scenario) and by the file parser.
+    PrePost, PointerSpec, Site, Scenario) and by the file parser.
 
     Attributes:
         code: one of the stable validation codes in this module.

@@ -296,21 +296,6 @@ class WeakPointerStats:
     probabilities: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class ClickStats:
-    """Readout of a pointer-only state.
-
-    strong maps site -> click probability. patterns maps each tuple of
-    clicked sites (register order) to its joint probability; only the
-    patterns above PATTERN_FLOOR are present, in np.ndindex order over
-    the strong registers. weak maps site -> position stats.
-    """
-
-    strong: dict[str, float]
-    patterns: dict[tuple[str, ...], float]
-    weak: dict[str, WeakPointerStats]
-
-
 def _site_tuples(sites: tuple[str, ...]) -> list[tuple[str, ...]]:
     """The clicked sites of every bit combination, in np.ndindex order."""
     names = [()]
@@ -344,8 +329,15 @@ def _sites(registers, kind: str) -> tuple[str, ...]:
     return tuple(r.site for r in registers if r.kind == kind)
 
 
-def click_readout(strong, block, registers) -> ClickStats:
-    """Full readout statistics of a normalized block (see strong_block)."""
+def click_readout(strong, block, registers) -> dict:
+    """Full readout statistics of a normalized block (see strong_block).
+
+    Returns the report sections: clicks maps site -> click probability.
+    patterns maps each tuple of clicked sites (register order) to its
+    joint probability; only the patterns above PATTERN_FLOOR are
+    present, in np.ndindex order over the strong registers. weak_stats
+    maps site -> position stats.
+    """
     strong_sites = _sites(registers, STRONG)
     weak_regs = [r for r in registers if r.kind == WEAK]
     joint = (np.abs(block) ** 2).sum(axis=1)
@@ -375,7 +367,7 @@ def click_readout(strong, block, registers) -> ClickStats:
             positions=reg.positions,
             probabilities=dist,
         )
-    return ClickStats(strong=clicks, patterns=patterns, weak=weak)
+    return dict(clicks=clicks, patterns=patterns, weak_stats=weak)
 
 
 def pattern_amplitudes(strong, block, registers) -> dict[tuple[str, ...], complex]:

@@ -78,8 +78,8 @@ class Ket:
     def norm(self) -> float:
         return _norm(self.amps)
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm() - 1.0) <= NORM_TOL
 
     def normalized(self) -> Ket:
         n = self.norm()
@@ -108,13 +108,13 @@ class Operator:
     # large enough to overflow give an infinite or NaN residual, which
     # fails the check instead of printing a warning.
 
-    def is_unitary(self, tol: float = STRUCT_TOL) -> bool:
+    def is_unitary(self) -> bool:
         with np.errstate(all="ignore"):
-            return _residual(self.matrix.conj().T @ self.matrix, np.eye(self.dim)) <= tol
+            return _residual(self.matrix.conj().T @ self.matrix, np.eye(self.dim)) <= STRUCT_TOL
 
-    def is_projector(self, tol: float = STRUCT_TOL) -> bool:
+    def is_projector(self) -> bool:
         hermitian, idempotent = self._projector_residuals
-        return hermitian <= tol and idempotent <= tol
+        return hermitian <= STRUCT_TOL and idempotent <= STRUCT_TOL
 
     @cached_property
     def _projector_residuals(self) -> tuple[float, float]:

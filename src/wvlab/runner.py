@@ -27,7 +27,7 @@ from .pointer import (
     strong_block,
 )
 from .scenario import Scenario, Site, SumRule
-from .twosv import WeakValueResult, transition_amplitude, weak_value
+from .twosv import WeakValueResult, sweep, transition_amplitude, weak_value
 
 PATTERN_SEP = "+"
 
@@ -98,7 +98,7 @@ def _rule_total(sc: Scenario, rule: SumRule) -> complex:
 
 def _base_report(sc: Scenario, **sections) -> RunReport:
     tl, pp = sc.timeline, sc.prepost
-    amp = sc.postselection_amplitude()
+    amp = sweep(tl, pp).overlaps[-1]
     degenerate = abs(amp) <= sc.tolerance
     sum_rules = tuple(
         SumRuleResult(sites=rule.sites, stage=rule.stage, total=_rule_total(sc, rule))
@@ -183,8 +183,7 @@ def run_pointers(sc: Scenario) -> RunReport:
     sections = dict(coupling_order=order, postselection_probability=prob, degenerate=degenerate)
     if not degenerate:
         block /= np.sqrt(prob)
-        stats = click_readout(strong, block, sc.pointers)
-        sections.update(clicks=stats.strong, patterns=stats.patterns, weak_stats=stats.weak)
+        sections.update(click_readout(strong, block, sc.pointers))
     return _base_report(sc, **sections)
 
 

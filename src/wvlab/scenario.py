@@ -4,7 +4,10 @@ A Scenario bundles everything one run needs: system dimension, a
 timeline of unitary segments, named projector sites pinned to stages,
 pre/post states, pointer placements, declared complete projector sets
 for sum-rule checks, and the numerical tolerance. Scenarios validate
-themselves on construction and are immutable afterwards.
+themselves on construction and are immutable afterwards. A file entry's
+keys are the init fields of the type that builds it; a Site derives its
+projector from its entry's kind and data, so a scenario saves and loads
+as exactly the projectors it holds.
 
 The built-in family models a three-path interferometer: paths 1..3
 propagate freely (identity segments), sites E/F sit on paths 2/3 early,
@@ -21,7 +24,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from numbers import Real
 
@@ -35,16 +38,15 @@ from .errors import (
     ContractError,
     ScenarioError,
 )
-from .pointer import WEAK, PointerSpec
+from .pointer import STRONG, WEAK, PointerSpec
 from .qcore import (
     DEFAULT_TOLERANCE,
     Ket,
     Operator,
-    basis_ket,
     projector_from_ket,
     resolves_identity,
 )
-from .twosv import PrePost, Timeline, identity_timeline, sweep
+from .twosv import PrePost, Timeline, identity_timeline
 
 # Characters a site label may not hold: reports join site labels with
 # "+" into click patterns and sum rules, and text output lists the
@@ -58,34 +60,37 @@ KIND_MATRIX = "matrix"
 
 @dataclass(frozen=True, eq=False)
 class Site:
-    """A named projector pinned to a timeline stage.
+    """A named projector pinned to a timeline stage, built from its file entry.
 
-    kind/data record how the projector was defined ("ket": rank-1 from
-    a vector, "matrix": explicit) so files round-trip exactly.
+    kind says how data defines the projector ("ket": the rank-1 projector
+    of a vector, "matrix": the matrix itself); it is derived once, on
+    construction.
     """
 
     label: str
     stage: str
-    projector: Operator
     kind: str
     data: np.ndarray
+    projector: Operator = field(init=False, repr=False)
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=complex)
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-
-def site_from_ket(label: str, stage: str, u: Ket) -> Site:
-    try:
-        proj = projector_from_ket(u)
-    except ContractError as exc:
-        raise ScenarioError(NON_PROJECTOR_SITE, f"site {label!r}: {exc}") from None
-    return Site(label=label, stage=stage, projector=proj, kind=KIND_KET, data=u.amps)
-
-
-def site_from_matrix(label: str, stage: str, proj: Operator) -> Site:
-    return Site(label=label, stage=stage, projector=proj, kind=KIND_MATRIX, data=proj.matrix)
+        where = f"site {self.label!r}"
+        if self.kind == KIND_KET:
+            ket = Ket(self.data)
+            try:
+                proj = projector_from_ket(ket)
+            except ContractError as exc:
+                raise ScenarioError(NON_PROJECTOR_SITE, f"{where}: {exc}") from None
+            data = ket.amps
+        elif self.kind == KIND_MATRIX:
+            proj = Operator(self.data)
+            data = proj.matrix
+        else:
+            raise ScenarioError(SCHEMA, f"{where} kind must be 'ket' or 'matrix', got {self.kind!r}")
+        if not proj.is_projector():
+            raise ScenarioError(NON_PROJECTOR_SITE, f"{where} operator is not a projector")
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "projector", proj)
 
 
 @dataclass(frozen=True)
@@ -149,10 +154,6 @@ class Scenario:
                 raise ScenarioError(
                     SCHEMA, f"site {site.label!r} projector has dimension {site.projector.dim}"
                 )
-            if not site.projector.is_projector():
-                raise ScenarioError(
-                    NON_PROJECTOR_SITE, f"site {site.label!r} operator is not a projector"
-                )
         object.__setattr__(self, "_sites_by_label", by_label)
         pointer_sites = set()
         for ps in self.pointers:
@@ -178,9 +179,6 @@ class Scenario:
         except KeyError:
             raise ScenarioError(UNKNOWN_SITE, f"no site named {label!r}") from None
 
-    def postselection_amplitude(self) -> complex:
-        return sweep(self.timeline, self.prepost).overlap(self.timeline.final)
-
     def with_overrides(self, tolerance: float | None = None, g: float | None = None) -> Scenario:
         """Copy with a new tolerance and/or weak coupling strength g."""
         out = self
@@ -202,21 +200,18 @@ class Scenario:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _three_path(crossing_site, pointers) -> Scenario:
-    """The three-path family; crossing_site(label, stage) builds O and O'."""
+def _three_path(crossing_kind: str, crossing, pointers) -> Scenario:
+    """The three-path family; the crossings O and O' are sites of the given kind and data."""
     s3 = 1.0 / np.sqrt(3.0)
-
-    def path(label: str, stage: str, index: int) -> Site:
-        return site_from_ket(label, stage, basis_ket(3, index))
-
+    paths = np.eye(3)
     sites = (
-        path("E", "t_1", 1),
-        path("F", "t_1", 2),
-        path("D", "t_2", 0),
-        crossing_site("O", "t_2"),
-        path("E'", "t_3", 1),
-        path("F'", "t_3", 2),
-        crossing_site("O'", "t_4"),
+        Site("E", "t_1", KIND_KET, paths[1]),
+        Site("F", "t_1", KIND_KET, paths[2]),
+        Site("D", "t_2", KIND_KET, paths[0]),
+        Site("O", "t_2", crossing_kind, crossing),
+        Site("E'", "t_3", KIND_KET, paths[1]),
+        Site("F'", "t_3", KIND_KET, paths[2]),
+        Site("O'", "t_4", crossing_kind, crossing),
     )
     return Scenario(
         dim=3,
@@ -237,8 +232,7 @@ def default_three_path(pointers=()) -> Scenario:
     Crossings project onto (|2>+|3>)/sqrt(2).
     """
     s2 = 1.0 / np.sqrt(2.0)
-    crossing = Ket([0.0, s2, s2])
-    return _three_path(lambda label, stage: site_from_ket(label, stage, crossing), pointers)
+    return _three_path(KIND_KET, [0.0, s2, s2], pointers)
 
 
 def three_path_rank2_crossing(pointers=()) -> Scenario:
@@ -247,43 +241,33 @@ def three_path_rank2_crossing(pointers=()) -> Scenario:
     Gives the same (zero) weak values at O and O' as the rank-1 model
     but different strong-coupling back-action.
     """
-    both = Operator(np.diag([0.0, 1.0, 1.0]))
-    return _three_path(lambda label, stage: site_from_matrix(label, stage, both), pointers)
+    return _three_path(KIND_MATRIX, np.diag([0.0, 1.0, 1.0]), pointers)
 
 
-def _strong(*sites: str) -> tuple[PointerSpec, ...]:
-    return tuple(PointerSpec(site=s, kind="strong") for s in sites)
-
-
-def _all_weak(g: float = 0.01) -> tuple[PointerSpec, ...]:
-    order = ("E", "F", "D", "O", "E'", "F'", "O'")
-    return tuple(PointerSpec(site=s, kind="weak", g=g) for s in order)
-
-
-BUILTIN_NAMES = (
-    "three-path",
-    "three-path-fig1",
-    "three-path-fig1-oprime",
-    "three-path-fig2",
-    "three-path-allweak",
-)
+# Built-in name -> the sites that carry strong pointers, or None for a
+# weak pointer at every site.
+_BUILTINS = {
+    "three-path": (),
+    "three-path-fig1": ("D", "O"),
+    "three-path-fig1-oprime": ("D", "O", "O'"),
+    "three-path-fig2": ("D", "O", "E'", "F'"),
+    "three-path-allweak": None,
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str) -> Scenario:
     """Look up a built-in scenario by its public name."""
-    if name == "three-path":
-        return default_three_path()
-    if name == "three-path-fig1":
-        return default_three_path(_strong("D", "O"))
-    if name == "three-path-fig1-oprime":
-        return default_three_path(_strong("D", "O", "O'"))
-    if name == "three-path-fig2":
-        return default_three_path(_strong("D", "O", "E'", "F'"))
-    if name == "three-path-allweak":
-        return default_three_path(_all_weak())
-    raise ScenarioError(
-        SCHEMA, f"unknown built-in scenario {name!r}, choose from {', '.join(BUILTIN_NAMES)}"
-    )
+    if name not in _BUILTINS:
+        raise ScenarioError(
+            SCHEMA, f"unknown built-in scenario {name!r}, choose from {', '.join(BUILTIN_NAMES)}"
+        )
+    strong = _BUILTINS[name]
+    if strong is None:
+        pointers = [PointerSpec(site=s, kind=WEAK) for s in ("E", "F", "D", "O", "E'", "F'", "O'")]
+    else:
+        pointers = [PointerSpec(site=s, kind=STRONG) for s in strong]
+    return default_three_path(pointers)
 
 
 # --- JSON serialization ---------------------------------------------------
@@ -308,18 +292,7 @@ def to_dict(sc: Scenario) -> dict:
     sites = []
     for s in sc.sites:
         sites.append({"label": s.label, "stage": s.stage, "kind": s.kind, "data": _pairs(s.data)})
-    pointers = []
-    for ps in sc.pointers:
-        pointers.append(
-            {
-                "site": ps.site,
-                "kind": ps.kind,
-                "g": float(ps.g),
-                "sigma": float(ps.sigma),
-                "grid_size": int(ps.grid_size),
-                "grid_extent": float(ps.grid_extent),
-            }
-        )
+    pointers = [{f.name: getattr(ps, f.name) for f in fields(ps) if f.init} for ps in sc.pointers]
     out = {
         "dim": sc.dim,
         "stages": list(sc.timeline.stages),
@@ -399,9 +372,18 @@ _TOP_KEYS = frozenset(
     {"dim", "stages", "segments", "pre", "post", "sites", "pointers", "sum_rules", "tolerance"}
 )
 _SEGMENT_KEYS = frozenset({"from", "to", "matrix"})
-_SITE_KEYS = frozenset({"label", "stage", "kind", "data"})
-_POINTER_KEYS = frozenset({"site", "kind", "g", "sigma", "grid_size", "grid_extent"})
-_SUM_RULE_KEYS = frozenset({"sites", "stage"})
+
+
+def _init_keys(cls) -> frozenset:
+    """The file keys of an entry: the init fields of the type it builds."""
+    return frozenset(f.name for f in fields(cls) if f.init)
+
+
+_SITE_KEYS = _init_keys(Site)
+_POINTER_KEYS = _init_keys(PointerSpec)
+_SUM_RULE_KEYS = _init_keys(SumRule)
+# Array rank of a site's data, per kind.
+_SITE_NDIM = {KIND_KET: 1, KIND_MATRIX: 2}
 
 
 def _items(d: dict, key: str, keys: frozenset, required: bool = True):
@@ -454,14 +436,12 @@ def from_dict(d: dict) -> Scenario:
         stage = _want(entry, "stage", str, where)
         kind = _want(entry, "kind", str, where)
         where = f"site {label!r}"
-        if kind == KIND_KET:
-            vec = _parse_array(_want(entry, "data", list, where), (dim,), f"{where} data")
-            sites.append(site_from_ket(label, stage, Ket(vec)))
-        elif kind == KIND_MATRIX:
-            mat = _parse_array(_want(entry, "data", list, where), (dim, dim), f"{where} data")
-            sites.append(site_from_matrix(label, stage, Operator(mat)))
-        else:
-            raise ScenarioError(SCHEMA, f"{where} kind must be 'ket' or 'matrix', got {kind!r}")
+        # An unknown kind has no shape; Site refuses it before reading data.
+        ndim = _SITE_NDIM.get(kind)
+        data = None if ndim is None else _parse_array(
+            _want(entry, "data", list, where), (dim,) * ndim, f"{where} data"
+        )
+        sites.append(Site(label, stage, kind, data))
 
     pointers = [
         PointerSpec(

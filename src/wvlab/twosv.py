@@ -85,10 +85,6 @@ class Timeline:
             raise ContractError("timeline with a single stage has no intrinsic dimension")
         return self.segments[0].dim
 
-    @property
-    def final(self) -> str:
-        return self.stages[-1]
-
     def index(self, stage: str) -> int:
         try:
             return self._positions[stage]
@@ -152,14 +148,9 @@ class Sweep:
     overlaps[k] is the bare amplitude <post(stages[k])|pre(stages[k])>.
     """
 
-    timeline: Timeline
     forward: np.ndarray
     backward: np.ndarray
     overlaps: tuple[complex, ...]
-
-    def overlap(self, stage: str) -> complex:
-        """Bare pre-to-post amplitude <post(stage)|pre(stage)>."""
-        return self.overlaps[self.timeline.index(stage)]
 
 
 @lru_cache(maxsize=1)
@@ -184,7 +175,7 @@ def sweep(tl: Timeline, pp: PrePost) -> Sweep:
     backward = bras.conj()
     forward.setflags(write=False)
     backward.setflags(write=False)
-    return Sweep(tl, forward, backward, overlaps)
+    return Sweep(forward, backward, overlaps)
 
 
 def _row(tl: Timeline, pp: PrePost, op: Operator, stage: str, require_projector: bool):

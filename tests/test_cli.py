@@ -20,7 +20,21 @@ from wvlab.cli import (
     format_complex,
     main,
 )
-from wvlab.scenario import builtin, default_three_path, from_dict, load, to_dict
+from wvlab.errors import DegeneratePostselectionError
+from wvlab.qcore import Ket, Operator
+from wvlab.runner import run_weak_values
+from wvlab.scenario import (
+    Scenario,
+    Site,
+    SumRule,
+    builtin,
+    default_three_path,
+    from_dict,
+    load,
+    save,
+    to_dict,
+)
+from wvlab.twosv import PrePost, Timeline, sweep
 
 TOP_KEYS = (
     "scenario",
@@ -195,6 +209,50 @@ def test_degenerate_scenario_exits_3_but_reports(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["scenario"]["degenerate"] is True
     assert all(row["value"] is None for row in payload["weak_values"]["table"])
+
+
+def _tolerance_edge_scenario():
+    """A random timeline with a sum rule at a stage whose overlap rounds below the final one.
+
+    Every stage's <post(t)|pre(t)> equals the final amplitude up to
+    rounding. With the tolerance at |<post(t)|pre(t)>|, the final
+    amplitude passes and the report is not degenerate, but the rule's
+    weak values at t are.
+    """
+    rng = np.random.default_rng(83)
+    stages = tuple(f"t{k}" for k in range(10))
+
+    def unitary(dim):
+        return np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+
+    def state(dim):
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return Ket(v / np.linalg.norm(v))
+
+    for _ in range(100):
+        tl = Timeline(stages, tuple(Operator(unitary(3)) for _ in stages[1:]))
+        pp = PrePost(state(3), state(3))
+        # abs() as the report takes it: np.abs may differ in the last bit.
+        overlaps = [abs(z) for z in sweep(tl, pp).overlaps]
+        below = [k for k, a in enumerate(overlaps[:-1]) if a < overlaps[-1]]
+        if below:
+            stage = stages[below[0]]
+            basis = unitary(3)
+            sites = tuple(Site(f"b{j}", stage, "ket", basis[:, j]) for j in range(3))
+            sc = Scenario(3, tl, pp, sites, sum_rules=(SumRule(("b0", "b1", "b2"), stage),))
+            return sc, stage, overlaps[below[0]]
+    raise AssertionError("no stage overlap rounds below the final one")
+
+
+def test_sum_rule_at_the_tolerance_edge_exits_3(capsys, tmp_path):
+    sc, stage, tol = _tolerance_edge_scenario()
+    message = f"postselection amplitude vanished at stage {stage!r}"
+    with pytest.raises(DegeneratePostselectionError, match=message):
+        run_weak_values(sc.with_overrides(tolerance=tol))
+    path = tmp_path / "edge.json"
+    save(sc, path)
+    code, out, err = run_cli(capsys, "weak-values", "--scenario", str(path), "--tolerance", repr(tol))
+    assert (code, out, err) == (EXIT_DEGENERATE, "", f"error: {message}\n")
 
 
 def test_export_default_round_trip(capsys, tmp_path):

@@ -38,10 +38,9 @@ from wvlab.qcore import (
 from wvlab.runner import disturbance_rows, run_pointers
 from wvlab.scenario import (
     Scenario,
+    Site,
     default_three_path,
     from_dict,
-    site_from_ket,
-    site_from_matrix,
     three_path_rank2_crossing,
 )
 from wvlab.twosv import PrePost, Timeline, transition_amplitude
@@ -308,9 +307,9 @@ def test_two_strong_pointers_give_certain_detector_click():
     assert np.isclose(prob, 1.0 / 9.0, atol=1e-12)
     # Conditional pointer state is exactly |shifted> x |ready>.
     assert abs(abs(t[1, 0]) - 1.0) <= 1e-12
-    assert abs(stats.strong["D"] - 1.0) <= 1e-12
-    assert abs(stats.strong["O"]) <= 1e-12
-    assert abs(stats.patterns[("D",)] - 1.0) <= 1e-12
+    assert abs(stats["clicks"]["D"] - 1.0) <= 1e-12
+    assert abs(stats["clicks"]["O"]) <= 1e-12
+    assert abs(stats["patterns"][("D",)] - 1.0) <= 1e-12
 
 
 def test_four_strong_pointers_split_into_three_patterns():
@@ -318,7 +317,7 @@ def test_four_strong_pointers_split_into_three_patterns():
     prob, _, stats = _package_run(PSI, CHI, _FIG2, specs)
     assert np.isclose(prob, 1.0 / 3.0, atol=1e-12)
     third = 1.0 / 3.0
-    nonzero = {p: v for p, v in stats.patterns.items() if v > 1e-12}
+    nonzero = {p: v for p, v in stats["patterns"].items() if v > 1e-12}
     assert set(nonzero) == {("D",), ("O", "E'"), ("O", "F'")}
     for v in nonzero.values():
         assert abs(v - third) <= 1e-12
@@ -397,10 +396,10 @@ def test_compact_representation_matches_dense_oracle(specs, couplings):
     assert abs(prob_run - prob) <= 1e-13
     for k, spec in enumerate(specs):
         if spec.kind == "strong":
-            assert abs(stats.strong[spec.site] - sim.strong_prob(k)) <= 1e-13
+            assert abs(stats["clicks"][spec.site] - sim.strong_prob(k)) <= 1e-13
             continue
         mean, var = sim.weak_mean_var(k)
-        st = stats.weak[spec.site]
+        st = stats["weak_stats"][spec.site]
         assert abs(st.mean - mean) <= 1e-12
         assert abs(st.variance - var) <= 1e-12
         assert np.max(np.abs(st.probabilities - sim.weak_marginal(k))) <= 1e-12
@@ -413,12 +412,12 @@ def test_weak_pointer_mean_tracks_weak_value():
         PSI, CHI, [(_proj(2), "F")], [PointerSpec(site="F", kind="weak", g=g)]
     )
     # Weak value at F is -1; conditional mean shifts to about -g.
-    assert abs(stats.weak["F"].mean - (-g)) <= 1e-4
+    assert abs(stats["weak_stats"]["F"].mean - (-g)) <= 1e-4
     _, _, stats = _package_run(
         PSI, CHI, [(_crossing(), "O")], [PointerSpec(site="O", kind="weak", g=g)]
     )
     # Vanishing amplitude: the packet does not move at all.
-    assert abs(stats.weak["O"].mean) <= 1e-12
+    assert abs(stats["weak_stats"]["O"].mean) <= 1e-12
 
 
 def test_weak_coupling_with_identity_projector_shifts_fully():
@@ -427,8 +426,8 @@ def test_weak_coupling_with_identity_projector_shifts_fully():
     _, _, stats = _package_run(PSI, CHI, [(identity(3), "w")], [spec])
     sim, prob = _dense_run(PSI, CHI, [(identity(3), "w")], [spec])
     mean, _ = sim.weak_mean_var(0)
-    assert abs(stats.weak["w"].mean - mean) <= 1e-12
-    assert abs(stats.weak["w"].mean - g) <= 1e-6
+    assert abs(stats["weak_stats"]["w"].mean - mean) <= 1e-12
+    assert abs(stats["weak_stats"]["w"].mean - g) <= 1e-6
 
 
 def test_weak_coupling_with_zero_g_is_identity():
@@ -727,8 +726,8 @@ def test_pattern_keys_come_in_ndindex_order():
     assert list(amps) == [p for p in order if p in amps]
     block /= np.linalg.norm(block)
     stats = click_readout(live, block, specs)
-    assert len(stats.patterns) > 1
-    assert list(stats.patterns) == [p for p in order if p in stats.patterns]
+    assert len(stats["patterns"]) > 1
+    assert list(stats["patterns"]) == [p for p in order if p in stats["patterns"]]
 
 
 def test_live_branches_grow_at_most_twofold_per_coupling():
@@ -777,7 +776,7 @@ def test_partially_coupled_state_keeps_the_full_layout():
     assert list(pattern_amplitudes(strong, block, specs)) == [(), ("F'",), ("O",), ("O", "F'")]
     block /= np.linalg.norm(block)
     stats = click_readout(strong, block, specs)
-    assert stats.strong["D"] == 0.0 and stats.strong["E'"] == 0.0
+    assert stats["clicks"]["D"] == 0.0 and stats["clicks"]["E'"] == 0.0
 
 
 def test_composite_holds_at_most_max_pointer_registers():
@@ -795,7 +794,7 @@ def _with_path_detectors(sc, n):
     """sc plus n strong detectors on path projectors, cycling over stages, then paths."""
     stages = sc.timeline.stages
     sites = tuple(
-        site_from_ket(f"x{k}", stages[k % len(stages)], basis_ket(sc.dim, k // len(stages) % sc.dim))
+        Site(f"x{k}", stages[k % len(stages)], "ket", basis_ket(sc.dim, k // len(stages) % sc.dim).amps)
         for k in range(n)
     )
     pointers = tuple(PointerSpec(site=site.label, kind="strong") for site in sites)
@@ -889,11 +888,11 @@ def test_click_patterns_hold_only_values_above_the_floor():
     _, layout, stats = _package_run([0.0, 1.0], Ket([1.0, 1.0]).normalized().amps, couplings, specs)
     joint = (np.abs(layout) ** 2).sum(axis=-1)
     assert 0.0 < joint[1, 0] < PATTERN_FLOOR
-    assert list(stats.patterns) == [()]
-    assert abs(stats.patterns[()] - 1.0) <= 1e-12
-    assert 0.0 < stats.strong["A"] < PATTERN_FLOOR
+    assert list(stats["patterns"]) == [()]
+    assert abs(stats["patterns"][()] - 1.0) <= 1e-12
+    assert 0.0 < stats["clicks"]["A"] < PATTERN_FLOOR
     _, _, four = _package_run(PSI, CHI, _FIG2, _strong_specs(("D", "O", "E'", "F'")))
-    assert set(four.patterns) == {("D",), ("O", "E'"), ("O", "F'")}
+    assert set(four["patterns"]) == {("D",), ("O", "E'"), ("O", "F'")}
 
 
 # --- the paper's claim: a lone strong detector -------------------------------
@@ -927,10 +926,10 @@ def _lone_detector_scenario(rng):
             cols = cols - np.outer(psi, psi.conj() @ cols)
         label, stage = f"s{len(sites)}", stages[s]
         if rank == 1:
-            sites.append(site_from_ket(label, stage, Ket(cols[:, 0])))
+            sites.append(Site(label, stage, "ket", cols[:, 0]))
         else:
             q = np.linalg.qr(cols)[0]
-            sites.append(site_from_matrix(label, stage, Operator(q @ q.conj().T)))
+            sites.append(Site(label, stage, "matrix", q @ q.conj().T))
     return Scenario(
         dim=dim,
         timeline=Timeline(stages, tuple(Operator(u) for u in mats)),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,10 +20,12 @@ from wvlab.errors import (
     ScenarioError,
 )
 from wvlab.pointer import PointerSpec
-from wvlab.qcore import Ket
+from wvlab.qcore import Ket, Operator, identity
 from wvlab.runner import run_weak_values
 from wvlab.scenario import (
     BUILTIN_NAMES,
+    Scenario,
+    Site,
     builtin,
     default_three_path,
     dumps,
@@ -32,11 +34,10 @@ from wvlab.scenario import (
     loads,
     resolve,
     save,
-    site_from_ket,
     three_path_rank2_crossing,
     to_dict,
 )
-from wvlab.twosv import weak_value
+from wvlab.twosv import PrePost, Timeline, sweep, weak_value
 
 S3 = 1.0 / np.sqrt(3.0)
 PSI = np.array([S3, S3, S3])
@@ -57,7 +58,7 @@ def test_default_scenario_layout():
     assert sc.timeline.stages == ("t_i", "t_1", "t_2", "t_3", "t_4", "t_f")
     assert tuple(s.label for s in sc.sites) == ("E", "F", "D", "O", "E'", "F'", "O'")
     assert tuple(s.stage for s in sc.sites) == ("t_1", "t_1", "t_2", "t_2", "t_3", "t_3", "t_4")
-    assert abs(sc.postselection_amplitude()) > sc.tolerance
+    assert abs(sweep(sc.timeline, sc.prepost).overlaps[-1]) > sc.tolerance
     assert not run_weak_values(sc).degenerate
     assert len(sc.checksum) == 64
 
@@ -222,6 +223,82 @@ def test_rank2_variant_round_trips_matrix_sites():
     assert np.array_equal(again.site("O").projector.matrix, sc.site("O").projector.matrix)
 
 
+def _random_site_scenario(rng) -> Scenario:
+    """Random unitary timeline with unnormalized ket sites and a matrix site of random rank."""
+    dim = int(rng.integers(2, 6))
+    stages = ("a", "b", "c")
+
+    def unitary():
+        return np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+
+    def state():
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return Ket(v / np.linalg.norm(v))
+
+    sites = [
+        Site(f"k{j}", stages[j], "ket", rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        for j in range(3)
+    ]
+    cols = unitary()[:, : int(rng.integers(1, dim + 1))]
+    sites.append(Site("m", "b", "matrix", cols @ cols.conj().T))
+    return Scenario(
+        dim=dim,
+        timeline=Timeline(stages, (Operator(unitary()), Operator(unitary()))),
+        prepost=PrePost(state(), state()),
+        sites=tuple(sites),
+    )
+
+
+def test_site_is_its_file_entry():
+    # A site takes its file keys and derives its projector from them.
+    assert [f.name for f in fields(Site) if f.init] == ["label", "stage", "kind", "data"]
+    with pytest.raises(TypeError):
+        Site("X", "t_1", "ket", [1.0, 0.0, 0.0], projector=identity(3))
+    site = Site("X", "t_1", "ket", [0.0, 2.0, 0.0])
+    assert np.array_equal(site.projector.matrix, np.diag([0.0, 1.0, 0.0]))
+    assert not site.data.flags.writeable and not site.projector.matrix.flags.writeable
+    # So a saved scenario loads with every projector bit for bit.
+    rng = np.random.default_rng(61)
+    scenarios = [builtin(name) for name in BUILTIN_NAMES] + [three_path_rank2_crossing()]
+    scenarios += [_random_site_scenario(rng) for _ in range(30)]
+    kinds = set()
+    for sc in scenarios:
+        again = from_dict(to_dict(sc))
+        assert again.checksum == sc.checksum
+        assert len(again.sites) == len(sc.sites)
+        for site, loaded in zip(sc.sites, again.sites):
+            kinds.add(site.kind)
+            assert (loaded.label, loaded.stage, loaded.kind) == (site.label, site.stage, site.kind)
+            assert loaded.data.tobytes() == site.data.tobytes()
+            assert loaded.projector.matrix.tobytes() == site.projector.matrix.tobytes()
+    assert kinds == {"ket", "matrix"}
+
+
+@pytest.mark.parametrize(
+    "kind,data,code,message",
+    [
+        ("vector", None, SCHEMA, "site 'X' kind must be 'ket' or 'matrix', got 'vector'"),
+        ("ket", [0.0, 0.0, 0.0], NON_PROJECTOR_SITE,
+         "site 'X': cannot build a projector from a vector of norm 0"),
+        ("matrix", np.diag([0.5, 1.0, 0.0]), NON_PROJECTOR_SITE,
+         "site 'X' operator is not a projector"),
+    ],
+)
+def test_site_refuses_what_has_no_projector(kind, data, code, message):
+    with pytest.raises(ScenarioError) as err:
+        Site("X", "t_1", kind, data)
+    assert (err.value.code, str(err.value)) == (code, message)
+    # A file entry of that kind is refused with the same code and message,
+    # an unknown kind before its data is read.
+    d = to_dict(default_three_path())
+    d["sites"][0] = {"label": "X", "stage": "t_1", "kind": kind}
+    if data is not None:
+        d["sites"][0]["data"] = [[float(v), 0.0] for v in np.ravel(data)]
+    with pytest.raises(ScenarioError) as err:
+        from_dict(d)
+    assert (err.value.code, str(err.value)) == (code, message)
+
+
 @pytest.mark.parametrize(
     "edits,code,needle",
     [
@@ -282,7 +359,7 @@ def test_non_projector_site_rejected_with_name():
     # pointer coupling ever meets one.
     sc = default_three_path()
     with pytest.raises(ScenarioError) as err:
-        replace(sc, sites=sc.sites + (site_from_ket("X", "t_2", Ket([1.0, 0.0])),))
+        replace(sc, sites=sc.sites + (Site("X", "t_2", "ket", [1.0, 0.0]),))
     assert err.value.code == SCHEMA
     assert "'X' projector has dimension 2" in str(err.value)
 
@@ -397,7 +474,7 @@ def test_degenerate_scenario_flagged():
     s2 = 1.0 / np.sqrt(2.0)
     d["post"] = [[0.0, 0.0], [s2, 0.0], [-s2, 0.0]]
     sc = from_dict(d)
-    assert abs(sc.postselection_amplitude()) <= sc.tolerance
+    assert abs(sweep(sc.timeline, sc.prepost).overlaps[-1]) <= sc.tolerance
     assert run_weak_values(sc).degenerate
 
 

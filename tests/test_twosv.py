@@ -63,7 +63,7 @@ def test_forward_and_backward_sweeps_pair_consistently():
     pre = Ket(rng.normal(size=3) + 1j * rng.normal(size=3)).normalized()
     post = Ket(rng.normal(size=3) + 1j * rng.normal(size=3)).normalized()
     sw = sweep(tl, PrePost(pre, post))
-    pairings = [sw.overlap(s) for s in stages]
+    pairings = list(sw.overlaps)
     assert np.allclose(pairings, pairings[0])
 
 
@@ -163,7 +163,7 @@ def test_null_weak_value_iff_null_transition_amplitude():
         post = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
         pp = PrePost(pre, post)
         sw = sweep(tl, pp)
-        if abs(sw.overlap("a")) <= 0.05:
+        if abs(sw.overlaps[0]) <= 0.05:
             continue
         # One generic site and one engineered-null site.
         w = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
@@ -215,7 +215,7 @@ def test_random_complete_sets_sum_to_one():
         pre = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
         post = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
         pp = PrePost(pre, post)
-        if abs(sweep(tl, pp).overlap("a")) <= 0.05:
+        if abs(sweep(tl, pp).overlaps[0]) <= 0.05:
             continue
         basis = _random_unitary(rng, n)
         projs = {f"p{i}": projector_from_ket(Ket(basis[:, i])) for i in range(n)}
