@@ -193,11 +193,16 @@ class Scenario:
 
     @cached_property
     def checksum(self) -> str:
-        # to_dict builds a fresh, acyclic dict, so the cycle check is skipped.
-        canonical = json.dumps(
-            to_dict(self), sort_keys=True, separators=(",", ":"), check_circular=False
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        """SHA-256 of to_dict's canonical JSON, hashed one entry at a time.
+
+        The canonical JSON is json.dumps(to_dict(sc), sort_keys=True,
+        separators=(",", ":")). It is fed to the hash one top-level list
+        entry at a time, so the whole text is never held.
+        """
+        digest = hashlib.sha256()
+        for piece in _canonical_pieces(to_dict(self)):
+            digest.update(piece.encode("utf-8"))
+        return digest.hexdigest()
 
 
 def _three_path(crossing_kind: str, crossing, pointers) -> Scenario:
@@ -306,6 +311,30 @@ def to_dict(sc: Scenario) -> dict:
         out["sum_rules"] = [{"sites": list(r.sites), "stage": r.stage} for r in sc.sum_rules]
     out["tolerance"] = sc.tolerance
     return out
+
+
+# Canonical JSON settings of the checksum. to_dict builds a fresh, acyclic
+# dict, so the cycle check is skipped; without indent, encode runs json's
+# C encoder.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
+def _canonical_pieces(d: dict):
+    """The canonical JSON text of d, in pieces: one per top-level list entry."""
+    encode = _CANONICAL.encode
+    for i, key in enumerate(sorted(d)):
+        yield ("," if i else "{") + encode(key) + ":"
+        val = d[key]
+        if isinstance(val, list):
+            yield "["
+            for j, entry in enumerate(val):
+                if j:
+                    yield ","
+                yield encode(entry)
+            yield "]"
+        else:
+            yield encode(val)
+    yield "}"
 
 
 def _object(x, where: str, keys: frozenset) -> dict:
@@ -484,34 +513,47 @@ def _unique_keys(pairs: list) -> dict:
     return out
 
 
-def loads(text: str) -> Scenario:
-    """Parse a scenario from JSON text."""
+def _parse(text: str):
+    """The JSON value of text, with repeated keys and bad syntax refused as schema errors."""
     try:
-        data = json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         # ValueError covers syntax errors and integer literals too long
         # to convert; RecursionError, nesting too deep to parse.
         raise ScenarioError(SCHEMA, f"not valid JSON: {exc}") from exc
-    return from_dict(data)
+
+
+def loads(text: str) -> Scenario:
+    """Parse a scenario from JSON text."""
+    return from_dict(_parse(text))
 
 
 def save(sc: Scenario, path) -> None:
+    """Write sc to path as UTF-8 JSON: exactly the bytes of dumps(sc) + "\n".
+
+    The text is streamed to the file as json encodes it; only to_dict's
+    entries are held, never the whole text.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(sc) + "\n")
+        json.dump(to_dict(sc), fh, indent=2)
+        fh.write("\n")
 
 
 def load(path) -> Scenario:
-    """Load a scenario from the UTF-8 file at path; JSON text goes through loads.
+    """Load a scenario from the UTF-8 file at path; JSON text parses as in loads.
 
-    I/O errors propagate as OSError; a file that is not UTF-8 is a
-    schema error.
+    The text is dropped once parsed, so while from_dict builds, the
+    parsed entries are held but the text is not. I/O errors propagate as
+    OSError; a file that is not UTF-8 is a schema error.
     """
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ScenarioError(SCHEMA, f"not valid UTF-8: {exc}") from exc
-    return loads(text)
+    data = _parse(text)
+    del text
+    return from_dict(data)
 
 
 def resolve(source: str) -> Scenario:

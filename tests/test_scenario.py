@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from wvlab import scenario as scenario_module
 from wvlab.errors import (
     NON_NORMALIZED_STATE,
     NON_PROJECTOR_SITE,
@@ -26,6 +29,7 @@ from wvlab.scenario import (
     BUILTIN_NAMES,
     Scenario,
     Site,
+    SumRule,
     builtin,
     default_three_path,
     dumps,
@@ -171,13 +175,16 @@ def test_round_trip_through_dict_and_text():
 
 
 def test_round_trip_through_file(tmp_path):
-    sc = builtin("three-path-fig2")
     path = tmp_path / "scenario.json"
-    save(sc, path)
-    loaded = load(path)
-    assert to_dict(loaded) == to_dict(sc)
-    # resolve() accepts both paths and builtin: names.
-    assert resolve(str(path)).checksum == sc.checksum
+    for name, sc in _file_scenarios():
+        save(sc, path)
+        # save streams exactly the bytes of dumps(sc) + "\n".
+        assert path.read_bytes() == (dumps(sc) + "\n").encode("utf-8"), name
+        loaded = load(path)
+        assert to_dict(loaded) == to_dict(sc), name
+        assert loaded.checksum == resolve(str(path)).checksum == sc.checksum, name
+    # resolve() accepts builtin: names as well as paths.
+    sc = builtin("three-path-fig2")
     assert resolve("builtin:three-path-fig2").checksum == sc.checksum
     # Files are read as UTF-8, so non-ASCII labels load as written.
     d = to_dict(sc)
@@ -246,6 +253,38 @@ def _random_site_scenario(rng) -> Scenario:
         timeline=Timeline(stages, (Operator(unitary()), Operator(unitary()))),
         prepost=PrePost(state(), state()),
         sites=tuple(sites),
+    )
+
+
+def _random_file_scenario(rng, pointers=True, sum_rule=True, stage="b", label="m") -> Scenario:
+    """A _random_site_scenario with its middle stage and matrix site renamed.
+
+    With sum_rule, the matrix site's complement joins it in a sum rule;
+    with pointers, a strong and a weak pointer with no default field sit
+    on a ket site and on the matrix site.
+    """
+    sc = _random_site_scenario(rng)
+    *kets, m = sc.sites
+    stages = ("a", stage, "c")
+    sites = [replace(s, stage=stage) if s.stage == "b" else s for s in kets]
+    sites.append(replace(m, label=label, stage=stage))
+    rules = ()
+    if sum_rule:
+        sites.append(Site(label + "'", stage, "matrix", np.eye(sc.dim) - m.projector.matrix))
+        rules = (SumRule((label, label + "'"), stage),)
+    specs = ()
+    if pointers:
+        specs = (
+            PointerSpec("k0", "strong", g=0.05, sigma=0.5, grid_size=11, grid_extent=3.0),
+            PointerSpec(label, "weak", g=0.02, sigma=1.5, grid_size=301, grid_extent=8.0),
+        )
+    return Scenario(
+        dim=sc.dim,
+        timeline=Timeline(stages, sc.timeline.segments),
+        prepost=sc.prepost,
+        sites=tuple(sites),
+        pointers=specs,
+        sum_rules=rules,
     )
 
 
@@ -488,9 +527,9 @@ def _pairs(vec):
     return [[float(z.real), float(z.imag)] for z in np.ravel(vec)]
 
 
-def test_checksum_is_the_sha256_of_default_flag_canonical_json():
-    # A seeded scenario that is no built-in: d = 5, four stages, rank-1
-    # and rank-2 sites, a strong and a weak pointer and a sum rule.
+def _seeded_d5_scenario() -> Scenario:
+    """A seeded scenario that is no built-in: d = 5, four stages, rank-1
+    and rank-2 sites, a strong and a weak pointer and a sum rule."""
     rng = np.random.default_rng(20261018)
     dim, stages = 5, ["a", "b", "c", "d"]
     mats = [np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
@@ -498,7 +537,7 @@ def test_checksum_is_the_sha256_of_default_flag_canonical_json():
     pre, post = (v / np.linalg.norm(v) for v in rng.normal(size=(2, dim)) + 0.5j)
     basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
     rank2 = basis[:, 3:] @ basis[:, 3:].conj().T
-    sc = from_dict({
+    return from_dict({
         "dim": dim,
         "stages": stages,
         "segments": [{"from": a, "to": b, "matrix": _pairs(u)}
@@ -511,8 +550,31 @@ def test_checksum_is_the_sha256_of_default_flag_canonical_json():
         "pointers": [{"site": "b0", "kind": "strong"}, {"site": "r", "kind": "weak", "g": 0.02}],
         "sum_rules": [{"sites": ["b0", "b1", "b2", "r"], "stage": "b"}],
     })
-    canonical = json.dumps(to_dict(sc), sort_keys=True, separators=(",", ":"))
-    assert sc.checksum == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+FOUR_LEVEL = os.path.join(os.path.dirname(__file__), "data", "four_level.json")
+
+
+def _file_scenarios():
+    """(name, scenario) for every scenario whose file bytes and checksum are pinned."""
+    for name in BUILTIN_NAMES:
+        yield name, builtin(name)
+    yield "rank-2", three_path_rank2_crossing()
+    yield "four-level", load(FOUR_LEVEL)
+    yield "seeded-d5", _seeded_d5_scenario()
+    rng = np.random.default_rng(62)
+    for n in range(3):
+        yield f"random-{n}", _random_file_scenario(rng)
+    yield "no-pointers", _random_file_scenario(rng, pointers=False)
+    yield "no-sum-rules", _random_file_scenario(rng, sum_rule=False)
+    yield "bare", _random_file_scenario(rng, pointers=False, sum_rule=False)
+    yield "non-ascii", _random_file_scenario(rng, stage="τ₂", label="Ω")
+
+
+def test_checksum_is_the_sha256_of_default_flag_canonical_json():
+    for name, sc in _file_scenarios():
+        canonical = json.dumps(to_dict(sc), sort_keys=True, separators=(",", ":"))
+        assert sc.checksum == hashlib.sha256(canonical.encode("utf-8")).hexdigest(), name
 
 
 def test_dumps_is_valid_json_in_stable_key_order():
@@ -613,3 +675,82 @@ def test_pointer_numbers_must_be_finite_and_bounded(field, value):
     with pytest.raises(ScenarioError) as err:
         from_dict(d)
     assert err.value.code == SCHEMA and field in str(err.value)
+
+
+# --- streaming file I/O -----------------------------------------------------
+# A 0.7 MB timeline file of 59 segments. The checksum holds one top-level
+# entry at a time: at most one segment, under 2% of the text, which json's
+# C encoder in Python 3.10 and 3.11 holds about five times over while it
+# encodes it. save holds a few small chunks. A quarter of the text is thus
+# far above what either holds and far below the whole text.
+
+
+@pytest.fixture(scope="module")
+def big_timeline(tmp_path_factory):
+    rng = np.random.default_rng(63)
+    dim, n_stages = 12, 60
+
+    def unitary():
+        return np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    state = Ket(v / np.linalg.norm(v))
+    sc = Scenario(
+        dim=dim,
+        timeline=Timeline(
+            tuple(f"t{k}" for k in range(n_stages)),
+            tuple(Operator(unitary()) for _ in range(n_stages - 1)),
+        ),
+        prepost=PrePost(state, state),
+        sites=(),
+    )
+    path = tmp_path_factory.mktemp("big") / "timeline.json"
+    save(sc, path)
+    return sc, path
+
+
+def _traced(fn):
+    """fn()'s result and the peak bytes it allocates above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_holds_no_copy_of_the_text(big_timeline, tmp_path):
+    sc, path = big_timeline
+    _, to_dict_peak = _traced(lambda: to_dict(sc))
+    again = tmp_path / "again.json"
+    _, peak = _traced(lambda: save(sc, again))
+    assert again.read_bytes() == path.read_bytes()
+    assert peak - to_dict_peak < path.stat().st_size / 4
+
+
+def test_checksum_holds_no_copy_of_the_canonical_text(big_timeline):
+    sc, _ = big_timeline
+    canonical = json.dumps(to_dict(sc), sort_keys=True, separators=(",", ":"))
+    _, to_dict_peak = _traced(lambda: to_dict(sc))
+    fresh = replace(sc)  # a new object, so the checksum is not cached
+    checksum, peak = _traced(lambda: fresh.checksum)
+    assert checksum == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    assert peak - to_dict_peak < len(canonical) / 4
+
+
+def test_load_drops_the_text_before_from_dict(big_timeline, monkeypatch):
+    sc, path = big_timeline
+    largest = []
+    build = scenario_module.from_dict
+
+    def from_dict_seeing_blocks(d):
+        # The text is one block the size of the file; the parsed entries
+        # are many small blocks.
+        largest.append(max(trace.size for trace in tracemalloc.take_snapshot().traces))
+        return build(d)
+
+    monkeypatch.setattr(scenario_module, "from_dict", from_dict_seeing_blocks)
+    loaded, _ = _traced(lambda: load(path))
+    assert loaded.checksum == sc.checksum
+    assert len(largest) == 1 and largest[0] < path.stat().st_size / 4
