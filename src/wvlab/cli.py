@@ -169,41 +169,35 @@ def _run_analysis(args) -> int:
     try:
         sc = scen.resolve(args.scenario)
         sc = sc.with_overrides(tolerance=_tolerance_override(args), g=args.g)
-    except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ScenarioError as exc:
-        print(f"validation error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except WvlabError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    if args.command == "validate":
-        if args.format == "json":
-            payload = {
-                "ok": True,
-                "checksum": sc.checksum,
-                "dim": sc.dim,
-                "stages": list(sc.timeline.stages),
-                "sites": [s.label for s in sc.sites],
-                "pointers": len(sc.pointers),
-            }
-            text = json.dumps(payload, indent=2) + "\n"
-        else:
-            text = (
-                f"OK: dim {sc.dim}, {len(sc.timeline.stages)} stages, "
-                f"{len(sc.sites)} sites, {len(sc.pointers)} pointers\n"
-            )
-        return _emit(text, args.out)
-
-    try:
+        if args.command == "validate":
+            if args.format == "json":
+                payload = {
+                    "ok": True,
+                    "checksum": sc.checksum,
+                    "dim": sc.dim,
+                    "stages": list(sc.timeline.stages),
+                    "sites": [s.label for s in sc.sites],
+                    "pointers": len(sc.pointers),
+                }
+                text = json.dumps(payload, indent=2) + "\n"
+            else:
+                text = (
+                    f"OK: dim {sc.dim}, {len(sc.timeline.stages)} stages, "
+                    f"{len(sc.sites)} sites, {len(sc.pointers)} pointers\n"
+                )
+            return _emit(text, args.out)
         if args.command == "weak-values":
             report = run_weak_values(sc)
         elif args.command == "run":
             report = run_pointers(sc)
         else:
             report = disturbance_table(sc)
+    except OSError as exc:
+        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ScenarioError as exc:
+        print(f"validation error [{exc.code}]: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except DegeneratePostselectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -1,13 +1,14 @@
 """Experiment descriptions and their JSON file format.
 
-A Scenario bundles everything one run needs: system dimension, a
-timeline of unitary segments, named projector sites pinned to stages,
-pre/post states, pointer placements, declared complete projector sets
-for sum-rule checks, and the numerical tolerance. Scenarios validate
-themselves on construction and are immutable afterwards. A file entry's
-keys are the init fields of the type that builds it; a Site derives its
-projector from its entry's kind and data, so a scenario saves and loads
-as exactly the projectors it holds.
+A Scenario bundles everything one run needs: a timeline of unitary
+segments, which fixes the stages and the system dimension, named
+projector sites pinned to stages, pre/post states, pointer placements,
+declared complete projector sets for sum-rule checks, and the numerical
+tolerance. Scenarios validate themselves on construction and are
+immutable afterwards. A file entry's keys are the init fields of the
+type that builds it; a Site derives its projector from its entry's kind
+and data, so a scenario saves and loads as exactly the projectors it
+holds.
 
 The built-in family models a three-path interferometer: paths 1..3
 propagate freely (identity segments), sites E/F sit on paths 2/3 early,
@@ -51,7 +52,9 @@ from .twosv import PrePost, Timeline, identity_timeline
 # Characters a site label may not hold: reports join site labels with
 # "+" into click patterns and sum rules, and text output lists the
 # coupling order with ", ". "|" and "=" stay reserved so that the set of
-# valid scenario files does not change.
+# valid scenario files does not change. Characters that are not printable
+# (newline, tab, other control and format characters) are reserved too:
+# they would forge lines of text output.
 RESERVED_LABEL_CHARS = "+|=,"
 
 KIND_KET = "ket"
@@ -107,9 +110,9 @@ class Scenario:
 
     All invariants are checked at construction; violations raise
     ScenarioError with a stable code and the offending element named.
+    The shape (stages, dimension) is the timeline's.
     """
 
-    dim: int
     timeline: Timeline
     prepost: PrePost
     sites: tuple[Site, ...]
@@ -121,25 +124,18 @@ class Scenario:
         object.__setattr__(self, "sites", tuple(self.sites))
         object.__setattr__(self, "pointers", tuple(self.pointers))
         object.__setattr__(self, "sum_rules", tuple(self.sum_rules))
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ScenarioError(SCHEMA, f"dim must be a positive integer, got {self.dim!r}")
         tol = self.tolerance
         if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol < 1:
             raise ScenarioError(SCHEMA, f"tolerance must be a number in (0, 1), got {tol!r}")
         object.__setattr__(self, "tolerance", float(tol))
-        if len(self.timeline.stages) < 2:
-            raise ScenarioError(SCHEMA, "timeline needs at least two stages")
-        if self.timeline.dim != self.dim:
-            raise ScenarioError(
-                SCHEMA, f"timeline dimension {self.timeline.dim} differs from dim {self.dim}"
-            )
         if self.prepost.pre.dim != self.dim:
             raise ScenarioError(
                 SCHEMA, f"pre/post dimension {self.prepost.pre.dim} differs from dim {self.dim}"
             )
         by_label = {}
         for site in self.sites:
-            if not site.label or any(c in site.label for c in RESERVED_LABEL_CHARS):
+            reserved = (c in RESERVED_LABEL_CHARS or not c.isprintable() for c in site.label)
+            if not site.label or any(reserved):
                 raise ScenarioError(
                     SCHEMA, f"site label {site.label!r} is empty or uses a reserved character"
                 )
@@ -172,6 +168,10 @@ class Scenario:
                 raise ScenarioError(
                     SCHEMA, f"sum rule {list(rule.sites)} does not resolve the identity"
                 )
+
+    @property
+    def dim(self) -> int:
+        return self.timeline.dim
 
     def site(self, label: str) -> Site:
         try:
@@ -219,7 +219,6 @@ def _three_path(crossing_kind: str, crossing, pointers) -> Scenario:
         Site("O'", "t_4", crossing_kind, crossing),
     )
     return Scenario(
-        dim=3,
         timeline=identity_timeline(("t_i", "t_1", "t_2", "t_3", "t_4", "t_f"), 3),
         prepost=PrePost(Ket([s3, s3, s3]), Ket([s3, s3, -s3])),
         sites=sites,
@@ -434,8 +433,9 @@ def from_dict(d: dict) -> Scenario:
     dim = _want(d, "dim", int, "scenario")
     if dim < 1:
         raise ScenarioError(SCHEMA, f"dim must be a positive integer, got {dim!r}")
+    # Segments are keyed by stage name below; Timeline checks the names.
     stages = _want(d, "stages", list, "scenario")
-    if not all(isinstance(s, str) and s for s in stages):
+    if not all(isinstance(s, str) for s in stages):
         raise ScenarioError(SCHEMA, "stages must be a list of non-empty names")
     # States first: their length check bounds dim before anything of
     # that size is built.
@@ -489,7 +489,6 @@ def from_dict(d: dict) -> Scenario:
         rules.append(SumRule(tuple(rsites), _want(entry, "stage", str, where)))
 
     return Scenario(
-        dim=dim,
         timeline=timeline,
         prepost=prepost,
         sites=tuple(sites),

@@ -1,12 +1,13 @@
 """Two-state-vector engine: timelines, the two-state sweep, weak values.
 
-A Timeline is an ordered list of stages connected by unitary segments.
-A system is prepared in a pre-selected state at the first stage and
-postselected at the last. One sweep carries |pre> forward through the
-segments, giving |pre(t)> at every stage, and drags <post| back through
-their adjoints, giving <post(t)| at every stage: the two-state vector
-of Aharonov, Bergmann and Lebowitz. The transition amplitude through
-an operator A at stage t is then one inner product,
+A Timeline owns a scenario's shape: at least two stages with unique,
+non-empty, printable names, joined by unitary segments of one dimension,
+the timeline's dim. A system is prepared in a pre-selected state at the
+first stage and postselected at the last. One sweep carries |pre>
+forward through the segments, giving |pre(t)> at every stage, and drags
+<post| back through their adjoints, giving <post(t)| at every stage: the
+two-state vector of Aharonov, Bergmann and Lebowitz. The transition
+amplitude through an operator A at stage t is then one inner product,
 
     tau = <post(t)| A |pre(t)>,
 
@@ -29,7 +30,6 @@ from .errors import (
     SCHEMA,
     ContractError,
     DegeneratePostselectionError,
-    DimensionMismatchError,
     ScenarioError,
 )
 from .qcore import DEFAULT_TOLERANCE, Ket, Operator, identity, resolves_identity
@@ -39,19 +39,24 @@ from .qcore import DEFAULT_TOLERANCE, Ket, Operator, identity, resolves_identity
 class Timeline:
     """Named stages joined by unitary segments.
 
-    segments[k] carries states from stages[k] to stages[k+1]. Each
-    segment, and their composition, must be unitary within STRUCT_TOL;
-    a broken invariant raises ScenarioError.
+    segments[k] carries states from stages[k] to stages[k+1]. There are at
+    least two stages with unique, non-empty, printable str names. The
+    segments share one dimension, and each segment, and their composition,
+    must be unitary within STRUCT_TOL; a broken invariant raises ScenarioError.
     """
 
     stages: tuple[str, ...]
     segments: tuple[Operator, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(str(s) for s in self.stages))
+        object.__setattr__(self, "stages", tuple(self.stages))
         object.__setattr__(self, "segments", tuple(self.segments))
-        if len(self.stages) < 1:
-            raise ScenarioError(SCHEMA, "timeline needs at least one stage")
+        if len(self.stages) < 2:
+            raise ScenarioError(SCHEMA, "timeline needs at least two stages")
+        for s in self.stages:
+            # A name that is not printable could forge lines of text output.
+            if not isinstance(s, str) or not s or not s.isprintable():
+                raise ScenarioError(SCHEMA, f"stage name {s!r} must be a non-empty printable str")
         if len(set(self.stages)) != len(self.stages):
             raise ScenarioError(SCHEMA, f"duplicate stage names in {self.stages!r}")
         object.__setattr__(self, "_positions", {s: k for k, s in enumerate(self.stages)})
@@ -63,26 +68,21 @@ class Timeline:
             )
         dims = {seg.dim for seg in self.segments}
         if len(dims) > 1:
-            raise DimensionMismatchError(f"segments of mixed dimension {sorted(dims)}")
+            raise ScenarioError(SCHEMA, f"segments of mixed dimension {sorted(dims)}")
         for k, seg in enumerate(self.segments):
             if not seg.is_unitary():
                 raise ScenarioError(
                     NON_UNITARY_SEGMENT,
                     f"segment {self.stages[k]}->{self.stages[k + 1]} is not unitary",
                 )
-        if self.segments:
-            total = np.eye(self.segments[0].dim, dtype=complex)
-            for seg in self.segments:
-                total = seg.matrix @ total
-            if not Operator(total).is_unitary():
-                raise ScenarioError(
-                    NON_UNITARY_SEGMENT, "composed timeline evolution is not unitary"
-                )
+        total = np.eye(self.dim, dtype=complex)
+        for seg in self.segments:
+            total = seg.matrix @ total
+        if not Operator(total).is_unitary():
+            raise ScenarioError(NON_UNITARY_SEGMENT, "composed timeline evolution is not unitary")
 
     @property
     def dim(self) -> int:
-        if not self.segments:
-            raise ContractError("timeline with a single stage has no intrinsic dimension")
         return self.segments[0].dim
 
     def index(self, stage: str) -> int:
@@ -112,8 +112,8 @@ class PrePost:
 
     def __post_init__(self):
         if self.pre.dim != self.post.dim:
-            raise DimensionMismatchError(
-                f"pre dim {self.pre.dim} differs from post dim {self.post.dim}"
+            raise ScenarioError(
+                SCHEMA, f"pre dim {self.pre.dim} differs from post dim {self.post.dim}"
             )
         for name, state in (("pre", self.pre), ("post", self.post)):
             if not state.is_normalized():
@@ -161,8 +161,8 @@ def sweep(tl: Timeline, pp: PrePost) -> Sweep:
     the end. Inputs are immutable and compare by identity, so the latest
     sweep is kept and the rows of one report, asked one at a time, share it.
     """
-    if tl.segments and tl.dim != pp.pre.dim:
-        raise DimensionMismatchError(f"timeline dim {tl.dim} vs state dim {pp.pre.dim}")
+    if tl.dim != pp.pre.dim:
+        raise ContractError(f"timeline dim {tl.dim} vs state dim {pp.pre.dim}")
     forward = np.empty((len(tl.stages), pp.pre.dim), dtype=complex)
     bras = np.empty_like(forward)
     forward[0], bras[-1] = pp.pre.amps, pp.post.amps.conj()
@@ -183,7 +183,7 @@ def _row(tl: Timeline, pp: PrePost, op: Operator, stage: str, require_projector:
     if require_projector and not op.is_projector():
         raise ContractError("transition_amplitude expects a projector; pass require_projector=False to override")
     if op.dim != pp.pre.dim:
-        raise DimensionMismatchError(f"operator dim {op.dim} vs state dim {pp.pre.dim}")
+        raise ContractError(f"operator dim {op.dim} vs state dim {pp.pre.dim}")
     sw, k = sweep(tl, pp), tl.index(stage)
     return complex(np.vdot(sw.backward[k], op.matrix @ sw.forward[k])), sw.overlaps[k]
 

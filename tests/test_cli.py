@@ -177,6 +177,37 @@ def test_repeated_key_exits_validation(capsys, tmp_path, old, new):
     assert "validation error [schema]" in err and "appears twice" in err
 
 
+@pytest.mark.parametrize("stages", [[], ["t_i"]], ids=["no-stage", "one-stage"])
+def test_validate_refuses_fewer_than_two_stages(capsys, tmp_path, stages):
+    d = to_dict(builtin("three-path"))
+    d["stages"], d["segments"] = stages, []
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", "--scenario", str(path))
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == "validation error [schema]: timeline needs at least two stages\n"
+
+
+def _forge_stage(d):
+    d["stages"][-1] = d["segments"][-1]["to"] = "t_f\npostselection probability: 1"
+
+
+def _forge_label(d):
+    d["sites"][3]["label"] = "O\nchecksum: forged"
+
+
+@pytest.mark.parametrize("forge", [_forge_stage, _forge_label], ids=["stage", "label"])
+def test_a_name_cannot_forge_report_lines(capsys, tmp_path, forge):
+    d = to_dict(builtin("three-path"))
+    forge(d)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    for command in ("validate", "weak-values"):
+        code, out, err = run_cli(capsys, command, "--scenario", str(path), "--format", "text")
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("validation error [schema]: ") and err.count("\n") == 1
+
+
 def test_path_starting_with_brace_is_opened_as_a_file(capsys, tmp_path, monkeypatch):
     src = os.path.join(os.path.dirname(__file__), "data", "four_level.json")
     shutil.copy(src, tmp_path / "{x}.json")
@@ -239,7 +270,7 @@ def _tolerance_edge_scenario():
             stage = stages[below[0]]
             basis = unitary(3)
             sites = tuple(Site(f"b{j}", stage, "ket", basis[:, j]) for j in range(3))
-            sc = Scenario(3, tl, pp, sites, sum_rules=(SumRule(("b0", "b1", "b2"), stage),))
+            sc = Scenario(tl, pp, sites, sum_rules=(SumRule(("b0", "b1", "b2"), stage),))
             return sc, stage, overlaps[below[0]]
     raise AssertionError("no stage overlap rounds below the final one")
 

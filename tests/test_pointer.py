@@ -931,7 +931,6 @@ def _lone_detector_scenario(rng):
             q = np.linalg.qr(cols)[0]
             sites.append(Site(label, stage, "matrix", q @ q.conj().T))
     return Scenario(
-        dim=dim,
         timeline=Timeline(stages, tuple(Operator(u) for u in mats)),
         prepost=PrePost(Ket(pre), Ket(post)),
         sites=tuple(sites),

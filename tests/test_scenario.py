@@ -249,7 +249,6 @@ def _random_site_scenario(rng) -> Scenario:
     cols = unitary()[:, : int(rng.integers(1, dim + 1))]
     sites.append(Site("m", "b", "matrix", cols @ cols.conj().T))
     return Scenario(
-        dim=dim,
         timeline=Timeline(stages, (Operator(unitary()), Operator(unitary()))),
         prepost=PrePost(state(), state()),
         sites=tuple(sites),
@@ -279,7 +278,6 @@ def _random_file_scenario(rng, pointers=True, sum_rule=True, stage="b", label="m
             PointerSpec(label, "weak", g=0.02, sigma=1.5, grid_size=301, grid_extent=8.0),
         )
     return Scenario(
-        dim=sc.dim,
         timeline=Timeline(stages, sc.timeline.segments),
         prepost=sc.prepost,
         sites=tuple(sites),
@@ -636,6 +634,57 @@ def test_owning_types_raise_coded_errors():
     with pytest.raises(ScenarioError) as err:
         PointerSpec(site="O", kind="weak", grid_size=201.0)
     assert err.value.code == SCHEMA
+    for stages in ((), ("a",)):
+        with pytest.raises(ScenarioError, match="timeline needs at least two stages") as err:
+            Timeline(stages, ())
+        assert err.value.code == SCHEMA
+    with pytest.raises(ScenarioError, match="stage name 2 must be") as err:
+        Timeline(("a", 2), (identity(2),))
+    assert err.value.code == SCHEMA
+    with pytest.raises(ScenarioError, match=r"segments of mixed dimension \[2, 3\]") as err:
+        Timeline(("a", "b", "c"), (identity(2), identity(3)))
+    assert err.value.code == SCHEMA
+
+
+# Names a text report cannot print as one plain line, and the empty name.
+UNPRINTABLE_NAMES = {
+    "newline": "t_f\npostselection probability: 1",
+    "tab": "a\tb",
+    "nul": "a\x00",
+    "next-line": "a\x85",
+    "zero-width-space": "a\u200bb",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("name", UNPRINTABLE_NAMES.values(), ids=UNPRINTABLE_NAMES.keys())
+def test_unprintable_stage_names_and_site_labels_are_schema_errors(name):
+    with pytest.raises(ScenarioError) as err:
+        Timeline(("a", name), (identity(2),))
+    assert err.value.code == SCHEMA and repr(name) in str(err.value)
+    sc = default_three_path()
+    with pytest.raises(ScenarioError) as err:
+        replace(sc, sites=sc.sites + (Site(name, "t_1", "ket", [1.0, 0.0, 0.0]),))
+    assert err.value.code == SCHEMA and repr(name) in str(err.value)
+    # The same names in a file: the last stage (and the segment into it),
+    # and the label of O, which no pointer or sum rule references.
+    d = to_dict(sc)
+    d["stages"][-1] = d["segments"][-1]["to"] = name
+    e = to_dict(sc)
+    e["sites"][3]["label"] = name
+    for bad in (d, e):
+        with pytest.raises(ScenarioError) as err:
+            from_dict(bad)
+        assert err.value.code == SCHEMA and repr(name) in str(err.value)
+
+
+def test_scenario_dim_is_the_timelines_not_a_field():
+    assert "dim" not in {f.name for f in fields(Scenario)}
+    sc = default_three_path()
+    with pytest.raises(TypeError):
+        Scenario(dim=3, timeline=sc.timeline, prepost=sc.prepost, sites=sc.sites)
+    for name, sc in _file_scenarios():
+        assert sc.dim == sc.timeline.dim == sc.prepost.pre.dim == to_dict(sc)["dim"], name
 
 
 @pytest.mark.parametrize(
@@ -696,7 +745,6 @@ def big_timeline(tmp_path_factory):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     state = Ket(v / np.linalg.norm(v))
     sc = Scenario(
-        dim=dim,
         timeline=Timeline(
             tuple(f"t{k}" for k in range(n_stages)),
             tuple(Operator(unitary()) for _ in range(n_stages - 1)),

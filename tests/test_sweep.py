@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from wvlab import cli
-from wvlab.errors import SCHEMA, UNKNOWN_SITE, ContractError, DimensionMismatchError, ScenarioError
+from wvlab.errors import SCHEMA, UNKNOWN_SITE, ContractError, ScenarioError
 from wvlab.pointer import WEAK, PointerSpec
 from wvlab.qcore import Ket, Operator, basis_ket, identity
 from wvlab.runner import disturbance_rows, disturbance_table, run_weak_values
@@ -108,7 +108,6 @@ def _random_scenario(seed: int, n_stages: int, dim: int):
     for j in range(dim):
         sites.append(Site(f"b{j}", set_stage, "ket", basis[:, j]))
     sc = Scenario(
-        dim=dim,
         timeline=Timeline(stages, tuple(Operator(m) for m in mats)),
         prepost=PrePost(Ket(pre), Ket(post)),
         sites=tuple(sites),
@@ -217,13 +216,13 @@ def test_sweep_holds_read_only_stacks_and_their_overlaps(n_stages, dim):
         assert sc.timeline.index(stage) == k
 
 
-def test_single_stage_timeline_sweeps_one_row():
-    tl = Timeline(("only",), ())
-    pp = PrePost(Ket([0.6, 0.8j, 0.0]), Ket([0.0, 0.6, 0.8]))
-    sw = sweep(tl, pp)
-    assert sw.forward.shape == sw.backward.shape == (1, 3)
-    row = weak_value(tl, pp, identity(3), "only")
-    assert not row.degenerate and row.value == 1
+def test_single_stage_timeline_is_rejected():
+    # No timeline of fewer than two stages reaches a sweep, built directly
+    # (test_scenario.py) or through identity_timeline.
+    for stages in ((), ("only",)):
+        with pytest.raises(ScenarioError, match="timeline needs at least two stages") as err:
+            identity_timeline(stages, 3)
+        assert err.value.code == SCHEMA
 
 
 def test_sweep_rejects_unknown_stage_and_mismatched_dimension():
@@ -231,8 +230,12 @@ def test_sweep_rejects_unknown_stage_and_mismatched_dimension():
     sweep(tl, PrePost(Ket([1.0, 0.0]), Ket([0.0, 1.0])))
     with pytest.raises(ContractError):
         tl.index("c")
-    with pytest.raises(DimensionMismatchError):
-        sweep(tl, PrePost(Ket([1.0, 0.0, 0.0]), Ket([0.0, 1.0, 0.0])))
+    wide = PrePost(Ket([1.0, 0.0, 0.0]), Ket([0.0, 1.0, 0.0]))
+    with pytest.raises(ContractError, match="timeline dim 2 vs state dim 3") as err:
+        sweep(tl, wide)
+    assert not isinstance(err.value, ScenarioError)
+    with pytest.raises(ContractError, match="operator dim 3 vs state dim 2"):
+        weak_value(tl, PrePost(Ket([1.0, 0.0]), Ket([0.0, 1.0])), identity(3), "a")
 
 
 def test_one_sweep_per_report_and_per_pre_post_pair():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wvlab.errors import ContractError, DegeneratePostselectionError
+from wvlab.errors import SCHEMA, ContractError, DegeneratePostselectionError, ScenarioError
 from wvlab.qcore import Ket, Operator, basis_ket, identity, projector_from_ket
 from wvlab.twosv import (
     PrePost,
@@ -247,7 +247,6 @@ def test_weak_value_against_direct_formula():
 def test_prepost_validation():
     with pytest.raises(ContractError):
         PrePost(Ket([1.0, 1.0]), basis_ket(2, 0))
-    from wvlab.errors import DimensionMismatchError
-
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ScenarioError, match="pre dim 2 differs from post dim 3") as err:
         PrePost(basis_ket(2, 0), basis_ket(3, 0))
+    assert err.value.code == SCHEMA
