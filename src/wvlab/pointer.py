@@ -6,30 +6,34 @@ projected branch of the system shifts it from "ready" to an orthogonal
 branch. A weak register is a Gaussian wavepacket on a position grid
 that the projected branch translates by a small g; its post-kick state
 overlaps the ready state almost completely, which is what makes the
-coupling gentle.
+coupling gentle. Both are the same von Neumann coupling: they differ
+only in where the kicked register lands, (0, 1) for a strong flag and
+moved_coeffs for a weak packet.
 
 A PointerSpec declares a pointer and, once on construction, realizes
 its register as a 2-dim factor. A weak register occupies only the
 2-dim span of its ready and kicked wavepackets (each register is
 kicked at most once: a scenario holds one pointer per site).
 
-A pointer run is one pass over two read-only arrays, with no state
-object: the live branches, one system vector per setting of the
-registers that is not exactly zero, (system dim, B), and their (B,)
-int64 click codes. register_bits settles each register's bit before
-anything is allocated, so a run couples at most MAX_POINTER_REGISTERS
-registers, the bits of an int64 code. A register not yet coupled is
-still ready; couple_strong and couple_weak split every branch into its
-miss and hit parts and drop the ones left exactly zero, as the zero
-transition amplitudes of an interferometer do, so a sparse run keeps a
-handful of the 2**n branches. strong_block sorts the postselected
-branches by code and groups them by their strong bits into one
-(live strong codes, 2**n_weak) block, dense over the weak registers
-only: click_readout reads it normalized and pattern_amplitudes
-unnormalized. A coupling split or a block larger than
-MAX_LIVE_AMPLITUDES is refused. Position statistics are exact: the
-position operator is projected onto the weak span and marginal position
-distributions are reconstructed on the full grid.
+A pointer run is one pass over two read-only arrays: the live branches,
+one system vector per setting of the registers that is not exactly
+zero, (system dim, B), and their (B,) int64 click codes. register_bits
+settles each register's bit before anything is allocated, so a run
+couples at most MAX_POINTER_REGISTERS (63) registers, the bits of an
+int64 code. A register not yet coupled is still ready; couple splits
+every branch into its miss and hit parts and drops the ones left
+exactly zero, as the zero transition amplitudes of an interferometer
+do, so a sparse run keeps a handful of the 2**n branches. strong_block
+sorts the postselected branches by code and groups them by their strong
+bits into one (live strong codes, 2**n_weak) block, dense over the weak
+registers only: click_readout reads it normalized and
+pattern_amplitudes unnormalized. A coupling split or a block larger
+than MAX_LIVE_AMPLITUDES (2**26 amplitudes, 1 GiB) is refused with
+ContractError. click_readout reports and names only the click patterns
+above PATTERN_FLOOR, so its cost follows the patterns it reports.
+Position statistics are exact: the position operator is projected onto
+the weak span and marginal position distributions are reconstructed on
+the full grid.
 """
 
 from __future__ import annotations
@@ -212,9 +216,18 @@ def act(matrix: np.ndarray, branches: np.ndarray) -> np.ndarray:
     return _freeze(matrix @ branches)
 
 
-def _couple(branches, codes, proj, bit, moved=None):
-    # Every branch has the register ready: split it into the miss branch
-    # (still ready) and the kicked hit branch, which gets the register's bit.
+def couple(branches, codes, proj, bit, spec):
+    """Kick a ready register (click bit `bit`) in the proj branch.
+
+    branches is (system dim, B), one system vector per live branch, and
+    codes their (B,) int64 click codes. Returns both, read-only, with
+    each branch split into its miss part (register still ready) and its
+    hit part (code | bit) and the exactly-zero columns dropped: no later
+    linear map revives them. A weak register's hit part is split over
+    its factor basis by spec.moved_coeffs; a strong register's are
+    exactly (0, 1), so no product is taken. Norms are preserved; the
+    zero projector changes no amplitude, the identity kicks every branch.
+    """
     # Both parts are written in place, so the split allocates only its
     # 2 * branches.size result.
     _check_size(2 * branches.size, "a coupling")
@@ -223,7 +236,8 @@ def _couple(branches, codes, proj, bit, moved=None):
     miss, hit = new[:, :b], new[:, b:]
     np.matmul(proj, branches, out=hit)
     np.subtract(branches, hit, out=miss)
-    if moved is not None:
+    if spec.kind == WEAK:
+        moved = spec.moved_coeffs
         miss += hit * moved[0]
         hit *= moved[1]
     codes = np.concatenate([codes, codes | bit])
@@ -233,39 +247,17 @@ def _couple(branches, codes, proj, bit, moved=None):
     return _freeze(new), _freeze(codes)
 
 
-def couple_strong(branches, codes, proj, bit):
-    """Shift a ready strong register (click bit `bit`) in the proj branch.
-
-    branches is (system dim, B), one system vector per live branch, and
-    codes their (B,) int64 click codes. Returns both, read-only, with
-    each branch split into its miss and hit parts and the exactly-zero
-    columns dropped: no later linear map revives them. The strong
-    register's moved_coeffs are exactly (0, 1), so no product is taken.
-    Norms are preserved exactly; the zero projector changes no
-    amplitude, the identity shifts every branch.
-    """
-    return _couple(branches, codes, proj, bit)
-
-
-def couple_weak(branches, codes, proj, bit, moved):
-    """Translate a ready weak register's packet in the proj branch.
-
-    As couple_strong, with the hit part split over the register's
-    factor basis by its moved_coeffs.
-    """
-    return _couple(branches, codes, proj, bit, moved)
-
-
-def strong_block(amps, codes, n_weak):
+def strong_block(amps, codes, registers):
     """Postselected live amplitudes grouped by their strong click code.
 
     amps are the (B,) amplitudes <post|branch> and codes their click
-    codes (register_bits). Returns the sorted live strong codes and a
-    fresh, writable (live strong codes, 2**n_weak) block: row i holds
-    the amplitudes of strong code i, scattered over the weak codes,
-    every other entry exactly zero. Without weak registers the block is
-    the amplitudes sorted by code, one column.
+    codes (register_bits of registers). Returns the sorted live strong
+    codes and a fresh, writable (live strong codes, 2**n_weak) block:
+    row i holds the amplitudes of strong code i, scattered over the weak
+    codes, every other entry exactly zero. Without weak registers the
+    block is the amplitudes sorted by code, one column.
     """
+    n_weak = sum(r.kind == WEAK for r in registers)
     order = np.argsort(codes)
     codes = codes[order]
     if not n_weak:

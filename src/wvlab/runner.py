@@ -15,13 +15,10 @@ import numpy as np
 from .errors import ContractError, DegeneratePostselectionError
 from .pointer import (
     READY_CODE,
-    STRONG,
-    WEAK,
     WeakPointerStats,
     act,
     click_readout,
-    couple_strong,
-    couple_weak,
+    couple,
     pattern_amplitudes,
     register_bits,
     strong_block,
@@ -158,13 +155,9 @@ def _simulate(sc: Scenario, insert: Site | None = None):
         if insert is not None and insert.stage == stage:
             branches = act(insert.projector.matrix, branches)
         for ps, proj in couplings.get(stage, ()):
-            if ps.kind == STRONG:
-                branches, codes = couple_strong(branches, codes, proj, bits[ps.site])
-            else:
-                branches, codes = couple_weak(branches, codes, proj, bits[ps.site], ps.moved_coeffs)
+            branches, codes = couple(branches, codes, proj, bits[ps.site], ps)
             order.append(ps.site)
-    n_weak = sum(ps.kind == WEAK for ps in sc.pointers)
-    strong, block = strong_block(sc.prepost.post.amps.conj() @ branches, codes, n_weak)
+    strong, block = strong_block(sc.prepost.post.amps.conj() @ branches, codes, sc.pointers)
     return strong, block, tuple(order)
 
 

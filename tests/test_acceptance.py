@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from wvlab.cli import EXIT_OK, main
-from wvlab.pointer import READY_CODE, PointerSpec, couple_strong, couple_weak
+from wvlab.pointer import READY_CODE, PointerSpec, couple
 from wvlab.qcore import Ket, Operator, projector_from_ket
 from wvlab.runner import disturbance_table, run_pointers
 from wvlab.scenario import builtin
@@ -211,10 +211,11 @@ def test_criterion_6_property_suite():
                 assert abs(null_res.value) <= 1e-10
 
             # Couplings preserve the joint norm.
-            branches, codes = couple_strong(Ket(pre).amps[:, None], READY_CODE, proj.matrix, 2)
+            strong = PointerSpec(site="S", kind="strong")
+            branches, codes = couple(Ket(pre).amps[:, None], READY_CODE, proj.matrix, 2, strong)
             assert abs(np.linalg.norm(branches) - 1.0) <= 1e-12
             weak = PointerSpec(site="W", kind="weak")
             w_proj = projector_from_ket(Ket(w)).matrix
-            branches, codes = couple_weak(branches, codes, w_proj, 1, weak.moved_coeffs)
+            branches, codes = couple(branches, codes, w_proj, 1, weak)
             assert abs(np.linalg.norm(branches) - 1.0) <= 1e-12
         assert time.perf_counter() - start < 30.0

@@ -19,8 +19,7 @@ from wvlab.pointer import (
     PointerSpec,
     _pattern_names,
     click_readout,
-    couple_strong,
-    couple_weak,
+    couple,
     pattern_amplitudes,
     register_bits,
     strong_block,
@@ -201,13 +200,7 @@ def _couple_all(psi, specs, couplings):
     by_site = {spec.site: spec for spec in specs}
     branches, codes = Ket(psi).amps[:, None], READY_CODE
     for proj, site in couplings:
-        spec = by_site[site]
-        if spec.kind == "strong":
-            branches, codes = couple_strong(branches, codes, proj.matrix, bits[site])
-        else:
-            branches, codes = couple_weak(
-                branches, codes, proj.matrix, bits[site], spec.moved_coeffs
-            )
+        branches, codes = couple(branches, codes, proj.matrix, bits[site], by_site[site])
     return branches, codes
 
 
@@ -234,7 +227,7 @@ def _n_weak(specs):
 
 def _postselected(branches, codes, chi, specs):
     """Live strong codes and unnormalized block, as runner._simulate leaves them."""
-    return strong_block(np.asarray(chi).conj() @ branches, codes, _n_weak(specs))
+    return strong_block(np.asarray(chi).conj() @ branches, codes, specs)
 
 
 def _block_layout(strong, block, specs):
@@ -251,16 +244,46 @@ def _package_run(psi, chi, couplings, specs):
     return prob, _block_layout(strong, block, specs), click_readout(strong, block, specs)
 
 
-def test_couple_strong_zero_and_identity_projectors():
+def _split(branches, codes, proj, bit, moved):
+    """The miss/hit split with the kicked register at moved, zero columns dropped."""
+    hit = proj @ branches
+    miss = branches - hit
+    new = np.concatenate([miss + hit * moved[0], hit * moved[1]], axis=1)
+    codes = np.concatenate([codes, codes | bit])
+    live = new.any(axis=0)
+    return new[:, live], codes[live]
+
+
+def test_couple_is_the_miss_hit_split_at_the_registers_moved_coeffs():
+    strong = PointerSpec(site="D", kind="strong")
     ready, code = _ready()
-    same, codes = couple_strong(ready, code, np.zeros((3, 3)), 1)
+    same, codes = couple(ready, code, np.zeros((3, 3)), 1, strong)
     # The hit branch is exactly zero and dropped.
     assert np.array_equal(same, ready) and codes.tolist() == [0]
-    full, codes = couple_strong(ready, code, identity(3).matrix, 1)
+    full, codes = couple(ready, code, identity(3).matrix, 1, strong)
     assert codes.tolist() == [1]
     t = _layout(full, codes, _strong_specs(("D",)))
     assert np.allclose(t[:, 1], PSI)
     assert np.allclose(t[:, 0], 0.0)
+
+    # A strong register skips the product by its moved_coeffs (0, 1); the
+    # result must be the very bytes the product gives, codes included.
+    rng = np.random.default_rng(53)
+    weak = PointerSpec(site="w", kind="weak", g=0.3)
+    assert strong.moved_coeffs.tolist() == [0.0, 1.0]
+    for _ in range(50):
+        d, b = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        branches = rng.normal(size=(d, b)) + 1j * rng.normal(size=(d, b))
+        branches[:, rng.random(b) < 0.3] = 0.0
+        codes = rng.choice(1 << 10, size=b, replace=False).astype(np.int64) << 1
+        ket = Ket(rng.normal(size=d) + 1j * rng.normal(size=d))
+        for proj in (np.zeros((d, d)), np.eye(d), projector_from_ket(ket).matrix):
+            for spec in (strong, weak):
+                got = couple(branches, codes, proj, 1, spec)
+                want = _split(branches, codes, proj, 1, spec.moved_coeffs)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                assert got[1].dtype == np.int64
+                assert not got[0].flags.writeable and not got[1].flags.writeable
 
 
 def test_couplings_preserve_norm():
@@ -739,7 +762,7 @@ def test_live_branches_grow_at_most_twofold_per_coupling():
     sim = DenseSim(PSI, specs)
     # Out of 2, 4, 8 and 16 branches, the rest are exactly zero.
     for k, ((proj, site), live) in enumerate(zip(_FIG2, (2, 3, 5, 5))):
-        branches, codes = couple_strong(branches, codes, proj.matrix, bits[site])
+        branches, codes = couple(branches, codes, proj.matrix, bits[site], specs[k])
         sim.couple(proj, k)
         assert branches.shape == (3, live) and codes.shape == (live,)
         assert codes.dtype == np.int64 and len(set(codes.tolist())) == live
@@ -867,7 +890,7 @@ def test_forty_pointer_scenario_is_refused_by_run_pointers(monkeypatch):
 
     # The register limit is settled before the first array step runs.
     sc = _with_path_detectors(default_three_path(), 64)
-    for step in ("act", "couple_strong", "couple_weak", "strong_block"):
+    for step in ("act", "couple", "strong_block"):
         monkeypatch.setattr(runner, step, allocates)
     for run in (run_pointers, disturbance_rows):  # O and O' are null sites
         with pytest.raises(ContractError, match="64 pointer registers exceed the limit of 63"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 import subprocess
@@ -19,10 +20,19 @@ DEMOS = (
 )
 
 
-def _quick_start() -> str:
+def _quick_start_section() -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Library quick start", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return readme.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+
+
+def _quick_start() -> str:
+    return re.search(r"```python\n(.*?)```", _quick_start_section(), re.S).group(1)
+
+
+def _module_entries() -> dict[str, list[str]]:
+    """Module -> the backticked identifiers of its README entry."""
+    entries = re.findall(r"^- `(wvlab\.\w+)`:(.*?)(?=^- |\Z)", _quick_start_section(), re.M | re.S)
+    return {module: re.findall(r"`([A-Za-z_]\w*)`", body) for module, body in entries}
 
 
 def _child(args) -> subprocess.CompletedProcess:
@@ -36,6 +46,16 @@ def test_readme_quick_start_runs():
     proc = _child(["-c", _quick_start()])
     assert proc.returncode == 0 and proc.stderr == ""
     assert "{'D': 1.0, 'O': 0.0}" in proc.stdout
+
+
+def test_readme_module_entries_name_what_the_modules_define():
+    entries = _module_entries()
+    assert set(entries) == {f"wvlab.{m}" for m in ("qcore", "twosv", "pointer", "runner", "scenario")}
+    for module, names in entries.items():
+        mod = importlib.import_module(module)
+        assert names, module
+        missing = [name for name in names if not hasattr(mod, name)]
+        assert not missing, f"README names {module} attributes it does not define: {missing}"
 
 
 @pytest.mark.parametrize("demo", DEMOS)
