@@ -16,6 +16,7 @@ from . import scenario as scen
 from .errors import SCHEMA, DegeneratePostselectionError, ScenarioError, WvlabError
 from .qcore import DISPLAY_FLOOR
 from .runner import (
+    PATTERN_SEP,
     RunReport,
     disturbance_table,
     report_to_dict,
@@ -47,7 +48,7 @@ def _fnum(x: float) -> str:
 
 
 def _pattern_name(pattern: tuple[str, ...]) -> str:
-    return "+".join(pattern) if pattern else "(none)"
+    return PATTERN_SEP.join(pattern) if pattern else "(none)"
 
 
 def _columns(*cells: tuple[str, int]) -> str:
@@ -125,7 +126,7 @@ def _render_weak_values(report: RunReport, lines: list) -> None:
         lines.append("sum rules:")
         for rule in report.sum_rules:
             lines.append(
-                f"  {'+'.join(rule.sites)} @ {rule.stage} -> {format_complex(rule.total)}"
+                f"  {PATTERN_SEP.join(rule.sites)} @ {rule.stage} -> {format_complex(rule.total)}"
             )
 
 

@@ -279,9 +279,9 @@ class WeakPointerStats:
 
     positions/probabilities give the exact marginal distribution of the
     packet on its grid; mean and variance are its first two moments.
+    The register's site is its key in click_readout's weak_stats.
     """
 
-    site: str
     mean: float
     variance: float
     positions: np.ndarray
@@ -353,7 +353,6 @@ def click_readout(strong, block, registers) -> dict:
         dist = np.real(np.einsum("ij,in,jn->n", rho, reg.basis, reg.basis))
         dist.setflags(write=False)
         weak[reg.site] = WeakPointerStats(
-            site=reg.site,
             mean=mean,
             variance=second - mean**2,
             positions=reg.positions,

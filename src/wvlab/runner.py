@@ -3,12 +3,14 @@
 Each run is a pure function of a Scenario and produces a RunReport.
 Reports serialize to a schema-stable JSON dict with fixed top-level
 keys (scenario, weak_values, postselection_probability, clicks,
-patterns, weak_stats, disturbance, tolerance).
+patterns, weak_stats, disturbance, tolerance). Every row in it is its
+result type (WeakValueResult, SumRuleResult, WeakPointerStats,
+DisturbanceRow) written as that type's fields, in declaration order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -217,52 +219,29 @@ def disturbance_table(sc: Scenario) -> RunReport:
 # --- report serialization ---------------------------------------------------
 
 
-def _pair(z: complex) -> list:
-    z = complex(z)
-    return [float(z.real) + 0.0, float(z.imag) + 0.0]
-
-
-def _pattern_key(pattern: tuple[str, ...]) -> str:
-    return PATTERN_SEP.join(pattern)
+def _plain(x):
+    """JSON form of a report value: a result type becomes a dict of its
+    fields in declaration order, complex an [re, im] pair, an array its
+    list; tuple keys (click patterns) are joined by PATTERN_SEP."""
+    if isinstance(x, float):
+        return float(x)
+    if isinstance(x, complex):
+        return [float(x.real) + 0.0, float(x.imag) + 0.0]
+    if x is None or isinstance(x, (str, int)):
+        return x
+    if isinstance(x, (tuple, list)):
+        return [_plain(v) for v in x]
+    if isinstance(x, dict):
+        return {
+            PATTERN_SEP.join(k) if isinstance(k, tuple) else k: _plain(v) for k, v in x.items()
+        }
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    return {f.name: _plain(getattr(x, f.name)) for f in fields(x)}
 
 
 def report_to_dict(report: RunReport) -> dict:
-    """Schema-stable JSON form of a report."""
-    wv_rows = []
-    for row in report.weak_values:
-        wv_rows.append(
-            {
-                "site": row.site,
-                "stage": row.stage,
-                "numerator": _pair(row.numerator),
-                "denominator": _pair(row.denominator),
-                "value": None if row.value is None else _pair(row.value),
-                "degenerate": bool(row.degenerate),
-            }
-        )
-    rules = [
-        {"sites": list(r.sites), "stage": r.stage, "total": _pair(r.total)}
-        for r in report.sum_rules
-    ]
-    weak_stats = {}
-    for site, st in report.weak_stats.items():
-        weak_stats[site] = {
-            "mean": float(st.mean),
-            "variance": float(st.variance),
-            "positions": [float(x) for x in st.positions],
-            "probabilities": [float(x) for x in st.probabilities],
-        }
-    disturbance = []
-    for row in report.disturbance:
-        disturbance.append(
-            {
-                "site": row.site,
-                "stage": row.stage,
-                "undisturbed": _pair(row.undisturbed),
-                "branches": {_pattern_key(p): _pair(a) for p, a in row.branches.items()},
-                "disturbed": bool(row.disturbed),
-            }
-        )
+    """Schema-stable JSON form of a report; each row holds its result type's fields."""
     return {
         "scenario": {
             "checksum": report.checksum,
@@ -272,11 +251,11 @@ def report_to_dict(report: RunReport) -> dict:
             "degenerate": bool(report.degenerate),
             "patterns_provenance": "model-derived",
         },
-        "weak_values": {"table": wv_rows, "sum_rules": rules},
+        "weak_values": {"table": _plain(report.weak_values), "sum_rules": _plain(report.sum_rules)},
         "postselection_probability": float(report.postselection_probability),
-        "clicks": {site: float(p) for site, p in report.clicks.items()},
-        "patterns": {_pattern_key(p): float(v) for p, v in report.patterns.items()},
-        "weak_stats": weak_stats,
-        "disturbance": disturbance,
+        "clicks": _plain(report.clicks),
+        "patterns": _plain(report.patterns),
+        "weak_stats": _plain(report.weak_stats),
+        "disturbance": _plain(report.disturbance),
         "tolerance": float(report.tolerance),
     }

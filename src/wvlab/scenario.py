@@ -50,9 +50,9 @@ from .qcore import (
 from .twosv import PrePost, Timeline, identity_timeline
 
 # Characters a site label may not hold: reports join site labels with
-# "+" into click patterns and sum rules, and text output lists the
-# coupling order with ", ". "|" and "=" stay reserved so that the set of
-# valid scenario files does not change. Characters that are not printable
+# "+" (runner.PATTERN_SEP) into click patterns and sum rules, and text
+# output lists the coupling order with ", ". "|" and "=" stay reserved
+# so that the set of valid scenario files does not change. Characters that are not printable
 # (newline, tab, other control and format characters) are reserved too:
 # they would forge lines of text output.
 RESERVED_LABEL_CHARS = "+|=,"
@@ -98,10 +98,21 @@ class Site:
 
 @dataclass(frozen=True)
 class SumRule:
-    """Declared complete projector set: sites whose projectors sum to 1."""
+    """Declared complete projector set: sites whose projectors sum to 1.
+
+    sites is a list or tuple of site labels, stored as a tuple.
+    """
 
     sites: tuple[str, ...]
     stage: str
+
+    def __post_init__(self):
+        labels = self.sites
+        if not isinstance(labels, (list, tuple)) or not all(isinstance(s, str) for s in labels):
+            raise ScenarioError(
+                SCHEMA, f"sum rule sites must be a list of site labels, got {labels!r}"
+            )
+        object.__setattr__(self, "sites", tuple(labels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,10 +145,12 @@ class Scenario:
             )
         by_label = {}
         for site in self.sites:
-            reserved = (c in RESERVED_LABEL_CHARS or not c.isprintable() for c in site.label)
-            if not site.label or any(reserved):
+            if not isinstance(site.label, str) or not site.label or any(
+                c in RESERVED_LABEL_CHARS or not c.isprintable() for c in site.label
+            ):
                 raise ScenarioError(
-                    SCHEMA, f"site label {site.label!r} is empty or uses a reserved character"
+                    SCHEMA,
+                    f"site label {site.label!r} is not a str, is empty or uses a reserved character",
                 )
             if site.label in by_label:
                 raise ScenarioError(SCHEMA, f"duplicate site label {site.label!r}")
@@ -481,12 +494,10 @@ def from_dict(d: dict) -> Scenario:
         for where, entry in _items(d, "pointers", _POINTER_KEYS, required=False)
     ]
 
-    rules = []
-    for where, entry in _items(d, "sum_rules", _SUM_RULE_KEYS, required=False):
-        rsites = _want(entry, "sites", list, where)
-        if not all(isinstance(s, str) for s in rsites):
-            raise ScenarioError(SCHEMA, f"{where}.sites must be site labels")
-        rules.append(SumRule(tuple(rsites), _want(entry, "stage", str, where)))
+    rules = [
+        SumRule(_want(entry, "sites", list, where), _want(entry, "stage", str, where))
+        for where, entry in _items(d, "sum_rules", _SUM_RULE_KEYS, required=False)
+    ]
 
     return Scenario(
         timeline=timeline,

@@ -493,7 +493,7 @@ def test_render_text_keeps_fields_apart():
         degenerate=False,
         clicks={label: 0.123456789012},
         patterns={(label, "othersite"): 0.123456789012},
-        weak_stats={label: WeakPointerStats(label, -0.123456789012, 0.123456789012,
+        weak_stats={label: WeakPointerStats(-0.123456789012, 0.123456789012,
                                             np.zeros(1), np.ones(1))},
         disturbance=(),
     )

@@ -3,19 +3,34 @@
 from __future__ import annotations
 
 import json
+import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from wvlab.errors import ContractError
+from wvlab.pointer import STRONG, PointerSpec, WeakPointerStats
 from wvlab.runner import (
+    DisturbanceRow,
+    RunReport,
+    SumRuleResult,
     disturbance_rows,
     disturbance_table,
     report_to_dict,
     run_pointers,
     run_weak_values,
 )
-from wvlab.scenario import builtin, default_three_path, from_dict, to_dict
+from wvlab.scenario import (
+    BUILTIN_NAMES,
+    builtin,
+    default_three_path,
+    from_dict,
+    load,
+    three_path_rank2_crossing,
+    to_dict,
+)
+from wvlab.twosv import WeakValueResult
 
 EXPECTED_WEAK_VALUES = {"E": 1.0, "F": -1.0, "D": 1.0, "O": 0.0, "E'": 1.0, "F'": -1.0, "O'": 0.0}
 
@@ -189,3 +204,53 @@ def test_report_dict_has_stable_top_level_keys():
     assert d["scenario"]["coupling_order"] == ["D", "O"]
     assert d["scenario"]["patterns_provenance"] == "model-derived"
     assert d["patterns"]["D"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_report_rows_are_their_result_types_fields():
+    rank2 = three_path_rank2_crossing(
+        [PointerSpec(site=s, kind=STRONG) for s in ("D", "O", "E'", "F'")]
+    )
+    four_level = load(os.path.join(os.path.dirname(__file__), "data", "four_level.json"))
+    seen = set()
+    for sc in [builtin(name) for name in BUILTIN_NAMES] + [rank2, four_level]:
+        reports = [run_weak_values(sc), disturbance_table(sc)]
+        if sc.pointers:
+            reports.append(run_pointers(sc))
+        for rep in reports:
+            d = report_to_dict(rep)
+            rows = (
+                [(WeakValueResult, row) for row in d["weak_values"]["table"]]
+                + [(SumRuleResult, row) for row in d["weak_values"]["sum_rules"]]
+                + [(WeakPointerStats, row) for row in d["weak_stats"].values()]
+                + [(DisturbanceRow, row) for row in d["disturbance"]]
+            )
+            for cls, row in rows:
+                assert list(row) == [f.name for f in fields(cls)]
+                seen.add(cls)
+    assert seen == {WeakValueResult, SumRuleResult, WeakPointerStats, DisturbanceRow}
+
+    def report(real, cplx):
+        return RunReport(
+            checksum="0" * 64,
+            dim=3,
+            stages=("a", "b"),
+            coupling_order=("s",),
+            tolerance=real(1e-10),
+            weak_values=(
+                WeakValueResult("s", "a", cplx(1 + 2j), cplx(complex(-0.0, -0.0)),
+                                cplx(0.5 - 0.25j), False),
+                WeakValueResult("t", "b", cplx(1j), cplx(0j), None, True),
+            ),
+            sum_rules=(SumRuleResult(("s", "t"), "a", cplx(1 - 0j)),),
+            postselection_probability=real(0.25),
+            degenerate=False,
+            clicks={"s": real(0.5)},
+            patterns={("s", "t"): real(0.125), (): real(0.875)},
+            weak_stats={"w": WeakPointerStats(real(-0.1), real(0.2), np.array([-1.0, 0.0, 1.0]),
+                                              np.array([0.25, 0.5, 0.25]))},
+            disturbance=(DisturbanceRow("s", "a", cplx(0j), {("s",): cplx(0.5 + 0j)}, True),),
+        )
+
+    plain = json.dumps(report_to_dict(report(float, complex)), indent=2)
+    assert json.dumps(report_to_dict(report(np.float64, np.complex128)), indent=2) == plain
+    assert "-0.0" not in plain

@@ -644,6 +644,17 @@ def test_owning_types_raise_coded_errors():
     with pytest.raises(ScenarioError, match=r"segments of mixed dimension \[2, 3\]") as err:
         Timeline(("a", "b", "c"), (identity(2), identity(3)))
     assert err.value.code == SCHEMA
+    sc = default_three_path()
+    for label in (5, None, b"E2"):
+        with pytest.raises(ScenarioError) as err:
+            replace(sc, sites=sc.sites + (Site(label, "t_1", "ket", [1.0, 0.0, 0.0]),))
+        assert err.value.code == SCHEMA and repr(label) in str(err.value)
+    for sites in ("DEF", [["D"]], ("D", 1), None):
+        with pytest.raises(ScenarioError) as err:
+            SumRule(sites, "t_1")
+        assert err.value.code == SCHEMA and repr(sites) in str(err.value)
+    rule = SumRule(["D", "E", "F"], "t_1")
+    assert rule.sites == ("D", "E", "F") and hash(rule) == hash(SumRule(("D", "E", "F"), "t_1"))
 
 
 # Names a text report cannot print as one plain line, and the empty name.
