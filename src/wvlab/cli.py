@@ -48,7 +48,7 @@ def _fnum(x: float) -> str:
 
 
 def _pattern_name(pattern: tuple[str, ...]) -> str:
-    return PATTERN_SEP.join(pattern) if pattern else "(none)"
+    return PATTERN_SEP.join(pattern) if pattern else scen.NO_CLICKS
 
 
 def _columns(*cells: tuple[str, int]) -> str:

@@ -22,10 +22,8 @@ from .errors import ContractError
 STRUCT_TOL = 1e-10
 # Largest |norm - 1| of a normalized state.
 NORM_TOL = 1e-12
-# Kets at most this long span no projector.
+# Kets at most this long span no projector and cannot be normalized.
 ZERO_KET_NORM = 1e-12
-# Kets at most this long cannot be normalized.
-NORMALIZE_FLOOR = 1e-14
 # Default per-scenario tolerance: smaller amplitudes count as zero.
 DEFAULT_TOLERANCE = 1e-10
 # Largest probability mass a kicked weak packet may push off its grid.
@@ -83,7 +81,7 @@ class Ket:
 
     def normalized(self) -> Ket:
         n = self.norm()
-        if n <= NORMALIZE_FLOOR:
+        if n <= ZERO_KET_NORM:
             raise ContractError("cannot normalize a zero ket")
         return Ket(self.amps / n)
 

@@ -10,11 +10,11 @@ DisturbanceRow) written as that type's fields, in declaration order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ContractError, DegeneratePostselectionError
+from .errors import ContractError
 from .pointer import (
     READY_CODE,
     WeakPointerStats,
@@ -25,10 +25,8 @@ from .pointer import (
     register_bits,
     strong_block,
 )
-from .scenario import Scenario, Site, SumRule
-from .twosv import WeakValueResult, sweep, transition_amplitude, weak_value
-
-PATTERN_SEP = "+"
+from .scenario import PATTERN_SEP, Scenario, Site
+from .twosv import WeakValueResult, sweep, transition_amplitude, weak_value, weak_value_sum
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,7 @@ class DisturbanceRow:
     disturbed: bool
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class RunReport:
     """Everything one analysis produced, ready for rendering.
 
@@ -65,64 +63,48 @@ class RunReport:
     joint conditional probabilities; their values are model-derived,
     not quoted from elsewhere, and patterns at or below PATTERN_FLOOR
     are omitted. coupling_order records the order in which pointer
-    couplings were applied.
+    couplings were applied. A section no pointer run filled stays empty.
     """
 
     checksum: str
     dim: int
     stages: tuple[str, ...]
-    coupling_order: tuple[str, ...]
+    coupling_order: tuple[str, ...] = ()
     tolerance: float
     weak_values: tuple[WeakValueResult, ...]
     sum_rules: tuple[SumRuleResult, ...]
     postselection_probability: float
     degenerate: bool
-    clicks: dict[str, float]
-    patterns: dict[tuple[str, ...], float]
-    weak_stats: dict[str, WeakPointerStats]
-    disturbance: tuple[DisturbanceRow, ...]
-
-
-def _rule_total(sc: Scenario, rule: SumRule) -> complex:
-    """Left-to-right sum of a rule's weak values; Scenario checked that the set is complete."""
-    total = 0j  # plain left-to-right sum; sum() may compensate
-    for label in rule.sites:
-        row = weak_value(sc.timeline, sc.prepost, sc.site(label).projector, rule.stage,
-                         tol=sc.tolerance)
-        if row.degenerate:
-            raise DegeneratePostselectionError(f"postselection amplitude vanished at stage {rule.stage!r}")
-        total += row.value
-    return total
+    clicks: dict[str, float] = field(default_factory=dict)
+    patterns: dict[tuple[str, ...], float] = field(default_factory=dict)
+    weak_stats: dict[str, WeakPointerStats] = field(default_factory=dict)
+    disturbance: tuple[DisturbanceRow, ...] = ()
 
 
 def _base_report(sc: Scenario, **sections) -> RunReport:
+    """The weak-value report, with the caller's sections in place of its own."""
     tl, pp = sc.timeline, sc.prepost
     amp = sweep(tl, pp).overlaps[-1]
     degenerate = abs(amp) <= sc.tolerance
+    # Scenario checked that every declared set is complete.
     sum_rules = tuple(
-        SumRuleResult(sites=rule.sites, stage=rule.stage, total=_rule_total(sc, rule))
+        SumRuleResult(rule.sites, rule.stage, weak_value_sum(
+            tl, pp, [sc.site(label).projector for label in rule.sites], rule.stage, sc.tolerance))
         for rule in (() if degenerate else sc.sum_rules)
     )
-    defaults = dict(
+    own = dict(postselection_probability=float(abs(amp) ** 2), degenerate=degenerate)
+    return RunReport(
         checksum=sc.checksum,
         dim=sc.dim,
-        stages=sc.timeline.stages,
-        coupling_order=(),
+        stages=tl.stages,
         tolerance=sc.tolerance,
         weak_values=tuple(
             weak_value(tl, pp, site.projector, site.stage, site=site.label, tol=sc.tolerance)
             for site in sc.sites
         ),
         sum_rules=sum_rules,
-        postselection_probability=float(abs(amp) ** 2),
-        degenerate=degenerate,
-        clicks={},
-        patterns={},
-        weak_stats={},
-        disturbance=(),
+        **{**own, **sections},
     )
-    defaults.update(sections)
-    return RunReport(**defaults)
 
 
 def run_weak_values(sc: Scenario) -> RunReport:

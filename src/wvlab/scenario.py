@@ -47,15 +47,16 @@ from .qcore import (
     projector_from_ket,
     resolves_identity,
 )
-from .twosv import PrePost, Timeline, identity_timeline
+from .twosv import PrePost, Timeline, check_names, identity_timeline
 
-# Characters a site label may not hold: reports join site labels with
-# "+" (runner.PATTERN_SEP) into click patterns and sum rules, and text
-# output lists the coupling order with ", ". "|" and "=" stay reserved
-# so that the set of valid scenario files does not change. Characters that are not printable
-# (newline, tab, other control and format characters) are reserved too:
-# they would forge lines of text output.
-RESERVED_LABEL_CHARS = "+|=,"
+# Reports join the site labels of a click pattern or a sum rule with
+# PATTERN_SEP, and text output names the pattern with no clicks
+# NO_CLICKS. So a site label may not hold PATTERN_SEP, nor be NO_CLICKS.
+# Text output lists the coupling order with ", "; "|" and "=" stay
+# reserved so that the set of valid scenario files does not change.
+PATTERN_SEP = "+"
+NO_CLICKS = "(none)"
+RESERVED_LABEL_CHARS = PATTERN_SEP + "|=,"
 
 KIND_KET = "ket"
 KIND_MATRIX = "matrix"
@@ -143,18 +144,9 @@ class Scenario:
             raise ScenarioError(
                 SCHEMA, f"pre/post dimension {self.prepost.pre.dim} differs from dim {self.dim}"
             )
-        by_label = {}
+        check_names((s.label for s in self.sites), "site label", RESERVED_LABEL_CHARS, (NO_CLICKS,))
+        by_label = {site.label: site for site in self.sites}
         for site in self.sites:
-            if not isinstance(site.label, str) or not site.label or any(
-                c in RESERVED_LABEL_CHARS or not c.isprintable() for c in site.label
-            ):
-                raise ScenarioError(
-                    SCHEMA,
-                    f"site label {site.label!r} is not a str, is empty or uses a reserved character",
-                )
-            if site.label in by_label:
-                raise ScenarioError(SCHEMA, f"duplicate site label {site.label!r}")
-            by_label[site.label] = site
             if site.stage not in self.timeline.stages:
                 raise ScenarioError(
                     UNKNOWN_STAGE, f"site {site.label!r} pinned to unknown stage {site.stage!r}"
@@ -164,13 +156,10 @@ class Scenario:
                     SCHEMA, f"site {site.label!r} projector has dimension {site.projector.dim}"
                 )
         object.__setattr__(self, "_sites_by_label", by_label)
-        pointer_sites = set()
         for ps in self.pointers:
             if ps.site not in by_label:
                 raise ScenarioError(UNKNOWN_SITE, f"pointer references undeclared site {ps.site!r}")
-            if ps.site in pointer_sites:
-                raise ScenarioError(SCHEMA, f"two pointers at site {ps.site!r}")
-            pointer_sites.add(ps.site)
+        check_names((ps.site for ps in self.pointers), "pointer site")
         for rule in self.sum_rules:
             if rule.stage not in self.timeline.stages:
                 raise ScenarioError(UNKNOWN_STAGE, f"sum rule at unknown stage {rule.stage!r}")
@@ -446,10 +435,8 @@ def from_dict(d: dict) -> Scenario:
     dim = _want(d, "dim", int, "scenario")
     if dim < 1:
         raise ScenarioError(SCHEMA, f"dim must be a positive integer, got {dim!r}")
-    # Segments are keyed by stage name below; Timeline checks the names.
-    stages = _want(d, "stages", list, "scenario")
-    if not all(isinstance(s, str) for s in stages):
-        raise ScenarioError(SCHEMA, "stages must be a list of non-empty names")
+    # Segments are keyed by stage name below, so the names are checked first.
+    stages = check_names(_want(d, "stages", list, "scenario"), "stage name")
     # States first: their length check bounds dim before anything of
     # that size is built.
     pre, post = (_parse_array(_want(d, k, list, "scenario"), (dim,), k) for k in ("pre", "post"))
@@ -469,7 +456,7 @@ def from_dict(d: dict) -> Scenario:
     for k, seg in enumerate(segments):
         if seg is None:
             raise ScenarioError(SCHEMA, f"segment {stages[k]}->{stages[k + 1]} is missing")
-    timeline = Timeline(tuple(stages), tuple(segments))
+    timeline = Timeline(stages, tuple(segments))
     prepost = PrePost(Ket(pre), Ket(post))
 
     sites = []

@@ -12,9 +12,10 @@ amplitude through an operator A at stage t is then one inner product,
     tau = <post(t)| A |pre(t)>,
 
 and a weak value divides tau by the bare amplitude <post(t)|pre(t)>,
-stored per stage by the sweep. transition_amplitude, weak_value and
-sum_rule_check read the latest sweep of their timeline and pre/post
-pair, so a report row is one mat-vec and one inner product.
+stored per stage by the sweep. transition_amplitude, weak_value,
+weak_value_sum and sum_rule_check read the latest sweep of their
+timeline and pre/post pair, so a report row is one mat-vec and one
+inner product.
 """
 
 from __future__ import annotations
@@ -35,6 +36,25 @@ from .errors import (
 from .qcore import DEFAULT_TOLERANCE, Ket, Operator, identity, resolves_identity
 
 
+def check_names(names, what: str, reserved: str = "", reserved_names=()) -> tuple:
+    """names as a tuple, once each is a unique, non-empty, printable str
+    with no character of reserved and none of reserved_names. Text output
+    prints these names; a bad one could forge its lines or pass for other
+    output. The first raises ScenarioError(schema) naming what and its repr.
+    """
+    names, seen = tuple(names), set()
+    for name in names:
+        if (not isinstance(name, str) or not name or not name.isprintable()
+                or any(c in reserved for c in name) or name in reserved_names):
+            rule = f" without any of {reserved!r}" if reserved else ""
+            rule += "".join(f", not {r!r}" for r in reserved_names)
+            raise ScenarioError(SCHEMA, f"{what} {name!r} must be a non-empty printable str{rule}")
+        if name in seen:
+            raise ScenarioError(SCHEMA, f"duplicate {what} {name!r}")
+        seen.add(name)
+    return names
+
+
 @dataclass(frozen=True, eq=False)
 class Timeline:
     """Named stages joined by unitary segments.
@@ -49,16 +69,10 @@ class Timeline:
     segments: tuple[Operator, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
+        object.__setattr__(self, "stages", check_names(self.stages, "stage name"))
         object.__setattr__(self, "segments", tuple(self.segments))
         if len(self.stages) < 2:
             raise ScenarioError(SCHEMA, "timeline needs at least two stages")
-        for s in self.stages:
-            # A name that is not printable could forge lines of text output.
-            if not isinstance(s, str) or not s or not s.isprintable():
-                raise ScenarioError(SCHEMA, f"stage name {s!r} must be a non-empty printable str")
-        if len(set(self.stages)) != len(self.stages):
-            raise ScenarioError(SCHEMA, f"duplicate stage names in {self.stages!r}")
         object.__setattr__(self, "_positions", {s: k for k, s in enumerate(self.stages)})
         if len(self.segments) != len(self.stages) - 1:
             raise ScenarioError(
@@ -220,6 +234,21 @@ def weak_value(
     return WeakValueResult(site, stage, num, den, None if degenerate else num / den, degenerate)
 
 
+def weak_value_sum(tl: Timeline, pp: PrePost, projectors, stage: str,
+                   tol: float = DEFAULT_TOLERANCE) -> complex:
+    """Left-to-right sum of the weak values of a sequence of projectors at one stage.
+
+    Raises DegeneratePostselectionError at the first undefined weak value.
+    """
+    acc = 0j  # plain left-to-right sum; sum() may compensate
+    for op in projectors:
+        row = weak_value(tl, pp, op, stage, tol=tol)
+        if row.degenerate:
+            raise DegeneratePostselectionError(f"postselection amplitude vanished at stage {stage!r}")
+        acc += row.value
+    return acc
+
+
 def sum_rule_check(
     tl: Timeline,
     pp: PrePost,
@@ -230,16 +259,9 @@ def sum_rule_check(
     """Sum the weak values of a complete set of projectors at one stage.
 
     The projectors must resolve the identity within STRUCT_TOL
-    (ContractError otherwise). Raises DegeneratePostselectionError when
-    the weak values are undefined. Returns the sum, which callers may
-    check against 1.
+    (ContractError otherwise); weak_value_sum then sums them. Returns the
+    sum, which callers may check against 1.
     """
     if not resolves_identity(projectors.values()):
         raise ContractError(f"projector set {sorted(projectors)} does not resolve the identity")
-    rows = [weak_value(tl, pp, op, stage, site=name, tol=tol) for name, op in projectors.items()]
-    if any(row.degenerate for row in rows):
-        raise DegeneratePostselectionError(f"postselection amplitude vanished at stage {stage!r}")
-    acc = 0j  # plain left-to-right sum; sum() may compensate
-    for row in rows:
-        acc += row.value
-    return acc
+    return weak_value_sum(tl, pp, projectors.values(), stage, tol)

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from wvlab.errors import ContractError
-from wvlab.qcore import Ket, Operator, basis_ket, identity, projector_from_ket, resolves_identity
+from wvlab.qcore import (
+    ZERO_KET_NORM,
+    Ket,
+    Operator,
+    basis_ket,
+    identity,
+    projector_from_ket,
+    resolves_identity,
+)
 
 
 def _random_unitary(rng, n):
@@ -73,3 +81,16 @@ def test_normalized_rejects_zero_and_scales():
         assert np.isclose(out.norm(), 1.0)
     with pytest.raises(ContractError):
         Ket([0.0, 0.0]).normalized()
+
+
+def test_one_zero_ket_floor_for_projectors_and_normalizing():
+    # A ket at or below ZERO_KET_NORM spans no projector and cannot be
+    # normalized; one just above it does both.
+    short = Ket([1e-13, 0.0])
+    with pytest.raises(ContractError, match="zero ket"):
+        short.normalized()
+    with pytest.raises(ContractError, match="norm 1e-13"):
+        projector_from_ket(short)
+    longer = Ket([10 * ZERO_KET_NORM, 0.0])
+    assert np.isclose(longer.normalized().norm(), 1.0)
+    assert projector_from_ket(longer).is_projector()

@@ -41,7 +41,7 @@ from wvlab.scenario import (
     three_path_rank2_crossing,
     to_dict,
 )
-from wvlab.twosv import PrePost, Timeline, sweep, weak_value
+from wvlab.twosv import PrePost, Timeline, identity_timeline, sweep, weak_value
 
 S3 = 1.0 / np.sqrt(3.0)
 PSI = np.array([S3, S3, S3])
@@ -655,6 +655,72 @@ def test_owning_types_raise_coded_errors():
         assert err.value.code == SCHEMA and repr(sites) in str(err.value)
     rule = SumRule(["D", "E", "F"], "t_1")
     assert rule.sites == ("D", "E", "F") and hash(rule) == hash(SumRule(("D", "E", "F"), "t_1"))
+
+
+def _segment_twice():
+    d = to_dict(default_three_path())
+    d["segments"].append(d["segments"][0])
+    return from_dict(d)
+
+
+def _with(**changes):
+    return lambda: replace(default_three_path(), **changes)
+
+
+@pytest.mark.parametrize(
+    "build,code,message",
+    [
+        (lambda: Ket([[1.0, 0.0]]), None, r"ket needs a 1-d amplitude vector, got shape \(1, 2\)"),
+        (lambda: Ket([]), None, r"ket needs a 1-d amplitude vector, got shape \(0,\)"),
+        (lambda: Operator([1.0, 0.0]), None, r"operator needs a square matrix, got shape \(2,\)"),
+        (lambda: Operator([[1.0, 0.0]]), None, r"operator needs a square matrix, got shape \(1, 2\)"),
+        (_with(timeline=identity_timeline(("t_i", "t_1", "t_2", "t_3", "t_4", "t_f"), 2)), SCHEMA,
+         "pre/post dimension 3 differs from dim 2"),
+        (_with(sum_rules=(SumRule(("D", "E", "F"), "nope"),)), UNKNOWN_STAGE,
+         "sum rule at unknown stage 'nope'"),
+        (_segment_twice, SCHEMA, "segment t_i->t_1 appears twice"),
+        # Each segment passes the unitarity check; their composition does not.
+        (lambda: Timeline(("a", "b", "c", "d"), (Operator(np.diag([1 + 4.9e-11, 1.0])),) * 3),
+         NON_UNITARY_SEGMENT, "composed timeline evolution is not unitary"),
+    ],
+    ids=["ket-2d", "ket-empty", "operator-1d", "operator-not-square", "timeline-dim",
+         "sum-rule-stage", "segment-twice", "composed-evolution"],
+)
+def test_each_rejection_carries_its_code_and_message(build, code, message):
+    with pytest.raises(ContractError, match=message) as err:
+        build()
+    if code is None:
+        assert not isinstance(err.value, ScenarioError)
+    else:
+        assert isinstance(err.value, ScenarioError) and err.value.code == code
+
+
+def test_duplicate_stage_names_are_named_before_segments_are_keyed():
+    d = to_dict(default_three_path())
+    d["stages"] = ["t_i", "t_1", "t_i", "t_1", "t_4", "t_f"]
+    for seg, (a, b) in zip(d["segments"], zip(d["stages"], d["stages"][1:])):
+        seg["from"], seg["to"] = a, b
+    with pytest.raises(ScenarioError, match="duplicate stage name 't_i'") as err:
+        from_dict(d)
+    assert err.value.code == SCHEMA
+
+
+def test_the_no_click_pattern_name_is_not_a_site_label():
+    # Text output names the pattern with no clicks "(none)"; a site of that
+    # label would print its own one-site pattern the same way.
+    d = to_dict(builtin("three-path-fig1"))
+    d["sites"][3]["label"] = d["pointers"][1]["site"] = "(none)"
+    with pytest.raises(ScenarioError) as err:
+        from_dict(d)
+    assert err.value.code == SCHEMA and "site label '(none)'" in str(err.value)
+    # Only the exact name is reserved.
+    d["sites"][3]["label"] = d["pointers"][1]["site"] = "O(none)"
+    assert from_dict(d).pointers[1].site == "O(none)"
+    for label in ("a" + scenario_module.PATTERN_SEP + "b", "a,b"):
+        with pytest.raises(ScenarioError) as err:
+            replace(builtin("three-path"), sites=(Site(label, "t_1", "ket", [1.0, 0.0, 0.0]),))
+        assert err.value.code == SCHEMA and repr(label) in str(err.value)
+    assert scenario_module.NO_CLICKS == "(none)"
 
 
 # Names a text report cannot print as one plain line, and the empty name.

@@ -43,6 +43,7 @@ from wvlab.twosv import (
     PrePost,
     Timeline,
     identity_timeline,
+    sum_rule_check,
     sweep,
     transition_amplitude,
     weak_value,
@@ -199,6 +200,8 @@ def test_report_rows_and_sum_rules_are_direct_weak_value_calls(case):
         for label in rule.sites:
             total += weak_value(tl, pp, sc.site(label).projector, rule.stage).value
         assert got.total == total
+        projectors = {label: sc.site(label).projector for label in rule.sites}
+        assert got.total == sum_rule_check(tl, pp, projectors, rule.stage, sc.tolerance)
 
 
 @pytest.mark.parametrize("n_stages, dim", RANDOM_SIZES)
