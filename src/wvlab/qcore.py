@@ -22,7 +22,7 @@ from .errors import ContractError
 STRUCT_TOL = 1e-10
 # Largest |norm - 1| of a normalized state.
 NORM_TOL = 1e-12
-# Kets at most this long span no projector and cannot be normalized.
+# Kets at most this long span no projector.
 ZERO_KET_NORM = 1e-12
 # Default per-scenario tolerance: smaller amplitudes count as zero.
 DEFAULT_TOLERANCE = 1e-10
@@ -78,12 +78,6 @@ class Ket:
 
     def is_normalized(self) -> bool:
         return abs(self.norm() - 1.0) <= NORM_TOL
-
-    def normalized(self) -> Ket:
-        n = self.norm()
-        if n <= ZERO_KET_NORM:
-            raise ContractError("cannot normalize a zero ket")
-        return Ket(self.amps / n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,8 @@ tolerance. Scenarios validate themselves on construction and are
 immutable afterwards. A file entry's keys are the init fields of the
 type that builds it; a Site derives its projector from its entry's kind
 and data, so a scenario saves and loads as exactly the projectors it
-holds.
+holds. A file's bytes are json.dumps(to_dict(sc), indent=2) plus a
+newline, written one array at a time.
 
 The built-in family models a three-path interferometer: paths 1..3
 propagate freely (identity segments), sites E/F sit on paths 2/3 early,
@@ -284,34 +285,67 @@ def _pairs(arr: np.ndarray) -> list:
     return np.ascontiguousarray(arr, dtype=complex).view(np.float64).reshape(-1, 2).tolist()
 
 
-def to_dict(sc: Scenario) -> dict:
-    """Plain-JSON form of a scenario, key order fixed."""
-    segments = []
-    for k, seg in enumerate(sc.timeline.segments):
-        segments.append(
-            {
-                "from": sc.timeline.stages[k],
-                "to": sc.timeline.stages[k + 1],
-                "matrix": _pairs(seg.matrix),
-            }
-        )
-    sites = []
-    for s in sc.sites:
-        sites.append({"label": s.label, "stage": s.stage, "kind": s.kind, "data": _pairs(s.data)})
-    pointers = [{f.name: getattr(ps, f.name) for f in fields(ps) if f.init} for ps in sc.pointers]
+def _layout(sc: Scenario, array=lambda arr: arr) -> dict:
+    """A scenario's file layout, key order fixed, with each complex array as array(arr)."""
+    stages = sc.timeline.stages
     out = {
         "dim": sc.dim,
-        "stages": list(sc.timeline.stages),
-        "segments": segments,
-        "pre": _pairs(sc.prepost.pre.amps),
-        "post": _pairs(sc.prepost.post.amps),
-        "sites": sites,
-        "pointers": pointers,
+        "stages": list(stages),
+        "segments": [
+            {"from": a, "to": b, "matrix": array(seg.matrix)}
+            for a, b, seg in zip(stages, stages[1:], sc.timeline.segments)
+        ],
+        "pre": array(sc.prepost.pre.amps),
+        "post": array(sc.prepost.post.amps),
+        "sites": [
+            {"label": s.label, "stage": s.stage, "kind": s.kind, "data": array(s.data)}
+            for s in sc.sites
+        ],
+        "pointers": [
+            {f.name: getattr(ps, f.name) for f in fields(ps) if f.init} for ps in sc.pointers
+        ],
     }
     if sc.sum_rules:
         out["sum_rules"] = [{"sites": list(r.sites), "stage": r.stage} for r in sc.sum_rules]
     out["tolerance"] = sc.tolerance
     return out
+
+
+def to_dict(sc: Scenario) -> dict:
+    """Plain-JSON form of a scenario: its layout with each array as [re, im] pairs."""
+    return _layout(sc, _pairs)
+
+
+def _array_text(arr: np.ndarray, depth: int) -> str:
+    """json.dumps(_pairs(arr), indent=2) for a list that opens at the given depth.
+
+    One %r template per pair, filled from the array's Python floats in
+    one C-level pass; repr of a float is exactly what json writes.
+    """
+    flat = np.ascontiguousarray(arr, dtype=complex).view(np.float64).ravel().tolist()
+    outer, pair, num = ("\n" + "  " * k for k in (depth, depth + 1, depth + 2))
+    template = f"{pair}[{num}%r,{num}%r{pair}]"
+    return "[" + ",".join([template] * (len(flat) // 2)) % tuple(flat) + outer + "]"
+
+
+def _text_pieces(v, depth: int = 0):
+    """json.dumps(v, indent=2) at the given depth, in pieces, each array as its [re, im] pairs.
+
+    Objects and lists are opened here; each array is one piece and each
+    scalar or empty container is json's own text.
+    """
+    if isinstance(v, np.ndarray):
+        yield _array_text(v, depth)
+    elif isinstance(v, (dict, list)) and v:
+        is_dict = isinstance(v, dict)
+        opening, closing = "{}" if is_dict else "[]"
+        pad = "\n" + "  " * (depth + 1)
+        for i, (key, item) in enumerate(v.items() if is_dict else ((None, x) for x in v)):
+            yield ("," if i else opening) + pad + ("" if key is None else json.dumps(key) + ": ")
+            yield from _text_pieces(item, depth + 1)
+        yield "\n" + "  " * depth + closing
+    else:
+        yield json.dumps(v)
 
 
 # Canonical JSON settings of the checksum. to_dict builds a fresh, acyclic
@@ -497,7 +531,8 @@ def from_dict(d: dict) -> Scenario:
 
 
 def dumps(sc: Scenario) -> str:
-    return json.dumps(to_dict(sc), indent=2)
+    """Exactly json.dumps(to_dict(sc), indent=2), built one array at a time."""
+    return "".join(_text_pieces(_layout(sc)))
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -528,11 +563,11 @@ def loads(text: str) -> Scenario:
 def save(sc: Scenario, path) -> None:
     """Write sc to path as UTF-8 JSON: exactly the bytes of dumps(sc) + "\n".
 
-    The text is streamed to the file as json encodes it; only to_dict's
-    entries are held, never the whole text.
+    The text is streamed to the file one array at a time; neither the
+    whole text nor to_dict's pairs are ever held.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_dict(sc), fh, indent=2)
+        fh.writelines(_text_pieces(_layout(sc)))
         fh.write("\n")
 
 

@@ -57,6 +57,17 @@ def _crossing():
     return projector_from_ket(Ket([0.0, 1.0, 1.0]))
 
 
+
+def _unit(v) -> np.ndarray:
+    """v as a complex array scaled to norm 1."""
+    v = np.asarray(v, dtype=complex)
+    return v / np.linalg.norm(v)
+
+
+def _random_state(rng, n) -> np.ndarray:
+    """A random complex unit vector of length n."""
+    return _unit(rng.normal(size=n) + 1j * rng.normal(size=n))
+
 def _random_unitary(rng, n):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
@@ -290,13 +301,13 @@ def test_couplings_preserve_norm():
     rng = np.random.default_rng(41)
     for _ in range(30):
         n = int(rng.integers(2, 5))
-        sys = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
+        sys = Ket(_random_state(rng, n))
         specs = [
             PointerSpec(site="s", kind="strong"),
             PointerSpec(site="w", kind="weak", g=0.05, grid_size=61),
         ]
-        u = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
-        v = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
+        u = Ket(_random_state(rng, n))
+        v = Ket(_random_state(rng, n))
         couplings = [(projector_from_ket(u), "s"), (projector_from_ket(v), "w")]
         branches, _ = _couple_all(sys.amps, specs, couplings)
         assert abs(np.linalg.norm(branches) - 1.0) <= 1e-12
@@ -359,7 +370,7 @@ def test_readout_layout_is_a_fresh_scatter_of_the_conditional_branches(kinds):
     # a scatter of the normalized branches.
     rng = np.random.default_rng(7)
     specs, branches, codes = _mixed_state(rng, 4, kinds)
-    chi = Ket(rng.normal(size=4) + 1j * rng.normal(size=4)).normalized().amps
+    chi = _random_state(rng, 4)
     amps = chi.conj() @ branches
     strong, block = _postselected(branches, codes, chi, specs)
     n_weak = _n_weak(specs)
@@ -475,8 +486,8 @@ def _random_scenario(rng, n_ptr):
     dim = int(rng.integers(2, 6))
     stages = [f"t{k}" for k in range(int(rng.integers(2, 5)))]
     mats = [_random_unitary(rng, dim) for _ in stages[1:]]
-    pre = Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized().amps
-    post = Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized().amps
+    pre = _random_state(rng, dim)
+    post = _random_state(rng, dim)
     forward = [pre]
     for u in mats:
         forward.append(u @ forward[-1])
@@ -535,7 +546,7 @@ def _sparse_interferometer(rng, n_ptr):
     pre = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     pre[rng.choice(dim, size=int(rng.integers(1, dim)), replace=False)] = 0.0
     pre = pre / np.linalg.norm(pre)
-    post = Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized().amps
+    post = _random_state(rng, dim)
     forward = [pre]
     for u in mats:
         forward.append(u @ forward[-1])
@@ -656,7 +667,7 @@ def test_twenty_strong_pointers_on_a_sparse_interferometer_match_the_dephasing_c
         for stage, path in slots[:n_ptr]
     ]
     pre, post = (
-        Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized().amps for _ in range(2)
+        _random_state(rng, dim) for _ in range(2)
     )
     pointers = [{"site": site["label"], "kind": "strong"} for site in rng.permutation(sites)]
     sc = _assemble(dim, stages, mats, pre, post, sites, pointers)
@@ -698,7 +709,7 @@ def test_sparse_disturbance_rows_at_sixteen_pointers_match_the_dense_oracle():
     splitter[:2, :2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     mats = [eye, eye, splitter, eye, eye]
     pre = np.array([0.6, 0.48, 0.64, 0.0])
-    back = Ket([0.0, 0.7, 0.5 - 0.2j, 0.3j]).normalized().amps
+    back = _unit([0.0, 0.7, 0.5 - 0.2j, 0.3j])
     sites = [
         {"label": f"k{k}p{j}", "stage": f"t{k}", "kind": "ket", "data": _pairs(eye[j])}
         for k in range(1, 5)
@@ -725,7 +736,7 @@ def _mixed_state(rng, dim, kinds):
     specs = [
         PointerSpec(site=f"r{k}", kind=kind, g=0.2, grid_size=31) for k, kind in enumerate(kinds)
     ]
-    psi = Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized()
+    psi = Ket(_random_state(rng, dim))
     couplings = [
         (projector_from_ket(Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim))), spec.site)
         for spec in specs
@@ -737,7 +748,7 @@ def test_pattern_keys_come_in_ndindex_order():
     rng = np.random.default_rng(5)
     kinds = ("strong", "weak", "strong", "strong", "weak", "strong", "strong")
     specs, branches, codes = _mixed_state(rng, 3, kinds)
-    chi = Ket(rng.normal(size=3) + 0j).normalized().amps
+    chi = _unit(rng.normal(size=3) + 0j)
     live, block = _postselected(branches, codes, chi, specs)
     strong = [f"r{k}" for k, kind in enumerate(kinds) if kind == "strong"]
     order = [
@@ -835,7 +846,7 @@ def _dense_strong_scenario(n, dim=9):
     stages = [f"t{k}" for k in range(4)]
     mats = [_random_unitary(rng, dim) for _ in stages[1:]]
     pre, post = (
-        Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized().amps for _ in range(2)
+        _random_state(rng, dim) for _ in range(2)
     )
     sites = [
         {"label": f"s{k}", "stage": stages[k % 3], "kind": "ket",
@@ -908,7 +919,7 @@ def test_click_patterns_hold_only_values_above_the_floor():
         (Operator(np.zeros((2, 2))), "C"),
         (identity(2), "W"),
     ]
-    _, layout, stats = _package_run([0.0, 1.0], Ket([1.0, 1.0]).normalized().amps, couplings, specs)
+    _, layout, stats = _package_run([0.0, 1.0], _unit([1.0, 1.0]), couplings, specs)
     joint = (np.abs(layout) ** 2).sum(axis=-1)
     assert 0.0 < joint[1, 0] < PATTERN_FLOOR
     assert list(stats["patterns"]) == [()]
@@ -932,7 +943,7 @@ def _lone_detector_scenario(rng):
     stages = tuple(f"t{k}" for k in range(int(rng.integers(2, 11))))
     mats = [_random_unitary(rng, dim) for _ in stages[1:]]
     pre, post = (
-        Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized().amps for _ in range(2)
+        _random_state(rng, dim) for _ in range(2)
     )
     forward, backward = [pre], [post]
     for u, u_back in zip(mats, reversed(mats)):

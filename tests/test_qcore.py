@@ -71,26 +71,9 @@ def test_non_finite_entries_rejected():
         Operator([[np.inf, 0.0], [0.0, 1.0]])
 
 
-def test_normalized_rejects_zero_and_scales():
-    k = Ket([3.0, 4.0])
-    assert np.isclose(k.normalized().norm(), 1.0)
-    rng = np.random.default_rng(23)
-    for n in (2, 3, 4):
-        out = Ket(rng.normal(size=n) + 1j * rng.normal(size=n)).normalized()
-        assert np.all(np.isfinite(out.amps))
-        assert np.isclose(out.norm(), 1.0)
-    with pytest.raises(ContractError):
-        Ket([0.0, 0.0]).normalized()
-
-
-def test_one_zero_ket_floor_for_projectors_and_normalizing():
-    # A ket at or below ZERO_KET_NORM spans no projector and cannot be
-    # normalized; one just above it does both.
-    short = Ket([1e-13, 0.0])
-    with pytest.raises(ContractError, match="zero ket"):
-        short.normalized()
+def test_one_zero_ket_floor_for_projectors():
+    # A ket at or below ZERO_KET_NORM spans no projector; one just above
+    # it does.
     with pytest.raises(ContractError, match="norm 1e-13"):
-        projector_from_ket(short)
-    longer = Ket([10 * ZERO_KET_NORM, 0.0])
-    assert np.isclose(longer.normalized().norm(), 1.0)
-    assert projector_from_ket(longer).is_projector()
+        projector_from_ket(Ket([1e-13, 0.0]))
+    assert projector_from_ket(Ket([10 * ZERO_KET_NORM, 0.0])).is_projector()

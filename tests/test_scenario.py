@@ -177,9 +177,12 @@ def test_round_trip_through_dict_and_text():
 def test_round_trip_through_file(tmp_path):
     path = tmp_path / "scenario.json"
     for name, sc in _file_scenarios():
+        # dumps is json's indent=2 text of to_dict byte for byte, and save
+        # streams exactly that text + "\n".
+        text = json.dumps(to_dict(sc), indent=2)
+        assert dumps(sc) == text, name
         save(sc, path)
-        # save streams exactly the bytes of dumps(sc) + "\n".
-        assert path.read_bytes() == (dumps(sc) + "\n").encode("utf-8"), name
+        assert path.read_bytes() == (text + "\n").encode("utf-8"), name
         loaded = load(path)
         assert to_dict(loaded) == to_dict(sc), name
         assert loaded.checksum == resolve(str(path)).checksum == sc.checksum, name
@@ -550,6 +553,28 @@ def _seeded_d5_scenario() -> Scenario:
     })
 
 
+def _edge_float_scenario() -> Scenario:
+    """Floats whose repr takes every form, and names json must escape.
+
+    The ket site holds -0.0, the smallest subnormal, exponent forms and
+    inexact decimals; the segment -1 writes -0.0 off its diagonal; the
+    stage names and site labels hold '"', '\\' and non-ASCII text.
+    """
+    edge = [complex(-0.0, 5e-324), complex(1e-7, 1e16), complex(1e22, 0.1), complex(1 / 3, -0.0)]
+    stages = ("a", 'b"\\', "ç")
+    sites = (
+        Site('é"\\', stages[1], "ket", edge),
+        Site("Ω", stages[2], "matrix", np.diag([1.0, 0.0, 1.0, 0.0])),
+    )
+    return Scenario(
+        timeline=Timeline(stages, (Operator(-np.eye(4)), identity(4))),
+        prepost=PrePost(Ket([1.0, 0.0, 0.0, 0.0]), Ket([0.6, 0.8j, 0.0, 0.0])),
+        sites=sites,
+        pointers=(PointerSpec('é"\\', "weak", g=0.1),),
+        tolerance=1e-7,
+    )
+
+
 FOUR_LEVEL = os.path.join(os.path.dirname(__file__), "data", "four_level.json")
 
 
@@ -567,6 +592,7 @@ def _file_scenarios():
     yield "no-sum-rules", _random_file_scenario(rng, sum_rule=False)
     yield "bare", _random_file_scenario(rng, pointers=False, sum_rule=False)
     yield "non-ascii", _random_file_scenario(rng, stage="τ₂", label="Ω")
+    yield "edge-floats", _edge_float_scenario()
 
 
 def test_checksum_is_the_sha256_of_default_flag_canonical_json():
@@ -807,8 +833,8 @@ def test_pointer_numbers_must_be_finite_and_bounded(field, value):
 # A 0.7 MB timeline file of 59 segments. The checksum holds one top-level
 # entry at a time: at most one segment, under 2% of the text, which json's
 # C encoder in Python 3.10 and 3.11 holds about five times over while it
-# encodes it. save holds a few small chunks. A quarter of the text is thus
-# far above what either holds and far below the whole text.
+# encodes it. save holds one array's text at a time. A quarter of the text
+# is thus far above what either holds and far below the whole text.
 
 
 @pytest.fixture(scope="module")
@@ -852,6 +878,15 @@ def test_save_holds_no_copy_of_the_text(big_timeline, tmp_path):
     _, peak = _traced(lambda: save(sc, again))
     assert again.read_bytes() == path.read_bytes()
     assert peak - to_dict_peak < path.stat().st_size / 4
+
+
+def test_save_builds_no_pair_lists(big_timeline, tmp_path):
+    # save writes each array from its floats; to_dict's [re, im] lists,
+    # about 1 MB here, are never built.
+    sc, _ = big_timeline
+    _, to_dict_peak = _traced(lambda: to_dict(sc))
+    _, peak = _traced(lambda: save(sc, tmp_path / "again.json"))
+    assert peak < to_dict_peak / 4
 
 
 def test_checksum_holds_no_copy_of_the_canonical_text(big_timeline):
