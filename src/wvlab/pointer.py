@@ -138,10 +138,14 @@ class PointerSpec:
             e1 = resid / rn
         else:
             # Kicked packet coincides with ready; pick any orthogonal
-            # completion so the factor stays 2-dim.
-            e1 = q * ready
-            e1 = e1 - np.dot(ready, e1) * ready
-            e1 = e1 / np.linalg.norm(e1)
+            # completion so the factor stays 2-dim. A packet on one grid
+            # point has none: q * ready is then parallel to it, or zero.
+            along = q * ready
+            e1 = along - np.dot(ready, along) * ready
+            en = float(np.linalg.norm(e1))
+            if not en > WEAK_BASIS_FLOOR * np.linalg.norm(along):
+                self._reject("grid too coarse: the packet sits on one grid point")
+            e1 = e1 / en
         basis = np.vstack([ready, e1])
         factor = dict(
             moved_coeffs=np.array([ov, rn]),

@@ -41,7 +41,8 @@ MAX_LIVE_AMPLITUDES = 2**26
 # Weak-pointer sigma lies in [1/MAX_POINTER_SCALE, MAX_POINTER_SCALE] and
 # grid_extent in (0, MAX_POINTER_SCALE], so squared positions stay finite.
 MAX_POINTER_SCALE = 1e50
-# Kicked and ready packets closer than this share one direction.
+# Kicked and ready packets closer than this share one direction, and a
+# completion of the ready packet shorter than this, relative to q * ready, is none.
 WEAK_BASIS_FLOOR = 1e-8
 # Click patterns at or below this probability are left out of reports.
 PATTERN_FLOOR = 1e-12

@@ -9,7 +9,8 @@ immutable afterwards. A file entry's keys are the init fields of the
 type that builds it; a Site derives its projector from its entry's kind
 and data, so a scenario saves and loads as exactly the projectors it
 holds. A file's bytes are json.dumps(to_dict(sc), indent=2) plus a
-newline, written one array at a time.
+newline, written one array at a time; the checksum hashes the same
+writer's text in json's canonical dialect (sorted keys, no spaces).
 
 The built-in family models a three-path interferometer: paths 1..3
 propagate freely (identity segments), sites E/F sit on paths 2/3 early,
@@ -196,14 +197,15 @@ class Scenario:
 
     @cached_property
     def checksum(self) -> str:
-        """SHA-256 of to_dict's canonical JSON, hashed one entry at a time.
+        """SHA-256 of to_dict's canonical JSON, hashed one array's text at a time.
 
         The canonical JSON is json.dumps(to_dict(sc), sort_keys=True,
-        separators=(",", ":")). It is fed to the hash one top-level list
-        entry at a time, so the whole text is never held.
+        separators=(",", ":")). The file's writer writes it in the
+        canonical dialect from the layout, so neither to_dict's [re, im]
+        lists nor the whole text is ever held.
         """
         digest = hashlib.sha256()
-        for piece in _canonical_pieces(to_dict(self)):
+        for piece in _text_pieces(_layout(self), canonical=True):
             digest.update(piece.encode("utf-8"))
         return digest.hexdigest()
 
@@ -316,60 +318,46 @@ def to_dict(sc: Scenario) -> dict:
     return _layout(sc, _pairs)
 
 
-def _array_text(arr: np.ndarray, depth: int) -> str:
-    """json.dumps(_pairs(arr), indent=2) for a list that opens at the given depth.
+def _array_text(arr: np.ndarray, pads) -> str:
+    """The JSON text of _pairs(arr), pads going before its "]", each pair and each number.
 
     One %r template per pair, filled from the array's Python floats in
     one C-level pass; repr of a float is exactly what json writes.
     """
     flat = np.ascontiguousarray(arr, dtype=complex).view(np.float64).ravel().tolist()
-    outer, pair, num = ("\n" + "  " * k for k in (depth, depth + 1, depth + 2))
+    outer, pair, num = pads
     template = f"{pair}[{num}%r,{num}%r{pair}]"
     return "[" + ",".join([template] * (len(flat) // 2)) % tuple(flat) + outer + "]"
 
 
-def _text_pieces(v, depth: int = 0):
-    """json.dumps(v, indent=2) at the given depth, in pieces, each array as its [re, im] pairs.
+def _text_pieces(v, canonical: bool, depth: int = 0):
+    """The JSON text of a non-empty dict or list v at the given depth in pieces.
 
-    Objects and lists are opened here; each array is one piece and each
-    scalar or empty container is json's own text.
+    The file's dialect is json.dumps(v, indent=2); the canonical one, of
+    the checksum, json.dumps(v, sort_keys=True, separators=(",", ":")).
+    Each array is written as its [re, im] pairs in one piece with its
+    key, and so is each scalar or empty container, as json's own text.
     """
-    if isinstance(v, np.ndarray):
-        yield _array_text(v, depth)
-    elif isinstance(v, (dict, list)) and v:
-        is_dict = isinstance(v, dict)
-        opening, closing = "{}" if is_dict else "[]"
-        pad = "\n" + "  " * (depth + 1)
-        for i, (key, item) in enumerate(v.items() if is_dict else ((None, x) for x in v)):
-            yield ("," if i else opening) + pad + ("" if key is None else json.dumps(key) + ": ")
-            yield from _text_pieces(item, depth + 1)
-        yield "\n" + "  " * depth + closing
+
+    def newline(k):
+        return "" if canonical else "\n" + "  " * (depth + k)
+
+    if isinstance(v, dict):
+        opening, closing, colon = "{", "}", ":" if canonical else ": "
+        items = ((json.dumps(k) + colon, v[k]) for k in (sorted(v) if canonical else v))
     else:
-        yield json.dumps(v)
-
-
-# Canonical JSON settings of the checksum. to_dict builds a fresh, acyclic
-# dict, so the cycle check is skipped; without indent, encode runs json's
-# C encoder.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
-
-
-def _canonical_pieces(d: dict):
-    """The canonical JSON text of d, in pieces: one per top-level list entry."""
-    encode = _CANONICAL.encode
-    for i, key in enumerate(sorted(d)):
-        yield ("," if i else "{") + encode(key) + ":"
-        val = d[key]
-        if isinstance(val, list):
-            yield "["
-            for j, entry in enumerate(val):
-                if j:
-                    yield ","
-                yield encode(entry)
-            yield "]"
+        opening, closing, items = "[", "]", (("", x) for x in v)
+    pad = newline(1)
+    for i, (key, item) in enumerate(items):
+        head = ("," if i else opening) + pad + key
+        if isinstance(item, np.ndarray):
+            yield head + _array_text(item, map(newline, (1, 2, 3)))
+        elif isinstance(item, (dict, list)) and item:
+            yield head
+            yield from _text_pieces(item, canonical, depth + 1)
         else:
-            yield encode(val)
-    yield "}"
+            yield head + json.dumps(item)
+    yield newline(0) + closing
 
 
 def _object(x, where: str, keys: frozenset) -> dict:
@@ -532,7 +520,7 @@ def from_dict(d: dict) -> Scenario:
 
 def dumps(sc: Scenario) -> str:
     """Exactly json.dumps(to_dict(sc), indent=2), built one array at a time."""
-    return "".join(_text_pieces(_layout(sc)))
+    return "".join(_text_pieces(_layout(sc), canonical=False))
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -567,7 +555,7 @@ def save(sc: Scenario, path) -> None:
     whole text nor to_dict's pairs are ever held.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_text_pieces(_layout(sc)))
+        fh.writelines(_text_pieces(_layout(sc), canonical=False))
         fh.write("\n")
 
 

@@ -508,6 +508,27 @@ def test_render_text_keeps_fields_apart():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
+    "grid",
+    [
+        dict(g=0.0, grid_size=3, grid_extent=1e6),
+        dict(g=0.0, grid_extent=5e-324),
+        dict(g=1e-5, grid_size=3, grid_extent=1e6),
+        dict(g=0.0, grid_size=3, grid_extent=40.0),
+    ],
+)
+def test_validate_refuses_a_packet_on_one_grid_point(capsys, tmp_path, grid):
+    d = to_dict(builtin("three-path-allweak"))
+    for entry in d["pointers"]:
+        entry.update(grid)
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", "--scenario", str(path))
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.startswith("validation error [schema]: pointer at 'E': grid too coarse")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
     "where,key,value,needle",
     [
         ("pre", 0, [float("nan"), 0.0], "pre[0]"),

@@ -188,6 +188,15 @@ def test_weak_register_with_zero_g_stays_two_dimensional():
     assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma", [1e-50, 1.0, 1e50])
+def test_three_points_at_five_sigma_resolve_a_packet_at_any_scale(sigma):
+    # The one-grid-point refusal is relative, so no scale is refused for it.
+    spec = PointerSpec(site="O", kind="weak", g=0.0, sigma=sigma, grid_size=3, grid_extent=5.0)
+    gram = spec.basis @ spec.basis.T
+    assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
+
+
 def test_translation_off_the_grid_is_rejected():
     # The spec itself refuses a grid the kick would leave, so no
     # register is ever built from it.
@@ -1003,3 +1012,73 @@ def test_lone_strong_detector_is_silent_exactly_where_the_weak_value_is_null():
         sc = _lone_detector_scenario(rng)
         nulls += sum(_check_lone_detector(sc, site) for site in sc.sites)
     assert nulls >= 150
+
+
+# --- the paper's claim as an exact law: a lone pointer of either kind --------
+
+
+def _lone_pointer_draw(rng, null):
+    """Random timeline (d 2-6, 2-7 stages) with one rank-1 site at a random stage.
+
+    Returns the scenario, without pointers, the site's ket v, and the pre
+    and post states carried to its stage. A null site's ket is orthogonal
+    to the post state there, so its transition amplitude vanishes.
+    """
+    dim = int(rng.integers(2, 7))
+    stages = tuple(f"t{k}" for k in range(int(rng.integers(2, 8))))
+    mats = [_random_unitary(rng, dim) for _ in stages[1:]]
+    pre, post = _random_state(rng, dim), _random_state(rng, dim)
+    s = int(rng.integers(len(stages)))
+    pre_t, post_t = pre, post
+    for u in mats[:s]:
+        pre_t = u @ pre_t
+    for u in reversed(mats[s:]):
+        post_t = u.conj().T @ post_t
+    v = _random_state(rng, dim)
+    if null:
+        v = _unit(v - post_t * np.vdot(post_t, v))
+    sc = Scenario(
+        timeline=Timeline(stages, tuple(Operator(u) for u in mats)),
+        prepost=PrePost(Ket(pre), Ket(post)),
+        sites=(Site("s", stages[s], "ket", v),),
+    )
+    return sc, v, pre_t, post_t
+
+
+def test_a_lone_pointer_reads_exactly_a_ready_plus_tau_kicked():
+    # Law 1: with tau = <post(t)|P|pre(t)> and a = <post(t)|pre(t)> - tau,
+    # the postselected pointer state is exactly a|ready> + tau|kicked>, at
+    # any g. A strong pointer clicks at |tau|^2 / (|a|^2 + |tau|^2); a null
+    # tau leaves a weak packet exactly unshifted, not only to first order.
+    q = np.linspace(-12.0, 12.0, 401)
+    ready = _unit(np.exp(-(q**2) / 4.0))
+    weak = {
+        g: PointerSpec(site="s", kind="weak", g=g, grid_size=401, grid_extent=12.0)
+        for g in (0.01, 0.1, 0.5, 0.9)
+    }
+    rng = np.random.default_rng(20261019)
+    for draw in range(60):
+        null = draw % 2 == 1
+        sc, v, pre_t, post_t = _lone_pointer_draw(rng, null)
+        tau = np.vdot(post_t, v) * np.vdot(v, pre_t)
+        a = np.vdot(post_t, pre_t) - tau
+        site = sc.sites[0]
+        engine_tau = transition_amplitude(sc.timeline, sc.prepost, site.projector, site.stage)
+        assert abs(tau - engine_tau) <= 1e-13
+        rep = run_pointers(replace(sc, pointers=(PointerSpec(site="s", kind="strong"),)))
+        assert not rep.degenerate
+        assert abs(rep.clicks["s"] - abs(tau) ** 2 / (abs(a) ** 2 + abs(tau) ** 2)) <= 1e-13
+        for g, spec in weak.items():
+            psi = a * ready + tau * _unit(np.exp(-((q - g) ** 2) / 4.0))
+            norm2 = float(np.sum(np.abs(psi) ** 2))
+            dist = np.abs(psi) ** 2 / norm2
+            mean = float(dist @ q)
+            rep = run_pointers(replace(sc, pointers=(spec,)))
+            stats = rep.weak_stats["s"]
+            assert not rep.degenerate
+            assert abs(rep.postselection_probability - norm2) <= 1e-13
+            assert abs(stats.mean - mean) <= 1e-13
+            assert abs(stats.variance - (float(dist @ q**2) - mean**2)) <= 1e-13
+            assert np.max(np.abs(stats.probabilities - dist)) <= 1e-13
+            if null:
+                assert abs(tau) <= 1e-13 and abs(stats.mean) <= 1e-13

@@ -829,12 +829,32 @@ def test_pointer_numbers_must_be_finite_and_bounded(field, value):
     assert err.value.code == SCHEMA and field in str(err.value)
 
 
+# Each a weak packet on one grid point, every number inside README's bounds.
+ONE_POINT_GRIDS = [
+    dict(g=0.0, grid_size=3, grid_extent=1e6),
+    dict(g=0.0, grid_extent=5e-324),
+    dict(g=1e-5, grid_size=3, grid_extent=1e6),
+    dict(g=0.0, grid_size=3, grid_extent=40.0),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("grid", ONE_POINT_GRIDS)
+def test_a_packet_on_one_grid_point_is_refused(grid):
+    d = to_dict(builtin("three-path-allweak"))
+    for entry in d["pointers"]:
+        entry.update(grid)
+    with pytest.raises(ScenarioError) as err:
+        from_dict(d)
+    assert err.value.code == SCHEMA and "grid too coarse" in str(err.value)
+
+
 # --- streaming file I/O -----------------------------------------------------
-# A 0.7 MB timeline file of 59 segments. The checksum holds one top-level
-# entry at a time: at most one segment, under 2% of the text, which json's
-# C encoder in Python 3.10 and 3.11 holds about five times over while it
-# encodes it. save holds one array's text at a time. A quarter of the text
-# is thus far above what either holds and far below the whole text.
+# A 0.7 MB timeline file of 59 segments, whose to_dict [re, im] lists take
+# about 1 MB. save and the checksum hold one array's text at a time: at most
+# one segment's matrix, under 2% of the text. A quarter of the text, or of
+# to_dict's peak, is thus far above what either holds and far below the
+# whole text or the lists.
 
 
 @pytest.fixture(scope="module")
@@ -886,6 +906,16 @@ def test_save_builds_no_pair_lists(big_timeline, tmp_path):
     sc, _ = big_timeline
     _, to_dict_peak = _traced(lambda: to_dict(sc))
     _, peak = _traced(lambda: save(sc, tmp_path / "again.json"))
+    assert peak < to_dict_peak / 4
+
+
+def test_checksum_builds_no_pair_lists(big_timeline):
+    # Like save, the checksum writes each array from its floats; to_dict's
+    # [re, im] lists are never built.
+    sc, _ = big_timeline
+    _, to_dict_peak = _traced(lambda: to_dict(sc))
+    fresh = replace(sc)  # a new object, so the checksum is not cached
+    _, peak = _traced(lambda: fresh.checksum)
     assert peak < to_dict_peak / 4
 
 
