@@ -132,9 +132,9 @@ def _render_weak_values(report: RunReport, lines: list) -> None:
 
 def render_text(report: RunReport) -> str:
     lines = []
-    lines.append(f"scenario: dim {report.dim}, stages {' '.join(report.stages)}")
+    lines.append(f"scenario: dim {report.dim}, stages {' '.join(report.scenario.timeline.stages)}")
     lines.append(f"checksum: {report.checksum}")
-    lines.append(f"tolerance: {_fnum(report.tolerance)}")
+    lines.append(f"tolerance: {_fnum(report.scenario.tolerance)}")
     lines.append(f"postselection probability: {_fnum(report.postselection_probability)}")
     if report.degenerate:
         lines.append("degenerate postselection: conditional statistics unavailable")

@@ -1,10 +1,10 @@
 """Experiment execution: weak-value tables, pointer runs, disturbance.
 
-Each run is a pure function of a Scenario and produces a RunReport.
-Reports serialize to a schema-stable JSON dict with fixed top-level
-keys (scenario, weak_values, postselection_probability, clicks,
-patterns, weak_stats, disturbance, tolerance). Every row in it is its
-result type (WeakValueResult, SumRuleResult, WeakPointerStats,
+Each run is a pure function of a Scenario and produces a RunReport
+that holds it. Reports serialize to a schema-stable JSON dict with
+fixed top-level keys (scenario, weak_values, postselection_probability,
+clicks, patterns, weak_stats, disturbance, tolerance). Every row in it
+is its result type (WeakValueResult, SumRuleResult, WeakPointerStats,
 DisturbanceRow) written as that type's fields, in declaration order.
 """
 
@@ -59,18 +59,15 @@ class DisturbanceRow:
 class RunReport:
     """Everything one analysis produced, ready for rendering.
 
-    patterns maps tuples of clicked strong sites (register order) to
-    joint conditional probabilities; their values are model-derived,
-    not quoted from elsewhere, and patterns at or below PATTERN_FLOOR
-    are omitted. coupling_order records the order in which pointer
-    couplings were applied. A section no pointer run filled stays empty.
+    scenario is the one the run read; its checksum is hashed when an
+    output first reads it. patterns maps tuples of clicked strong sites
+    (register order) to model-derived joint conditional probabilities,
+    omitting those at or below PATTERN_FLOOR. coupling_order is the
+    order the couplings ran in. A section no pointer run filled stays empty.
     """
 
-    checksum: str
-    dim: int
-    stages: tuple[str, ...]
+    scenario: Scenario
     coupling_order: tuple[str, ...] = ()
-    tolerance: float
     weak_values: tuple[WeakValueResult, ...]
     sum_rules: tuple[SumRuleResult, ...]
     postselection_probability: float
@@ -79,6 +76,14 @@ class RunReport:
     patterns: dict[tuple[str, ...], float] = field(default_factory=dict)
     weak_stats: dict[str, WeakPointerStats] = field(default_factory=dict)
     disturbance: tuple[DisturbanceRow, ...] = ()
+
+    @property
+    def checksum(self) -> str:
+        return self.scenario.checksum
+
+    @property
+    def dim(self) -> int:
+        return self.scenario.dim
 
 
 def _base_report(sc: Scenario, **sections) -> RunReport:
@@ -94,10 +99,7 @@ def _base_report(sc: Scenario, **sections) -> RunReport:
     )
     own = dict(postselection_probability=float(abs(amp) ** 2), degenerate=degenerate)
     return RunReport(
-        checksum=sc.checksum,
-        dim=sc.dim,
-        stages=tl.stages,
-        tolerance=sc.tolerance,
+        scenario=sc,
         weak_values=tuple(
             weak_value(tl, pp, site.projector, site.stage, site=site.label, tol=sc.tolerance)
             for site in sc.sites
@@ -228,7 +230,7 @@ def report_to_dict(report: RunReport) -> dict:
         "scenario": {
             "checksum": report.checksum,
             "dim": report.dim,
-            "stages": list(report.stages),
+            "stages": list(report.scenario.timeline.stages),
             "coupling_order": list(report.coupling_order),
             "degenerate": bool(report.degenerate),
             "patterns_provenance": "model-derived",
@@ -239,5 +241,5 @@ def report_to_dict(report: RunReport) -> dict:
         "patterns": _plain(report.patterns),
         "weak_stats": _plain(report.weak_stats),
         "disturbance": _plain(report.disturbance),
-        "tolerance": float(report.tolerance),
+        "tolerance": float(report.scenario.tolerance),
     }

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from builders import random_state, random_unitary
 from wvlab.cli import EXIT_OK, main
 from wvlab.pointer import READY_CODE, PointerSpec, couple
 from wvlab.qcore import Ket, Operator, projector_from_ket
@@ -144,17 +145,6 @@ def test_criterion_5_weak_pointer_law():
             assert r_half <= r_full / 3.0, site
 
 
-def _random_unitary(rng, dim: int):
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _random_state(rng, dim: int):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
 def test_criterion_6_property_suite():
     with criterion(6, "500 random scenarios: sum rule, null equivalence, norms, oracle"):
         rng = np.random.default_rng(20260815)
@@ -162,13 +152,13 @@ def test_criterion_6_property_suite():
         for _ in range(500):
             dim = int(rng.integers(2, 6))
             stages = ("t_i", "t_1", "t_2", "t_f")
-            mats = [_random_unitary(rng, dim) for _ in stages[:-1]]
+            mats = [random_unitary(rng, dim) for _ in stages[:-1]]
             tl = Timeline(stages, tuple(Operator(m) for m in mats))
-            pre = _random_state(rng, dim)
+            pre = random_state(rng, dim)
             u_total = mats[2] @ mats[1] @ mats[0]
-            post = _random_state(rng, dim)
+            post = random_state(rng, dim)
             while abs(np.vdot(post, u_total @ pre)) <= 0.05:
-                post = _random_state(rng, dim)
+                post = random_state(rng, dim)
             pp = PrePost(Ket(pre), Ket(post))
             k = int(rng.integers(0, len(stages)))
             stage = stages[k]
@@ -188,7 +178,7 @@ def test_criterion_6_property_suite():
             assert abs(total - 1.0) <= 1e-9
 
             # Generic rank-1 site: engine equals the raw matrix-product formula.
-            v = _random_state(rng, dim)
+            v = random_state(rng, dim)
             proj = projector_from_ket(Ket(v))
             res = weak_value(tl, pp, proj, stage)
             den = np.vdot(post, u_total @ pre)
@@ -201,7 +191,7 @@ def test_criterion_6_property_suite():
 
             # Engineered null site: vanishing amplitude and vanishing weak value.
             back = u_after.conj().T @ post
-            w = _random_state(rng, dim)
+            w = random_state(rng, dim)
             w_null = w - back * np.vdot(back, w)
             if np.linalg.norm(w_null) > 1e-6:
                 null_proj = projector_from_ket(Ket(w_null))

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from builders import dense_strong, weak_on_empty_path, with_path_detectors
 from wvlab.cli import (
     EXIT_DEGENERATE,
     EXIT_IO,
@@ -230,7 +231,7 @@ def test_corrupt_file_exits_validation(capsys, tmp_path):
 
 
 def test_degenerate_scenario_exits_3_but_reports(capsys, tmp_path):
-    d = to_dict(default_three_path())
+    d = to_dict(builtin("three-path-fig1"))  # strong pointers at D and O
     s2 = 0.5**0.5
     d["post"] = [[0.0, 0.0], [s2, 0.0], [-s2, 0.0]]
     path = tmp_path / "degenerate.json"
@@ -240,6 +241,15 @@ def test_degenerate_scenario_exits_3_but_reports(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["scenario"]["degenerate"] is True
     assert all(row["value"] is None for row in payload["weak_values"]["table"])
+    code, out, err = run_cli(capsys, "weak-values", "--scenario", str(path), "--format", "text")
+    assert code == EXIT_DEGENERATE
+    lines = out.splitlines()
+    assert "degenerate postselection: conditional statistics unavailable" in lines
+    rows = lines[lines.index("weak values:") + 2:]
+    assert [row.split()[2] for row in rows] == ["undefined"] * len(d["sites"])
+    code, out, err = run_cli(capsys, "run", "--scenario", str(path), "--format", "text")
+    assert code == EXIT_DEGENERATE
+    assert "postselection probability: 0" in out.splitlines()
 
 
 def _tolerance_edge_scenario():
@@ -353,93 +363,17 @@ def test_unwritable_out_exits_io(capsys, tmp_path):
         assert "cannot write output" in err
 
 
-def _with_path_detectors(n):
-    """The three-path scenario as a dict, plus n strong detectors on path projectors."""
-    d = to_dict(default_three_path())
-    stages = d["stages"]
-    for k in range(n):
-        data = [[0.0, 0.0]] * d["dim"]
-        data[k // len(stages) % d["dim"]] = [1.0, 0.0]
-        d["sites"].append({"label": f"x{k}", "stage": stages[k % len(stages)], "kind": "ket",
-                           "data": data})
-        d["pointers"].append({"site": f"x{k}", "kind": "strong"})
-    return d
-
-
-def _pairs(vec):
-    return [[float(z.real), float(z.imag)] for z in np.ravel(vec)]
-
-
-def _pointer_file(dim, stages, mats, pre, post, sites, pointers):
-    return {
-        "dim": dim,
-        "stages": stages,
-        "segments": [
-            {"from": a, "to": b, "matrix": _pairs(u)} for a, b, u in zip(stages, stages[1:], mats)
-        ],
-        "pre": _pairs(pre),
-        "post": _pairs(post),
-        "sites": sites,
-        "pointers": pointers,
-    }
-
-
-def _dense_strong_file(n, dim=9):
-    """n strong pointers on random rank-1 sites behind random segments.
-
-    No coupling leaves a branch exactly zero, so the live amplitudes
-    double with every coupling. The site "null" is orthogonal to the
-    post state at the last stage, after every coupling.
-    """
-    rng = np.random.default_rng(n)
-
-    def vec():
-        return rng.normal(size=dim) + 1j * rng.normal(size=dim)
-
-    stages = ["t0", "t1", "t2", "t3"]
-    mats = [np.linalg.qr(np.array([vec() for _ in range(dim)]))[0] for _ in stages[1:]]
-    pre, post = (v / np.linalg.norm(v) for v in (vec(), vec()))
-    sites = [
-        {"label": f"s{k}", "stage": stages[k % 3], "kind": "ket", "data": _pairs(vec())}
-        for k in range(n)
-    ]
-    v = vec()
-    sites.append({"label": "null", "stage": "t3", "kind": "ket",
-                  "data": _pairs(v - np.vdot(post, v) * post)})
-    pointers = [{"site": f"s{k}", "kind": "strong"} for k in range(n)]
-    return _pointer_file(dim, stages, mats, pre, post, sites, pointers)
-
-
-def _weak_on_empty_path_file(n):
-    """n weak pointers on path 2, which carries no amplitude.
-
-    The readout block spans all 2**n weak codes. The site "z" on path 0
-    is null because the post state misses that path, so its disturbance
-    rerun keeps a live branch.
-    """
-    eye = np.eye(3)
-    stages = ["t0", "t1", "t2", "t3"]
-    sites = [
-        {"label": f"e{k}", "stage": stages[k % 4], "kind": "ket", "data": _pairs(eye[2])}
-        for k in range(n)
-    ]
-    sites.append({"label": "z", "stage": "t1", "kind": "ket", "data": _pairs(eye[0])})
-    pointers = [{"site": f"e{k}", "kind": "weak", "g": 0.2, "grid_size": 31} for k in range(n)]
-    pre, post = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0), np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
-    return _pointer_file(3, stages, [eye] * 3, pre, post, sites, pointers)
-
-
 def test_oversize_pointer_set_validates_but_does_not_run(capsys, tmp_path):
     path = tmp_path / "forty.json"
-    path.write_text(json.dumps(_with_path_detectors(40)), encoding="utf-8")
+    path.write_text(json.dumps(with_path_detectors(40)), encoding="utf-8")
     assert run_cli(capsys, "run", "--scenario", str(path))[0] == EXIT_OK
     bound = "over the limit of 67108864"
     for name, d, summary, problem in (
-        ("sixty-four", _with_path_detectors(64), "dim 3, 6 stages, 71 sites, 64 pointers",
+        ("sixty-four", with_path_detectors(64), "dim 3, 6 stages, 71 sites, 64 pointers",
          "64 pointer registers exceed the limit of 63"),
-        ("dense", _dense_strong_file(30), "dim 9, 4 stages, 31 sites, 30 pointers",
+        ("dense", dense_strong(30), "dim 9, 4 stages, 31 sites, 30 pointers",
          f"a coupling would hold 75497472 amplitudes, {bound}"),
-        ("weak", _weak_on_empty_path_file(30), "dim 3, 4 stages, 31 sites, 30 pointers",
+        ("weak", weak_on_empty_path(30), "dim 3, 4 stages, 31 sites, 30 pointers",
          f"the readout block would hold 1073741824 amplitudes, {bound}"),
     ):
         path = tmp_path / f"{name}.json"
@@ -482,11 +416,8 @@ def test_render_text_keeps_fields_apart():
     assert len(wide) == 31
     label, stage = "longsite", "longstage"
     report = RunReport(
-        checksum="0" * 64,
-        dim=3,
-        stages=("t_i", stage),
+        scenario=default_three_path(),
         coupling_order=(label,),
-        tolerance=1e-10,
         weak_values=(WeakValueResult(label, stage, z, z, z, False),),
         sum_rules=(),
         postselection_probability=0.5,

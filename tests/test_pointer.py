@@ -12,6 +12,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from builders import (
+    assemble,
+    dense_strong,
+    pairs,
+    random_state,
+    random_unitary,
+    unit,
+    weak_on_empty_path,
+    with_path_detectors,
+)
 from wvlab import runner
 from wvlab.errors import SCHEMA, ContractError, ScenarioError
 from wvlab.pointer import (
@@ -56,23 +66,6 @@ def _proj(index):
 def _crossing():
     return projector_from_ket(Ket([0.0, 1.0, 1.0]))
 
-
-
-def _unit(v) -> np.ndarray:
-    """v as a complex array scaled to norm 1."""
-    v = np.asarray(v, dtype=complex)
-    return v / np.linalg.norm(v)
-
-
-def _random_state(rng, n) -> np.ndarray:
-    """A random complex unit vector of length n."""
-    return _unit(rng.normal(size=n) + 1j * rng.normal(size=n))
-
-def _random_unitary(rng, n):
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
 
 
 # --- brute-force oracle on full grids --------------------------------------
@@ -310,13 +303,13 @@ def test_couplings_preserve_norm():
     rng = np.random.default_rng(41)
     for _ in range(30):
         n = int(rng.integers(2, 5))
-        sys = Ket(_random_state(rng, n))
+        sys = Ket(random_state(rng, n))
         specs = [
             PointerSpec(site="s", kind="strong"),
             PointerSpec(site="w", kind="weak", g=0.05, grid_size=61),
         ]
-        u = Ket(_random_state(rng, n))
-        v = Ket(_random_state(rng, n))
+        u = Ket(random_state(rng, n))
+        v = Ket(random_state(rng, n))
         couplings = [(projector_from_ket(u), "s"), (projector_from_ket(v), "w")]
         branches, _ = _couple_all(sys.amps, specs, couplings)
         assert abs(np.linalg.norm(branches) - 1.0) <= 1e-12
@@ -379,7 +372,7 @@ def test_readout_layout_is_a_fresh_scatter_of_the_conditional_branches(kinds):
     # a scatter of the normalized branches.
     rng = np.random.default_rng(7)
     specs, branches, codes = _mixed_state(rng, 4, kinds)
-    chi = _random_state(rng, 4)
+    chi = random_state(rng, 4)
     amps = chi.conj() @ branches
     strong, block = _postselected(branches, codes, chi, specs)
     n_weak = _n_weak(specs)
@@ -482,10 +475,6 @@ def test_weak_coupling_with_zero_g_is_identity():
 # --- growing composite and floored readout -----------------------------------
 
 
-def _pairs(vec):
-    return [[float(z.real), float(z.imag)] for z in np.ravel(vec)]
-
-
 def _random_scenario(rng, n_ptr):
     """Random timeline with n_ptr pointers (some weak) on rank-1 sites.
 
@@ -494,9 +483,9 @@ def _random_scenario(rng, n_ptr):
     """
     dim = int(rng.integers(2, 6))
     stages = [f"t{k}" for k in range(int(rng.integers(2, 5)))]
-    mats = [_random_unitary(rng, dim) for _ in stages[1:]]
-    pre = _random_state(rng, dim)
-    post = _random_state(rng, dim)
+    mats = [random_unitary(rng, dim) for _ in stages[1:]]
+    pre = random_state(rng, dim)
+    post = random_state(rng, dim)
     forward = [pre]
     for u in mats:
         forward.append(u @ forward[-1])
@@ -507,7 +496,7 @@ def _random_scenario(rng, n_ptr):
         if k >= n_ptr:
             psi = forward[s]
             v = v - np.vdot(psi, v) * psi
-        sites.append({"label": f"s{k}", "stage": stages[s], "kind": "ket", "data": _pairs(v)})
+        sites.append({"label": f"s{k}", "stage": stages[s], "kind": "ket", "data": pairs(v)})
     return _assemble(dim, stages, mats, pre, post, sites, _random_pointers(rng, n_ptr))
 
 
@@ -525,19 +514,9 @@ def _random_pointers(rng, n_ptr):
     return pointers
 
 
-def _assemble(dim, stages, mats, pre, post, sites, pointers):
+def _assemble(*parts):
     """Validated scenario from its parts, through the file format."""
-    return from_dict({
-        "dim": dim,
-        "stages": stages,
-        "segments": [
-            {"from": a, "to": b, "matrix": _pairs(u)} for a, b, u in zip(stages, stages[1:], mats)
-        ],
-        "pre": _pairs(pre),
-        "post": _pairs(post),
-        "sites": sites,
-        "pointers": pointers,
-    })
+    return from_dict(assemble(*parts))
 
 
 def _sparse_interferometer(rng, n_ptr):
@@ -555,7 +534,7 @@ def _sparse_interferometer(rng, n_ptr):
     pre = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     pre[rng.choice(dim, size=int(rng.integers(1, dim)), replace=False)] = 0.0
     pre = pre / np.linalg.norm(pre)
-    post = _random_state(rng, dim)
+    post = random_state(rng, dim)
     forward = [pre]
     for u in mats:
         forward.append(u @ forward[-1])
@@ -564,7 +543,7 @@ def _sparse_interferometer(rng, n_ptr):
         s = int(rng.integers(len(stages)))
         paths = np.flatnonzero(forward[s] == 0) if k >= n_ptr else np.arange(dim)
         v = eye[int(rng.choice(paths))]
-        sites.append({"label": f"s{k}", "stage": stages[s], "kind": "ket", "data": _pairs(v)})
+        sites.append({"label": f"s{k}", "stage": stages[s], "kind": "ket", "data": pairs(v)})
     return _assemble(dim, stages, mats, pre, post, sites, _random_pointers(rng, n_ptr))
 
 
@@ -672,11 +651,11 @@ def test_twenty_strong_pointers_on_a_sparse_interferometer_match_the_dephasing_c
     mats[2][np.ix_(pair, pair)] = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     slots = [(stage, path) for stage in stages[1:-1] for path in range(dim)]
     sites = [
-        {"label": f"k{stage}p{path}", "stage": stage, "kind": "ket", "data": _pairs(eye[path])}
+        {"label": f"k{stage}p{path}", "stage": stage, "kind": "ket", "data": pairs(eye[path])}
         for stage, path in slots[:n_ptr]
     ]
     pre, post = (
-        _random_state(rng, dim) for _ in range(2)
+        random_state(rng, dim) for _ in range(2)
     )
     pointers = [{"site": site["label"], "kind": "strong"} for site in rng.permutation(sites)]
     sc = _assemble(dim, stages, mats, pre, post, sites, pointers)
@@ -718,15 +697,15 @@ def test_sparse_disturbance_rows_at_sixteen_pointers_match_the_dense_oracle():
     splitter[:2, :2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     mats = [eye, eye, splitter, eye, eye]
     pre = np.array([0.6, 0.48, 0.64, 0.0])
-    back = _unit([0.0, 0.7, 0.5 - 0.2j, 0.3j])
+    back = unit([0.0, 0.7, 0.5 - 0.2j, 0.3j])
     sites = [
-        {"label": f"k{k}p{j}", "stage": f"t{k}", "kind": "ket", "data": _pairs(eye[j])}
+        {"label": f"k{k}p{j}", "stage": f"t{k}", "kind": "ket", "data": pairs(eye[j])}
         for k in range(1, 5)
         for j in range(dim)
     ]
     sites += [
-        {"label": "empty", "stage": "t1", "kind": "ket", "data": _pairs(eye[3])},
-        {"label": "live", "stage": "t2", "kind": "ket", "data": _pairs(eye[0])},
+        {"label": "empty", "stage": "t1", "kind": "ket", "data": pairs(eye[3])},
+        {"label": "live", "stage": "t2", "kind": "ket", "data": pairs(eye[0])},
     ]
     pointers = [{"site": site["label"], "kind": "strong"} for site in sites[:16]]
     sc = _assemble(dim, stages, mats, pre, splitter @ back, sites, pointers)
@@ -745,7 +724,7 @@ def _mixed_state(rng, dim, kinds):
     specs = [
         PointerSpec(site=f"r{k}", kind=kind, g=0.2, grid_size=31) for k, kind in enumerate(kinds)
     ]
-    psi = Ket(_random_state(rng, dim))
+    psi = Ket(random_state(rng, dim))
     couplings = [
         (projector_from_ket(Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim))), spec.site)
         for spec in specs
@@ -757,7 +736,7 @@ def test_pattern_keys_come_in_ndindex_order():
     rng = np.random.default_rng(5)
     kinds = ("strong", "weak", "strong", "strong", "weak", "strong", "strong")
     specs, branches, codes = _mixed_state(rng, 3, kinds)
-    chi = _unit(rng.normal(size=3) + 0j)
+    chi = unit(rng.normal(size=3) + 0j)
     live, block = _postselected(branches, codes, chi, specs)
     strong = [f"r{k}" for k, kind in enumerate(kinds) if kind == "strong"]
     order = [
@@ -833,73 +812,18 @@ def test_composite_holds_at_most_max_pointer_registers():
     assert register_bits(specs) == {"r0": 0b1000, "r2": 0b0100, "r1": 0b0010, "r3": 0b0001}
 
 
-def _with_path_detectors(sc, n):
-    """sc plus n strong detectors on path projectors, cycling over stages, then paths."""
-    stages = sc.timeline.stages
-    sites = tuple(
-        Site(f"x{k}", stages[k % len(stages)], "ket", basis_ket(sc.dim, k // len(stages) % sc.dim).amps)
-        for k in range(n)
-    )
-    pointers = tuple(PointerSpec(site=site.label, kind="strong") for site in sites)
-    return replace(sc, sites=sc.sites + sites, pointers=pointers)
-
-
-def _dense_strong_scenario(n, dim=9):
-    """n strong pointers on random rank-1 sites behind random segments.
-
-    No coupling leaves a branch exactly zero, so the live amplitudes
-    double with every coupling. The site "null" is orthogonal to the
-    post state at the last stage, after every coupling.
-    """
-    rng = np.random.default_rng(n)
-    stages = [f"t{k}" for k in range(4)]
-    mats = [_random_unitary(rng, dim) for _ in stages[1:]]
-    pre, post = (
-        _random_state(rng, dim) for _ in range(2)
-    )
-    sites = [
-        {"label": f"s{k}", "stage": stages[k % 3], "kind": "ket",
-         "data": _pairs(rng.normal(size=dim) + 1j * rng.normal(size=dim))}
-        for k in range(n)
-    ]
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    sites.append({"label": "null", "stage": stages[-1], "kind": "ket",
-                  "data": _pairs(v - np.vdot(post, v) * post)})
-    pointers = [{"site": f"s{k}", "kind": "strong"} for k in range(n)]
-    return _assemble(dim, stages, mats, pre, post, sites, pointers)
-
-
-def _weak_on_empty_path_scenario(n):
-    """n weak pointers on path 2, which carries no amplitude.
-
-    Every branch stays live, but the readout block spans all 2**n weak
-    codes. The site "z" on path 0 is null because the post state misses
-    that path, so its disturbance rerun keeps a live branch.
-    """
-    eye = np.eye(3)
-    stages = [f"t{k}" for k in range(4)]
-    sites = [
-        {"label": f"e{k}", "stage": stages[k % 4], "kind": "ket", "data": _pairs(eye[2])}
-        for k in range(n)
-    ]
-    sites.append({"label": "z", "stage": "t1", "kind": "ket", "data": _pairs(eye[0])})
-    pointers = [{"site": f"e{k}", "kind": "weak", "g": 0.2, "grid_size": 31} for k in range(n)]
-    pre, post = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0), np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
-    return _assemble(3, stages, [eye] * 3, pre, post, sites, pointers)
-
-
 def test_forty_pointer_scenario_is_refused_by_run_pointers(monkeypatch):
     # Forty sparse path detectors run: a handful of branches stay live.
-    rep = run_pointers(_with_path_detectors(default_three_path(), 40))
+    rep = run_pointers(from_dict(with_path_detectors(40)))
     assert len(rep.clicks) == 40 and abs(sum(rep.patterns.values()) - 1.0) <= 1e-12
 
     # A dense run or a wide weak block is refused by the amplitude bound,
     # also where a disturbance rerun leaves no live branch at all.
     bound = f"over the limit of {MAX_LIVE_AMPLITUDES}"
     for sc, what in (
-        (_dense_strong_scenario(30), "a coupling would hold 75497472 amplitudes"),
-        (_weak_on_empty_path_scenario(30), "the readout block would hold 1073741824 amplitudes"),
-        (_weak_on_empty_path_scenario(63), f"the readout block would hold {2**63} amplitudes"),
+        (from_dict(dense_strong(30)), "a coupling would hold 75497472 amplitudes"),
+        (from_dict(weak_on_empty_path(30)), "the readout block would hold 1073741824 amplitudes"),
+        (from_dict(weak_on_empty_path(63)), f"the readout block would hold {2**63} amplitudes"),
     ):
         for run in (run_pointers, disturbance_rows):
             with pytest.raises(ContractError, match=f"^{what}, {bound}$"):
@@ -909,7 +833,7 @@ def test_forty_pointer_scenario_is_refused_by_run_pointers(monkeypatch):
         raise AssertionError("the pass allocated before checking the register limit")
 
     # The register limit is settled before the first array step runs.
-    sc = _with_path_detectors(default_three_path(), 64)
+    sc = from_dict(with_path_detectors(64))
     for step in ("act", "couple", "strong_block"):
         monkeypatch.setattr(runner, step, allocates)
     for run in (run_pointers, disturbance_rows):  # O and O' are null sites
@@ -928,7 +852,7 @@ def test_click_patterns_hold_only_values_above_the_floor():
         (Operator(np.zeros((2, 2))), "C"),
         (identity(2), "W"),
     ]
-    _, layout, stats = _package_run([0.0, 1.0], _unit([1.0, 1.0]), couplings, specs)
+    _, layout, stats = _package_run([0.0, 1.0], unit([1.0, 1.0]), couplings, specs)
     joint = (np.abs(layout) ** 2).sum(axis=-1)
     assert 0.0 < joint[1, 0] < PATTERN_FLOOR
     assert list(stats["patterns"]) == [()]
@@ -941,6 +865,30 @@ def test_click_patterns_hold_only_values_above_the_floor():
 # --- the paper's claim: a lone strong detector -------------------------------
 
 
+def _random_timeline(rng, most_stages=7):
+    """A scenario without sites on a random timeline (d 2-6, 2 to most_stages stages)."""
+    dim = int(rng.integers(2, 7))
+    stages = tuple(f"t{k}" for k in range(int(rng.integers(2, most_stages + 1))))
+    mats = [random_unitary(rng, dim) for _ in stages[1:]]
+    pre, post = random_state(rng, dim), random_state(rng, dim)
+    return Scenario(
+        timeline=Timeline(stages, tuple(Operator(u) for u in mats)),
+        prepost=PrePost(Ket(pre), Ket(post)),
+        sites=(),
+    )
+
+
+def _carried(sc, k):
+    """The pre and post states carried to stage index k."""
+    mats = [seg.matrix for seg in sc.timeline.segments]
+    pre_t, post_t = sc.prepost.pre.amps, sc.prepost.post.amps
+    for u in mats[:k]:
+        pre_t = u @ pre_t
+    for u in reversed(mats[k:]):
+        post_t = u.conj().T @ post_t
+    return pre_t, post_t
+
+
 def _lone_detector_scenario(rng):
     """Random timeline (d 2-6, 2-10 stages) with rank-1 and rank-2 sites.
 
@@ -948,16 +896,8 @@ def _lone_detector_scenario(rng):
     orthogonal to the evolved pre state, or to the post state dragged
     back, at their stage.
     """
-    dim = int(rng.integers(2, 7))
-    stages = tuple(f"t{k}" for k in range(int(rng.integers(2, 11))))
-    mats = [_random_unitary(rng, dim) for _ in stages[1:]]
-    pre, post = (
-        _random_state(rng, dim) for _ in range(2)
-    )
-    forward, backward = [pre], [post]
-    for u, u_back in zip(mats, reversed(mats)):
-        forward.append(u @ forward[-1])
-        backward.insert(0, u_back.conj().T @ backward[0])
+    sc = _random_timeline(rng, most_stages=10)
+    dim, stages = sc.dim, sc.timeline.stages
     sites = []
     for rank, null in ((1, False), (1, True), (2, False), (2, True)):
         if rank == 2 and null and dim < 3:
@@ -965,7 +905,7 @@ def _lone_detector_scenario(rng):
         s = int(rng.integers(len(stages)))
         cols = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
         if null:
-            psi = (forward if rng.random() < 0.5 else backward)[s]
+            psi = _carried(sc, s)[0 if rng.random() < 0.5 else 1]
             cols = cols - np.outer(psi, psi.conj() @ cols)
         label, stage = f"s{len(sites)}", stages[s]
         if rank == 1:
@@ -973,11 +913,7 @@ def _lone_detector_scenario(rng):
         else:
             q = np.linalg.qr(cols)[0]
             sites.append(Site(label, stage, "matrix", q @ q.conj().T))
-    return Scenario(
-        timeline=Timeline(stages, tuple(Operator(u) for u in mats)),
-        prepost=PrePost(Ket(pre), Ket(post)),
-        sites=tuple(sites),
-    )
+    return replace(sc, sites=tuple(sites))
 
 
 def _check_lone_detector(sc, site) -> bool:
@@ -1018,31 +954,19 @@ def test_lone_strong_detector_is_silent_exactly_where_the_weak_value_is_null():
 
 
 def _lone_pointer_draw(rng, null):
-    """Random timeline (d 2-6, 2-7 stages) with one rank-1 site at a random stage.
+    """Random timeline with one rank-1 site at a random stage.
 
     Returns the scenario, without pointers, the site's ket v, and the pre
     and post states carried to its stage. A null site's ket is orthogonal
     to the post state there, so its transition amplitude vanishes.
     """
-    dim = int(rng.integers(2, 7))
-    stages = tuple(f"t{k}" for k in range(int(rng.integers(2, 8))))
-    mats = [_random_unitary(rng, dim) for _ in stages[1:]]
-    pre, post = _random_state(rng, dim), _random_state(rng, dim)
-    s = int(rng.integers(len(stages)))
-    pre_t, post_t = pre, post
-    for u in mats[:s]:
-        pre_t = u @ pre_t
-    for u in reversed(mats[s:]):
-        post_t = u.conj().T @ post_t
-    v = _random_state(rng, dim)
+    sc = _random_timeline(rng)
+    s = int(rng.integers(len(sc.timeline.stages)))
+    pre_t, post_t = _carried(sc, s)
+    v = random_state(rng, sc.dim)
     if null:
-        v = _unit(v - post_t * np.vdot(post_t, v))
-    sc = Scenario(
-        timeline=Timeline(stages, tuple(Operator(u) for u in mats)),
-        prepost=PrePost(Ket(pre), Ket(post)),
-        sites=(Site("s", stages[s], "ket", v),),
-    )
-    return sc, v, pre_t, post_t
+        v = unit(v - post_t * np.vdot(post_t, v))
+    return replace(sc, sites=(Site("s", sc.timeline.stages[s], "ket", v),)), v, pre_t, post_t
 
 
 def test_a_lone_pointer_reads_exactly_a_ready_plus_tau_kicked():
@@ -1051,7 +975,7 @@ def test_a_lone_pointer_reads_exactly_a_ready_plus_tau_kicked():
     # any g. A strong pointer clicks at |tau|^2 / (|a|^2 + |tau|^2); a null
     # tau leaves a weak packet exactly unshifted, not only to first order.
     q = np.linspace(-12.0, 12.0, 401)
-    ready = _unit(np.exp(-(q**2) / 4.0))
+    ready = unit(np.exp(-(q**2) / 4.0))
     weak = {
         g: PointerSpec(site="s", kind="weak", g=g, grid_size=401, grid_extent=12.0)
         for g in (0.01, 0.1, 0.5, 0.9)
@@ -1069,7 +993,7 @@ def test_a_lone_pointer_reads_exactly_a_ready_plus_tau_kicked():
         assert not rep.degenerate
         assert abs(rep.clicks["s"] - abs(tau) ** 2 / (abs(a) ** 2 + abs(tau) ** 2)) <= 1e-13
         for g, spec in weak.items():
-            psi = a * ready + tau * _unit(np.exp(-((q - g) ** 2) / 4.0))
+            psi = a * ready + tau * unit(np.exp(-((q - g) ** 2) / 4.0))
             norm2 = float(np.sum(np.abs(psi) ** 2))
             dist = np.abs(psi) ** 2 / norm2
             mean = float(dist @ q)
@@ -1082,3 +1006,107 @@ def test_a_lone_pointer_reads_exactly_a_ready_plus_tau_kicked():
             assert np.max(np.abs(stats.probabilities - dist)) <= 1e-13
             if null:
                 assert abs(tau) <= 1e-13 and abs(stats.mean) <= 1e-13
+
+
+# --- the paper's claim beside a second pointer ---------------------------------
+
+
+def _pass_amplitude(sc, projections):
+    """<post| ... |pre> through sc's segments, with each projector applied at
+    its stage index; projectors at one stage act in list order."""
+    psi = sc.prepost.pre.amps
+    for k in range(len(sc.timeline.stages)):
+        if k > 0:
+            psi = sc.timeline.segments[k - 1].matrix @ psi
+        for stage, proj in projections:
+            if stage == k:
+                psi = proj @ psi
+    return np.vdot(sc.prepost.post.amps, psi)
+
+
+def _second_pointer_draw(rng, draw):
+    """Random timeline with a pointer site e and a null site o.
+
+    draw cycles e before, at and after o's stage, then o's ket orthogonal
+    to the post state or to the pre state carried to o's stage.
+    """
+    sc = _random_timeline(rng)
+    stages = sc.timeline.stages
+    if draw % 3 == 1:
+        at_e = at_o = int(rng.integers(len(stages)))
+    else:
+        lo, hi = sorted(rng.choice(len(stages), size=2, replace=False).tolist())
+        at_e, at_o = (lo, hi) if draw % 3 == 0 else (hi, lo)
+    pre_t, post_t = _carried(sc, at_o)
+    x = pre_t if draw // 3 % 2 else post_t
+    v = random_state(rng, sc.dim)
+    e = Site("e", stages[at_e], "ket", random_state(rng, sc.dim))
+    return replace(sc, sites=(e, Site("o", stages[at_o], "ket", unit(v - x * np.vdot(x, v)))))
+
+
+def _check_second_pointer_law(sc, e, o, g):
+    """Law 2 for one pointer at site e beside the null site o, at weak
+    strength g. Returns the sequential amplitude s of o's disturbance row."""
+    index = {stage: k for k, stage in enumerate(sc.timeline.stages)}
+
+    def sequential(first, second):
+        pair = [(index[sc.site(x).stage], sc.site(x).projector.matrix) for x in (first, second)]
+        return _pass_amplitude(sc, sorted(pair, key=lambda p: p[0]))
+
+    def row(*pointers):
+        rows = {r.site: r for r in disturbance_rows(replace(sc, pointers=pointers))}
+        return rows[o].branches
+
+    tol = sc.tolerance
+    # The inserted P_o acts before the couplings at its own stage.
+    s = sequential(o, e)
+    want = {pat: amp for pat, amp in {(): -s, (e,): s}.items() if abs(amp) > tol}
+    got = row(PointerSpec(site=e, kind="strong"))
+    assert got.keys() == want.keys()
+    assert all(abs(got[pat] - amp) <= 1e-12 for pat, amp in want.items())
+    weak = PointerSpec(site=e, kind="weak", g=g, grid_size=401, grid_extent=12.0)
+    ov, rn = weak.moved_coeffs
+    kick2 = abs(ov - 1) ** 2 + abs(rn) ** 2
+    norm = abs(s) * np.sqrt(kick2)
+    got = row(weak)
+    assert got.keys() == ({()} if norm > tol else set())
+    assert all(abs(amp - norm) <= 1e-12 for amp in got.values())
+    # Couplings at one stage go in declaration order: e's, then o's.
+    rep = run_pointers(replace(sc, pointers=(weak, PointerSpec(site=o, kind="strong"))))
+    assert not rep.degenerate
+    clicked = rep.clicks[o] * rep.postselection_probability
+    assert abs(clicked - abs(sequential(e, o)) ** 2 * kick2) <= 1e-12
+    return s
+
+
+def test_a_null_site_beside_one_pointer_responds_only_through_the_sequential_amplitude():
+    # Law 2: with s = <post| ... P_o ... P_e ... |pre> in pass order and
+    # <post(t_o)|P_o|pre(t_o)> = 0, o's disturbance row beside a strong e
+    # is exactly {(): -s, (e,): s}, and beside a weak e one branch of norm
+    # |s| * |kicked - ready|. A strong pointer at o beside a weak e clicks
+    # with unnormalized probability |s|^2 * |kicked - ready|^2, second
+    # order in e's kick, at any g.
+    gs = (0.01, 0.1, 0.5, 0.9)
+    rng = np.random.default_rng(20261020)
+    reached = 0
+    for draw in range(120):
+        sc = _second_pointer_draw(rng, draw)
+        o = sc.site("o")
+        assert abs(transition_amplitude(sc.timeline, sc.prepost, o.projector, o.stage)) <= 1e-13
+        s = _check_second_pointer_law(sc, "e", "o", gs[draw // 6 % 4])
+        reached += abs(s) > sc.tolerance
+    # In half the draws o's ket is orthogonal to the state that meets
+    # P_o first in the row's pass, so s vanishes there.
+    assert reached == 60
+    third = 1.0 / 3.0
+    sign = {"E": 1.0, "F": -1.0, "E'": 1.0, "F'": -1.0}
+    for make, want in (
+        (default_three_path, {("E'", "O"): third, ("F'", "O"): -third}),
+        (three_path_rank2_crossing, {(e, o): sign[e] * third for e in sign for o in ("O", "O'")}),
+    ):
+        sc = make()
+        for e in ("E", "F", "D", "E'", "F'"):
+            for o in ("O", "O'"):
+                for g in gs:
+                    s = _check_second_pointer_law(sc, e, o, g)
+                    assert abs(s - want.get((e, o), 0.0)) <= 1e-12

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from builders import random_unitary
 from wvlab.errors import ContractError
 from wvlab.qcore import (
     ZERO_KET_NORM,
@@ -15,13 +16,6 @@ from wvlab.qcore import (
     projector_from_ket,
     resolves_identity,
 )
-
-
-def _random_unitary(rng, n):
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
 
 
 def test_projector_from_ket_properties():
@@ -44,7 +38,7 @@ def test_identity_flags():
     assert not Operator([[1.0, 1.0], [0.0, 1.0]]).is_unitary()
     rng = np.random.default_rng(19)
     for n in (2, 3, 5):
-        assert Operator(_random_unitary(rng, n)).is_unitary()
+        assert Operator(random_unitary(rng, n)).is_unitary()
     assert not Operator([[0.5, 0.5], [0.5, 0.6]]).is_projector()
 
 

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from wvlab.cli import render_text
 from wvlab.errors import ContractError
 from wvlab.pointer import STRONG, PointerSpec, WeakPointerStats
 from wvlab.runner import (
@@ -206,6 +207,29 @@ def test_report_dict_has_stable_top_level_keys():
     assert d["patterns"]["D"] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("run", [run_weak_values, run_pointers, disturbance_table])
+def test_a_report_hashes_its_scenario_only_when_an_output_reads_it(run):
+    with open(os.path.join(os.path.dirname(__file__), "data", "cli_golden",
+                           "three-path-fig2.run.json")) as fh:
+        want = json.load(fh)["scenario"]["checksum"]
+    readers = (
+        lambda rep: rep.checksum,
+        lambda rep: report_to_dict(rep)["scenario"]["checksum"],
+        lambda rep: render_text(rep).splitlines()[1].split(": ")[1],
+    )
+    fresh = (
+        lambda: replace(builtin("three-path-fig2")),
+        lambda: from_dict(to_dict(builtin("three-path-fig2"))),
+    )
+    for make in fresh:
+        for read in readers:
+            sc = make()
+            rep = run(sc)
+            assert rep.scenario is sc and rep.dim == 3
+            assert "checksum" not in vars(sc)
+            assert read(rep) == want == vars(sc)["checksum"]
+
+
 def test_report_rows_are_their_result_types_fields():
     rank2 = three_path_rank2_crossing(
         [PointerSpec(site=s, kind=STRONG) for s in ("D", "O", "E'", "F'")]
@@ -231,11 +255,8 @@ def test_report_rows_are_their_result_types_fields():
 
     def report(real, cplx):
         return RunReport(
-            checksum="0" * 64,
-            dim=3,
-            stages=("a", "b"),
+            scenario=default_three_path(),
             coupling_order=("s",),
-            tolerance=real(1e-10),
             weak_values=(
                 WeakValueResult("s", "a", cplx(1 + 2j), cplx(complex(-0.0, -0.0)),
                                 cplx(0.5 - 0.25j), False),

@@ -11,6 +11,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from builders import assemble, pairs
 from wvlab import scenario as scenario_module
 from wvlab.errors import (
     NON_NORMALIZED_STATE,
@@ -524,10 +525,6 @@ def test_checksums_distinguish_builtins():
     assert builtin("three-path").checksum == builtin("three-path").checksum
 
 
-def _pairs(vec):
-    return [[float(z.real), float(z.imag)] for z in np.ravel(vec)]
-
-
 def _seeded_d5_scenario() -> Scenario:
     """A seeded scenario that is no built-in: d = 5, four stages, rank-1
     and rank-2 sites, a strong and a weak pointer and a sum rule."""
@@ -538,19 +535,12 @@ def _seeded_d5_scenario() -> Scenario:
     pre, post = (v / np.linalg.norm(v) for v in rng.normal(size=(2, dim)) + 0.5j)
     basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
     rank2 = basis[:, 3:] @ basis[:, 3:].conj().T
-    return from_dict({
-        "dim": dim,
-        "stages": stages,
-        "segments": [{"from": a, "to": b, "matrix": _pairs(u)}
-                     for a, b, u in zip(stages, stages[1:], mats)],
-        "pre": _pairs(pre),
-        "post": _pairs(post),
-        "sites": [{"label": f"b{j}", "stage": "b", "kind": "ket", "data": _pairs(basis[:, j])}
-                  for j in range(3)]
-        + [{"label": "r", "stage": "b", "kind": "matrix", "data": _pairs(rank2)}],
-        "pointers": [{"site": "b0", "kind": "strong"}, {"site": "r", "kind": "weak", "g": 0.02}],
-        "sum_rules": [{"sites": ["b0", "b1", "b2", "r"], "stage": "b"}],
-    })
+    sites = [{"label": f"b{j}", "stage": "b", "kind": "ket", "data": pairs(basis[:, j])}
+             for j in range(3)]
+    sites.append({"label": "r", "stage": "b", "kind": "matrix", "data": pairs(rank2)})
+    pointers = [{"site": "b0", "kind": "strong"}, {"site": "r", "kind": "weak", "g": 0.02}]
+    return from_dict(assemble(dim, stages, mats, pre, post, sites, pointers,
+                              sum_rules=[{"sites": ["b0", "b1", "b2", "r"], "stage": "b"}]))
 
 
 def _edge_float_scenario() -> Scenario:

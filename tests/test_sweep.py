@@ -23,6 +23,7 @@ import sys
 import numpy as np
 import pytest
 
+from builders import random_state, random_unitary
 from wvlab import cli
 from wvlab.errors import SCHEMA, UNKNOWN_SITE, ContractError, ScenarioError
 from wvlab.pointer import WEAK, PointerSpec
@@ -60,18 +61,6 @@ FORMATS = ("text", "json")
 ATOL = 1e-12
 
 
-def _random_unitary(rng, n):
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
-def _random_state(rng, n):
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return v / np.linalg.norm(v)
-
-
 def _random_scenario(seed: int, n_stages: int, dim: int):
     """A scenario with generic, null, rank-2 and sum-rule sites, plus its raw matrices.
 
@@ -81,27 +70,27 @@ def _random_scenario(seed: int, n_stages: int, dim: int):
     """
     rng = np.random.default_rng([seed, n_stages, dim])
     stages = tuple(f"s{k}" for k in range(n_stages))
-    mats = [_random_unitary(rng, dim) for _ in stages[:-1]]
+    mats = [random_unitary(rng, dim) for _ in stages[:-1]]
     total = np.eye(dim, dtype=complex)
     for m in mats:
         total = m @ total
-    pre = _random_state(rng, dim)
-    post = _random_state(rng, dim)
+    pre = random_state(rng, dim)
+    post = random_state(rng, dim)
     while abs(np.vdot(post, total @ pre)) <= 0.05:
-        post = _random_state(rng, dim)
+        post = random_state(rng, dim)
 
     picks = sorted({0, n_stages - 1, *rng.integers(0, n_stages, size=min(n_stages, 12)).tolist()})
     sites = []
     for k in picks:
-        sites.append(Site(f"g{k}", stages[k], "ket", _random_state(rng, dim)))
+        sites.append(Site(f"g{k}", stages[k], "ket", random_state(rng, dim)))
     for k in picks[:3]:
         back = post
         for m in reversed(mats[k:]):
             back = m.conj().T @ back
-        w = _random_state(rng, dim)
+        w = random_state(rng, dim)
         null = w - np.vdot(back, w) / np.vdot(back, back) * back
         sites.append(Site(f"n{k}", stages[k], "ket", null))
-    basis = _random_unitary(rng, dim)
+    basis = random_unitary(rng, dim)
     rank2 = basis[:, :2] @ basis[:, :2].conj().T
     sites.append(Site("r", stages[picks[-1]], "matrix", rank2))
     # The complete set sits at one stage but its sum rule is taken at another.
@@ -277,7 +266,7 @@ def test_site_lookup_and_cached_checksum():
 @pytest.mark.parametrize("order", ("C", "F"))
 def test_pairs_match_elementwise_form(order):
     rng = np.random.default_rng(2)
-    mat = np.asarray(_random_unitary(rng, 4), order=order)
+    mat = np.asarray(random_unitary(rng, 4), order=order)
     mat[0, 1] = complex(-0.0, 0.0)
     for arr in (mat, mat[0], mat.T):
         want = [[float(z.real), float(z.imag)] for z in arr.reshape(-1)]

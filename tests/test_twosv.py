@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from builders import random_state, random_unitary, unit
 from wvlab.errors import SCHEMA, ContractError, DegeneratePostselectionError, ScenarioError
 from wvlab.qcore import Ket, Operator, basis_ket, identity, projector_from_ket
 from wvlab.twosv import (
@@ -37,23 +38,6 @@ def _crossing_proj():
 
 
 
-def _unit(v) -> np.ndarray:
-    """v as a complex array scaled to norm 1."""
-    v = np.asarray(v, dtype=complex)
-    return v / np.linalg.norm(v)
-
-
-def _random_state(rng, n) -> np.ndarray:
-    """A random complex unit vector of length n."""
-    return _unit(rng.normal(size=n) + 1j * rng.normal(size=n))
-
-def _random_unitary(rng, n):
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
 def test_timeline_validation():
     with pytest.raises(ContractError):
         Timeline(("a", "a"), (identity(2),))
@@ -70,9 +54,9 @@ def test_forward_and_backward_sweeps_pair_consistently():
     # <post(t)|pre(t)> must not depend on the stage t.
     rng = np.random.default_rng(5)
     stages = ("s0", "s1", "s2", "s3")
-    tl = Timeline(stages, tuple(Operator(_random_unitary(rng, 3)) for _ in range(3)))
-    pre = Ket(_random_state(rng, 3))
-    post = Ket(_random_state(rng, 3))
+    tl = Timeline(stages, tuple(Operator(random_unitary(rng, 3)) for _ in range(3)))
+    pre = Ket(random_state(rng, 3))
+    post = Ket(random_state(rng, 3))
     sw = sweep(tl, PrePost(pre, post))
     pairings = list(sw.overlaps)
     assert np.allclose(pairings, pairings[0])
@@ -104,9 +88,9 @@ def test_transition_amplitude_requires_projector_by_default():
 def test_transition_amplitude_is_linear_in_the_operator():
     rng = np.random.default_rng(13)
     stages = ("a", "b", "c")
-    tl = Timeline(stages, tuple(Operator(_random_unitary(rng, 4)) for _ in range(2)))
-    pre = Ket(_random_state(rng, 4))
-    post = Ket(_random_state(rng, 4))
+    tl = Timeline(stages, tuple(Operator(random_unitary(rng, 4)) for _ in range(2)))
+    pre = Ket(random_state(rng, 4))
+    post = Ket(random_state(rng, 4))
     pp = PrePost(pre, post)
     pa = projector_from_ket(Ket(rng.normal(size=4) + 1j * rng.normal(size=4)))
     pb = projector_from_ket(Ket(rng.normal(size=4) + 1j * rng.normal(size=4)))
@@ -121,11 +105,11 @@ def test_transition_amplitude_is_linear_in_the_operator():
 
 def test_rank1_transition_amplitude_factorizes():
     rng = np.random.default_rng(17)
-    tl = Timeline(("a", "b", "c"), tuple(Operator(_random_unitary(rng, 3)) for _ in range(2)))
-    pre = Ket(_random_state(rng, 3))
-    post = Ket(_random_state(rng, 3))
+    tl = Timeline(("a", "b", "c"), tuple(Operator(random_unitary(rng, 3)) for _ in range(2)))
+    pre = Ket(random_state(rng, 3))
+    post = Ket(random_state(rng, 3))
     pp = PrePost(pre, post)
-    u = Ket(_random_state(rng, 3))
+    u = Ket(random_state(rng, 3))
     tau = transition_amplitude(tl, pp, projector_from_ket(u), "b")
     sw = sweep(tl, pp)
     factored = np.vdot(sw.backward[1], u.amps) * np.vdot(u.amps, sw.forward[1])
@@ -169,20 +153,20 @@ def test_null_weak_value_iff_null_transition_amplitude():
     rng = np.random.default_rng(29)
     for _ in range(50):
         n = int(rng.integers(2, 6))
-        tl = Timeline(("a", "b", "c"), tuple(Operator(_random_unitary(rng, n)) for _ in range(2)))
-        pre = Ket(_random_state(rng, n))
-        post = Ket(_random_state(rng, n))
+        tl = Timeline(("a", "b", "c"), tuple(Operator(random_unitary(rng, n)) for _ in range(2)))
+        pre = Ket(random_state(rng, n))
+        post = Ket(random_state(rng, n))
         pp = PrePost(pre, post)
         sw = sweep(tl, pp)
         if abs(sw.overlaps[0]) <= 0.05:
             continue
         # One generic site and one engineered-null site.
-        w = Ket(_random_state(rng, n))
+        w = Ket(random_state(rng, n))
         back = sw.backward[1]
         v = w.amps - np.vdot(back, w.amps) / np.vdot(back, back) * back
         probes = [w]
         if np.linalg.norm(v) > 1e-6:
-            probes.append(Ket(_unit(v)))
+            probes.append(Ket(unit(v)))
         for u in probes:
             res = weak_value(tl, pp, projector_from_ket(u), "b")
             eps = 1e-9
@@ -222,13 +206,13 @@ def test_random_complete_sets_sum_to_one():
     rng = np.random.default_rng(31)
     for _ in range(25):
         n = int(rng.integers(2, 6))
-        tl = Timeline(("a", "b", "c"), tuple(Operator(_random_unitary(rng, n)) for _ in range(2)))
-        pre = Ket(_random_state(rng, n))
-        post = Ket(_random_state(rng, n))
+        tl = Timeline(("a", "b", "c"), tuple(Operator(random_unitary(rng, n)) for _ in range(2)))
+        pre = Ket(random_state(rng, n))
+        post = Ket(random_state(rng, n))
         pp = PrePost(pre, post)
         if abs(sweep(tl, pp).overlaps[0]) <= 0.05:
             continue
-        basis = _random_unitary(rng, n)
+        basis = random_unitary(rng, n)
         projs = {f"p{i}": projector_from_ket(Ket(basis[:, i])) for i in range(n)}
         assert abs(sum_rule_check(tl, pp, projs, "b") - 1.0) <= 1e-9
 
@@ -238,13 +222,13 @@ def test_weak_value_against_direct_formula():
     rng = np.random.default_rng(37)
     for _ in range(25):
         n = int(rng.integers(2, 6))
-        u1 = _random_unitary(rng, n)
-        u2 = _random_unitary(rng, n)
+        u1 = random_unitary(rng, n)
+        u2 = random_unitary(rng, n)
         tl = Timeline(("a", "b", "c"), (Operator(u1), Operator(u2)))
-        pre = Ket(_random_state(rng, n))
-        post = Ket(_random_state(rng, n))
+        pre = Ket(random_state(rng, n))
+        post = Ket(random_state(rng, n))
         pp = PrePost(pre, post)
-        uvec = Ket(_random_state(rng, n))
+        uvec = Ket(random_state(rng, n))
         proj = projector_from_ket(uvec)
         den = post.amps.conj() @ (u2 @ u1) @ pre.amps
         if abs(den) <= 0.05:
