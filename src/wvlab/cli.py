@@ -135,7 +135,8 @@ def render_text(report: RunReport) -> str:
     lines.append(f"scenario: dim {report.dim}, stages {' '.join(report.scenario.timeline.stages)}")
     lines.append(f"checksum: {report.checksum}")
     lines.append(f"tolerance: {_fnum(report.scenario.tolerance)}")
-    lines.append(f"postselection probability: {_fnum(report.postselection_probability)}")
+    prob = report.postselection_probability
+    lines.append(f"postselection probability: {_fnum(prob if prob >= DISPLAY_FLOOR**2 else 0.0)}")
     if report.degenerate:
         lines.append("degenerate postselection: conditional statistics unavailable")
     _render_weak_values(report, lines)

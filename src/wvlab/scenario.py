@@ -253,14 +253,13 @@ def three_path_rank2_crossing(pointers=()) -> Scenario:
     return _three_path(KIND_MATRIX, np.diag([0.0, 1.0, 1.0]), pointers)
 
 
-# Built-in name -> the sites that carry strong pointers, or None for a
-# weak pointer at every site.
+# Built-in name -> the kind and the sites of its pointers.
 _BUILTINS = {
-    "three-path": (),
-    "three-path-fig1": ("D", "O"),
-    "three-path-fig1-oprime": ("D", "O", "O'"),
-    "three-path-fig2": ("D", "O", "E'", "F'"),
-    "three-path-allweak": None,
+    "three-path": (STRONG, ()),
+    "three-path-fig1": (STRONG, ("D", "O")),
+    "three-path-fig1-oprime": (STRONG, ("D", "O", "O'")),
+    "three-path-fig2": (STRONG, ("D", "O", "E'", "F'")),
+    "three-path-allweak": (WEAK, ("E", "F", "D", "O", "E'", "F'", "O'")),
 }
 BUILTIN_NAMES = tuple(_BUILTINS)
 
@@ -271,12 +270,8 @@ def builtin(name: str) -> Scenario:
         raise ScenarioError(
             SCHEMA, f"unknown built-in scenario {name!r}, choose from {', '.join(BUILTIN_NAMES)}"
         )
-    strong = _BUILTINS[name]
-    if strong is None:
-        pointers = [PointerSpec(site=s, kind=WEAK) for s in ("E", "F", "D", "O", "E'", "F'", "O'")]
-    else:
-        pointers = [PointerSpec(site=s, kind=STRONG) for s in strong]
-    return default_three_path(pointers)
+    kind, sites = _BUILTINS[name]
+    return default_three_path([PointerSpec(site=s, kind=kind) for s in sites])
 
 
 # --- JSON serialization ---------------------------------------------------

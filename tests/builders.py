@@ -2,8 +2,10 @@
 scenario files as plain dicts, built from their parts.
 
 It also builds the oversize pointer sets that the run and CLI tests
-feed to the amplitude and register limits. pytest does not collect
-this module; test modules import it.
+feed to the amplitude and register limits, and the north-star
+composite that exercises many stages, many pointers and a large
+dimension at once. pytest does not collect this module; test modules
+and CI steps import it.
 """
 
 from __future__ import annotations
@@ -110,3 +112,48 @@ def weak_on_empty_path(n):
     pointers = [{"site": f"e{k}", "kind": "weak", "g": 0.2, "grid_size": 31} for k in range(n)]
     pre, post = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0), np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
     return assemble(3, stages, [eye] * 3, pre, post, sites, pointers)
+
+
+def composite(seed, stages, dim, n_strong, n_weak, n_null):
+    """Many stages, many pointers and a large dimension at once.
+
+    A sparse interferometer: identity or path-permutation segments,
+    except three 50:50 mixers with random phases. pre is uniform and
+    post random. n_strong strong and n_weak weak (g = 0.05) pointers
+    probe path projectors, each at its own random (stage, path) slot,
+    declared in slot order. n_null ket sites are orthogonal to post
+    dragged back to their stage, so their transition amplitudes vanish.
+    """
+    rng = np.random.default_rng(seed)
+    eye = np.eye(dim, dtype=complex)
+    names = [f"t{k}" for k in range(stages)]
+    mixers = set(rng.choice(stages - 1, size=3, replace=False).tolist())
+    mats = []
+    for k in range(stages - 1):
+        if k in mixers:
+            m, pair = eye.copy(), rng.choice(dim, size=2, replace=False)
+            phase = np.exp(2j * np.pi * rng.random(2))[:, None]
+            m[np.ix_(pair, pair)] = phase * np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        else:
+            m = eye[rng.permutation(dim)] if rng.random() < 0.5 else eye
+        mats.append(m)
+    pre, post = np.full(dim, dim**-0.5), random_state(rng, dim)
+    n_ptr = n_strong + n_weak
+    slots = np.sort(rng.choice((stages - 1) * dim, size=n_ptr, replace=False)) + dim
+    kinds = rng.permutation(["strong"] * n_strong + ["weak"] * n_weak)
+    sites, pointers = [], []
+    for j, (slot, kind) in enumerate(zip(slots.tolist(), kinds.tolist())):
+        stage, path = divmod(slot, dim)
+        label = f"{kind[0]}{j}"
+        sites.append({"label": label, "stage": names[stage], "kind": "ket",
+                      "data": pairs(eye[path])})
+        pointers.append({"site": label, "kind": kind, **({"g": 0.05} if kind == "weak" else {})})
+    for j in range(n_null):
+        k = int(rng.integers(1, stages))
+        back = post
+        for m in reversed(mats[k:]):
+            back = m.conj().T @ back
+        w = random_state(rng, dim)
+        sites.append({"label": f"n{j}", "stage": names[k], "kind": "ket",
+                      "data": pairs(unit(w - back * np.vdot(back, w) / np.vdot(back, back)))})
+    return assemble(dim, names, mats, pre, post, sites, pointers)

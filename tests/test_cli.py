@@ -22,7 +22,7 @@ from wvlab.cli import (
     main,
 )
 from wvlab.errors import DegeneratePostselectionError
-from wvlab.qcore import Ket, Operator
+from wvlab.qcore import DISPLAY_FLOOR, Ket, Operator
 from wvlab.runner import run_weak_values
 from wvlab.scenario import (
     Scenario,
@@ -241,9 +241,13 @@ def test_degenerate_scenario_exits_3_but_reports(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["scenario"]["degenerate"] is True
     assert all(row["value"] is None for row in payload["weak_values"]["table"])
+    # JSON keeps the raw probability, rounding residue above 0; text
+    # prints it as 0, as run does, since its amplitude prints as 0.
+    assert 0 < payload["postselection_probability"] < DISPLAY_FLOOR**2
     code, out, err = run_cli(capsys, "weak-values", "--scenario", str(path), "--format", "text")
     assert code == EXIT_DEGENERATE
     lines = out.splitlines()
+    assert "postselection probability: 0" in lines
     assert "degenerate postselection: conditional statistics unavailable" in lines
     rows = lines[lines.index("weak values:") + 2:]
     assert [row.split()[2] for row in rows] == ["undefined"] * len(d["sites"])

@@ -14,6 +14,7 @@ import pytest
 
 from builders import (
     assemble,
+    composite,
     dense_strong,
     pairs,
     random_state,
@@ -615,23 +616,32 @@ def test_run_pointers_matches_dense_oracle_on_random_scenarios(make, seed):
                 assert pat not in row.branches
 
 
-def _dephased_probability(sc, clicked=None):
-    """<post|rho|post> with every strong pointer traced out as a dephasing channel.
+def _channel_probability(sc, clicked=None, insert=None):
+    """<post|rho|post> with every register traced out as its two-Kraus channel.
 
-    Each coupling maps rho to P rho P + Q rho Q, Q = 1 - P; at the
-    pointer of site clicked only the click branch P rho P is kept.
+    A register with (h0, h1) = moved_coeffs maps rho to the sum over b
+    of K_b rho K_b^+, K_0 = Q + h0 P and K_1 = h1 P, Q = 1 - P: the
+    density-matrix form of Silva et al., PRA 89, 012121 (2014). A strong
+    register's (0, 1) dephases, rho -> P rho P + Q rho Q. At the pointer
+    of site clicked only K_1 acts. The projector of the site insert acts
+    right before the couplings at its stage, as in a disturbance row.
     """
+    kraus = {}
+    for ps in sc.pointers:
+        site = sc.site(ps.site)
+        p = site.projector.matrix
+        h0, h1 = ps.moved_coeffs
+        ops = [h1 * p] if ps.site == clicked else [np.eye(sc.dim) - p + h0 * p, h1 * p]
+        kraus.setdefault(site.stage, []).append(ops)
+    if insert is not None:
+        kraus.setdefault(insert.stage, []).insert(0, [insert.projector.matrix])
     rho = np.outer(sc.prepost.pre.amps, sc.prepost.pre.amps.conj())
     for k, stage in enumerate(sc.timeline.stages):
         if k > 0:
             u = sc.timeline.segments[k - 1].matrix
             rho = u @ rho @ u.conj().T
-        for ps in sc.pointers:
-            site = sc.site(ps.site)
-            if site.stage == stage:
-                p = site.projector.matrix
-                q = np.eye(sc.dim) - p
-                rho = p @ rho @ p if ps.site == clicked else p @ rho @ p + q @ rho @ q
+        for ops in kraus.get(stage, ()):
+            rho = sum(op @ rho @ op.conj().T for op in ops)
     post = sc.prepost.post.amps
     return float(np.real(np.vdot(post, rho @ post)))
 
@@ -660,14 +670,39 @@ def test_twenty_strong_pointers_on_a_sparse_interferometer_match_the_dephasing_c
     pointers = [{"site": site["label"], "kind": "strong"} for site in rng.permutation(sites)]
     sc = _assemble(dim, stages, mats, pre, post, sites, pointers)
     rep = run_pointers(sc)
-    prob = _dephased_probability(sc)
+    prob = _channel_probability(sc)
     assert abs(rep.postselection_probability - prob) <= 1e-12
     assert len(rep.clicks) == n_ptr
     for ps in sc.pointers:
-        assert abs(rep.clicks[ps.site] - _dephased_probability(sc, ps.site) / prob) <= 1e-12
+        assert abs(rep.clicks[ps.site] - _channel_probability(sc, ps.site) / prob) <= 1e-12
         marginal = sum(v for pattern, v in rep.patterns.items() if ps.site in pattern)
         assert abs(rep.clicks[ps.site] - marginal) <= 1e-12
     assert abs(sum(rep.patterns.values()) - 1.0) <= 1e-12
+
+
+def test_a_north_star_composite_matches_the_two_kraus_channel():
+    # S = 200 stages, d = 16, 40 strong and 8 weak pointers and 4 null
+    # sites: every scale axis at once. Rows come from the null sites
+    # and from the pointer sites that the mixers leave without amplitude.
+    sc = from_dict(composite(1, 200, 16, 40, 8, 4))
+    rep = run_pointers(sc)
+    prob = _channel_probability(sc)
+    assert abs(rep.postselection_probability - prob) <= 1e-12
+    strong = [ps.site for ps in sc.pointers if ps.kind == "strong"]
+    assert len(strong) == 40 and list(rep.clicks) == strong
+    for site in strong:
+        assert abs(rep.clicks[site] - _channel_probability(sc, site) / prob) <= 1e-12
+    rows = disturbance_rows(sc)
+    assert {"n0", "n1", "n2", "n3"} < {row.site for row in rows}
+    for row in rows:
+        weight = sum(abs(amp) ** 2 for amp in row.branches.values())
+        assert abs(weight - _channel_probability(sc, insert=sc.site(row.site))) <= 1e-12
+    # Thirty weak registers make the block 2**30 columns wide.
+    too_wide = from_dict(composite(1, 200, 16, 20, 30, 0))
+    message = "the readout block would hold 16106127360 amplitudes, over the limit of 67108864"
+    with pytest.raises(ContractError) as refused:
+        run_pointers(too_wide)
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("n", [0, 8, 9, 16, 17, 63])
