@@ -136,7 +136,9 @@ def render_text(report: RunReport) -> str:
     lines.append(f"checksum: {report.checksum}")
     lines.append(f"tolerance: {_fnum(report.scenario.tolerance)}")
     prob = report.postselection_probability
-    lines.append(f"postselection probability: {_fnum(prob if prob >= DISPLAY_FLOOR**2 else 0.0)}")
+    if report.degenerate and prob < DISPLAY_FLOOR**2:
+        prob = 0.0
+    lines.append(f"postselection probability: {_fnum(prob)}")
     if report.degenerate:
         lines.append("degenerate postselection: conditional statistics unavailable")
     _render_weak_values(report, lines)

@@ -25,11 +25,11 @@ every branch into its miss and hit parts and drops the ones left
 exactly zero, as the zero transition amplitudes of an interferometer
 do, so a sparse run keeps a handful of the 2**n branches. strong_block
 groups the postselected branches by strong code with np.unique into a
-(live strong codes, 2**n_weak) block, dense over the weak registers; a
-strong-only run keeps one argsort, which is faster. click_readout reads
-the block normalized, pattern_amplitudes unnormalized. A coupling split
-or a block larger than MAX_LIVE_AMPLITUDES (2**26 amplitudes, 1 GiB) is
-refused with ContractError. click_readout keeps only the click patterns
+(live strong codes, 2**n_weak) block, dense over the weak registers.
+click_readout reads the block normalized, pattern_amplitudes
+unnormalized. A coupling split or a block larger than
+MAX_LIVE_AMPLITUDES (2**26 amplitudes, 1 GiB) is refused with
+ContractError. click_readout keeps only the click patterns
 above PATTERN_FLOOR, so its cost follows the patterns it reports.
 Position statistics are exact: the position operator is projected onto
 the weak span and marginal position distributions are reconstructed on
@@ -258,14 +258,9 @@ def strong_block(amps, codes, registers):
     codes (register_bits of registers). Returns the live strong codes,
     np.unique(codes >> n_weak), and a fresh, writable (live strong
     codes, 2**n_weak) block: row i holds strong code i's amplitudes at
-    their weak codes, the rest exactly zero. Without weak registers one
-    argsort, faster than np.unique, sorts the one column.
+    their weak codes, the rest exactly zero.
     """
     n_weak = sum(r.kind == WEAK for r in registers)
-    if not n_weak:
-        # One argsort: np.unique's sort plus inverse is slower here.
-        order = np.argsort(codes)
-        return codes[order], amps[order][:, None]
     strong, row = np.unique(codes >> n_weak, return_inverse=True)
     # A block's rows span all 2**n_weak weak codes, even with no row.
     _check_size(max(strong.size, 1) << n_weak, "the readout block")

@@ -46,7 +46,8 @@ MAX_POINTER_SCALE = 1e50
 WEAK_BASIS_FLOOR = 1e-8
 # Click patterns at or below this probability are left out of reports.
 PATTERN_FLOOR = 1e-12
-# Text mode prints as 0 parts below this and probabilities below its square; JSON is raw.
+# Text mode prints as 0 parts below this and, in a degenerate report, probabilities
+# below its square; JSON is raw.
 DISPLAY_FLOOR = 1e-12
 
 

@@ -254,6 +254,16 @@ def test_degenerate_scenario_exits_3_but_reports(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run", "--scenario", str(path), "--format", "text")
     assert code == EXIT_DEGENERATE
     assert "postselection probability: 0" in out.splitlines()
+    # A tolerance below the residue leaves the report not degenerate, so
+    # the probability beside its weak values prints as computed.
+    code, out, err = run_cli(
+        capsys, "weak-values", "--scenario", str(path), "--format", "text", "--tolerance", "1e-20"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert "degenerate postselection: conditional statistics unavailable" not in lines
+    assert "postselection probability: 0" not in lines
+    assert any(line.startswith("postselection probability: 6.96") for line in lines)
 
 
 def _tolerance_edge_scenario():
