@@ -2,7 +2,8 @@
 
 Subcommands: weak-values, run, disturbance, validate, export-default.
 Scenario sources are "builtin:NAME" or a file path. Exit codes: 0 ok,
-1 I/O error, 2 validation failure, 3 degenerate postselection.
+1 I/O error, 2 validation failure, 3 degenerate postselection, with
+the report printed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import sys
 
 from . import scenario as scen
-from .errors import SCHEMA, DegeneratePostselectionError, ScenarioError, WvlabError
+from .errors import SCHEMA, ScenarioError, WvlabError
 from .qcore import DISPLAY_FLOOR
 from .runner import (
     PATTERN_SEP,
@@ -202,9 +203,6 @@ def _run_analysis(args) -> int:
     except ScenarioError as exc:
         print(f"validation error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except DegeneratePostselectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except WvlabError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -5,7 +5,7 @@ projected branch of the system shifts it from "ready" to an orthogonal
 "shifted" state, so a later click is a certainty statement about the
 branch. A weak register is a Gaussian wavepacket on a position grid
 that the projected branch translates by a small g; its post-kick state
-overlaps the ready state almost completely, which is what makes the
+matches the ready state almost completely, which is what makes the
 coupling gentle. Both are the same von Neumann coupling: they differ
 only in where the kicked register lands, (0, 1) for a strong flag and
 moved_coeffs for a weak packet.

@@ -89,9 +89,9 @@ class RunReport:
 def _base_report(sc: Scenario, **sections) -> RunReport:
     """The weak-value report, with the caller's sections in place of its own."""
     tl, pp = sc.timeline, sc.prepost
-    amp = sweep(tl, pp).overlaps[-1]
+    amp = sweep(tl, pp).amplitude
     degenerate = abs(amp) <= sc.tolerance
-    # Scenario checked that every declared set is complete.
+    # Scenario checked every set is complete; no row here is degenerate.
     sum_rules = tuple(
         SumRuleResult(rule.sites, rule.stage, weak_value_sum(
             tl, pp, [sc.site(label).projector for label in rule.sites], rule.stage, sc.tolerance))

@@ -11,11 +11,11 @@ amplitude through an operator A at stage t is then one inner product,
 
     tau = <post(t)| A |pre(t)>,
 
-and a weak value divides tau by the bare amplitude <post(t)|pre(t)>,
-stored per stage by the sweep. transition_amplitude, weak_value,
-weak_value_sum and sum_rule_check read the latest sweep of their
-timeline and pre/post pair, so a report row is one mat-vec and one
-inner product.
+and a weak value divides tau by the sweep's one bare amplitude
+<post|U(t_f, t_i)|pre>, so a row is degenerate exactly when its report
+is. transition_amplitude, weak_value, weak_value_sum and sum_rule_check
+read the latest sweep of their timeline and pre/post pair, so a report
+row is one mat-vec and one inner product.
 """
 
 from __future__ import annotations
@@ -159,12 +159,12 @@ class Sweep:
 
     forward[k] is the pre state carried to stages[k], backward[k] the
     post state dragged back to it; both are read-only (S, d) arrays.
-    overlaps[k] is the bare amplitude <post(stages[k])|pre(stages[k])>.
+    amplitude, <post|U(t_f, t_i)|pre>, divides every weak value.
     """
 
     forward: np.ndarray
     backward: np.ndarray
-    overlaps: tuple[complex, ...]
+    amplitude: complex
 
 
 @lru_cache(maxsize=1)
@@ -184,22 +184,20 @@ def sweep(tl: Timeline, pp: PrePost) -> Sweep:
         forward[k + 1] = seg.matrix @ forward[k]
     for k in range(len(tl.segments) - 1, -1, -1):
         bras[k] = bras[k + 1] @ tl.segments[k].matrix
-    # One (1, d) @ (d, 1) product per stage: the same sums as np.vdot.
-    overlaps = tuple((bras[:, None, :] @ forward[:, :, None]).ravel().tolist())
     backward = bras.conj()
     forward.setflags(write=False)
     backward.setflags(write=False)
-    return Sweep(forward, backward, overlaps)
+    return Sweep(forward, backward, complex(np.vdot(backward[-1], forward[-1])))
 
 
 def _row(tl: Timeline, pp: PrePost, op: Operator, stage: str, require_projector: bool):
-    """(<post(stage)| op |pre(stage)>, <post(stage)|pre(stage)>) for one table row."""
+    """(<post(stage)| op |pre(stage)>, the sweep's amplitude) for one table row."""
     if require_projector and not op.is_projector():
         raise ContractError("transition_amplitude expects a projector; pass require_projector=False to override")
     if op.dim != pp.pre.dim:
         raise ContractError(f"operator dim {op.dim} vs state dim {pp.pre.dim}")
     sw, k = sweep(tl, pp), tl.index(stage)
-    return complex(np.vdot(sw.backward[k], op.matrix @ sw.forward[k])), sw.overlaps[k]
+    return complex(np.vdot(sw.backward[k], op.matrix @ sw.forward[k])), sw.amplitude
 
 
 def transition_amplitude(

@@ -21,7 +21,6 @@ from wvlab.cli import (
     format_complex,
     main,
 )
-from wvlab.errors import DegeneratePostselectionError
 from wvlab.qcore import DISPLAY_FLOOR, Ket, Operator
 from wvlab.runner import run_weak_values
 from wvlab.scenario import (
@@ -267,12 +266,11 @@ def test_degenerate_scenario_exits_3_but_reports(capsys, tmp_path):
 
 
 def _tolerance_edge_scenario():
-    """A random timeline with a sum rule at a stage whose overlap rounds below the final one.
+    """A random timeline with a sum rule at a stage whose pairing rounds below the amplitude.
 
-    Every stage's <post(t)|pre(t)> equals the final amplitude up to
-    rounding. With the tolerance at |<post(t)|pre(t)>|, the final
-    amplitude passes and the report is not degenerate, but the rule's
-    weak values at t are.
+    Every stage's <post(t)|pre(t)> equals the bare amplitude <post|U|pre>
+    up to rounding; returns the scenario, the first stage whose pairing
+    is smaller in magnitude, and that magnitude.
     """
     rng = np.random.default_rng(83)
     stages = tuple(f"t{k}" for k in range(10))
@@ -287,27 +285,45 @@ def _tolerance_edge_scenario():
     for _ in range(100):
         tl = Timeline(stages, tuple(Operator(unitary(3)) for _ in stages[1:]))
         pp = PrePost(state(3), state(3))
+        sw = sweep(tl, pp)
         # abs() as the report takes it: np.abs may differ in the last bit.
-        overlaps = [abs(z) for z in sweep(tl, pp).overlaps]
-        below = [k for k, a in enumerate(overlaps[:-1]) if a < overlaps[-1]]
+        pairings = [abs(complex(np.vdot(sw.backward[k], sw.forward[k]))) for k in range(len(stages))]
+        below = [k for k, a in enumerate(pairings) if a < abs(sw.amplitude)]
         if below:
             stage = stages[below[0]]
             basis = unitary(3)
             sites = tuple(Site(f"b{j}", stage, "ket", basis[:, j]) for j in range(3))
             sc = Scenario(tl, pp, sites, sum_rules=(SumRule(("b0", "b1", "b2"), stage),))
-            return sc, stage, overlaps[below[0]]
-    raise AssertionError("no stage overlap rounds below the final one")
+            return sc, stage, pairings[below[0]]
+    raise AssertionError("no stage pairing rounds below the amplitude")
 
 
-def test_sum_rule_at_the_tolerance_edge_exits_3(capsys, tmp_path):
-    sc, stage, tol = _tolerance_edge_scenario()
-    message = f"postselection amplitude vanished at stage {stage!r}"
-    with pytest.raises(DegeneratePostselectionError, match=message):
-        run_weak_values(sc.with_overrides(tolerance=tol))
+def test_sum_rule_at_the_tolerance_edge_follows_the_report(capsys, tmp_path):
+    # Every row divides by the report's one amplitude, so a row is
+    # degenerate exactly when the report is, on either side of |amplitude|.
+    sc, stage, edge = _tolerance_edge_scenario()
+    amp = abs(sweep(sc.timeline, sc.prepost).amplitude)
     path = tmp_path / "edge.json"
     save(sc, path)
-    code, out, err = run_cli(capsys, "weak-values", "--scenario", str(path), "--tolerance", repr(tol))
-    assert (code, out, err) == (EXIT_DEGENERATE, "", f"error: {message}\n")
+
+    rep = run_weak_values(sc.with_overrides(tolerance=edge))
+    assert not rep.degenerate and not any(row.degenerate for row in rep.weak_values)
+    (rule,) = rep.sum_rules
+    assert abs(rule.total - 1.0) <= 1e-12
+    code, out, err = run_cli(capsys, "weak-values", "--scenario", str(path), "--tolerance", repr(edge))
+    assert (code, err) == (EXIT_OK, "")
+    assert f"  b0+b1+b2 @ {stage} -> {format_complex(rule.total)}" in out.splitlines()
+
+    rep = run_weak_values(sc.with_overrides(tolerance=amp))
+    assert rep.degenerate and all(row.degenerate for row in rep.weak_values)
+    assert rep.sum_rules == ()
+    code, out, err = run_cli(capsys, "weak-values", "--scenario", str(path), "--tolerance", repr(amp))
+    assert (code, err) == (EXIT_DEGENERATE, "")
+    lines = out.splitlines()
+    assert "degenerate postselection: conditional statistics unavailable" in lines
+    assert "sum rules:" not in lines
+    rows = lines[lines.index("weak values:") + 2:]
+    assert [row.split()[2] for row in rows] == ["undefined"] * 3
 
 
 def test_export_default_round_trip(capsys, tmp_path):

@@ -7,6 +7,7 @@ representation used by the package must agree to machine precision.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from builders import (
     weak_on_empty_path,
     with_path_detectors,
 )
-from wvlab import runner
+from wvlab import cli, runner
 from wvlab.errors import SCHEMA, ContractError, ScenarioError
 from wvlab.pointer import (
     READY_CODE,
@@ -49,9 +50,11 @@ from wvlab.runner import disturbance_rows, run_pointers
 from wvlab.scenario import (
     Scenario,
     Site,
+    builtin,
     default_three_path,
     from_dict,
     three_path_rank2_crossing,
+    to_dict,
 )
 from wvlab.twosv import PrePost, Timeline, transition_amplitude
 
@@ -703,6 +706,41 @@ def test_a_north_star_composite_matches_the_two_kraus_channel():
     with pytest.raises(ContractError) as refused:
         run_pointers(too_wide)
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "name, prob, clicks",
+    [
+        ("three-path-fig1", 1 / 9, {"D": 1 / 2, "O": 1 / 2}),
+        ("three-path-fig1-oprime", 1 / 9, {"D": 1 / 2, "O": 1 / 2, "O'": 1 / 2}),
+        ("three-path-fig2", 1 / 3, {"D": 1 / 6, "O": 5 / 6, "E'": 1 / 6, "F'": 2 / 3}),
+    ],
+)
+def test_strong_pointers_make_a_forbidden_postselection_possible(name, prob, clicks, tmp_path, capsys):
+    # post = (1, 1, -2)/sqrt6 is orthogonal to pre, and the bare amplitude
+    # <post|U|pre> vanishes, so no weak value is defined. The strong
+    # pointers' back-action breaks that cancellation: a run is postselected
+    # with the probability of the two-Kraus channel.
+    d = to_dict(builtin(name))
+    s6 = 1.0 / np.sqrt(6.0)
+    d["post"] = pairs([s6, s6, -2.0 * s6])
+    sc = from_dict(d)
+    path = tmp_path / "forbidden.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    for command in ("weak-values", "disturbance"):
+        assert cli.main([command, "--scenario", str(path), "--format", "json"]) == cli.EXIT_DEGENERATE
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["scenario"]["degenerate"] is True
+        assert [row["value"] for row in payload["weak_values"]["table"]] == [None] * len(sc.sites)
+    assert cli.main(["run", "--scenario", str(path), "--format", "json"]) == cli.EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["scenario"]["degenerate"] is False
+    got = payload["postselection_probability"]
+    assert abs(got - _channel_probability(sc)) <= 1e-12 and abs(got - prob) <= 1e-12
+    assert list(payload["clicks"]) == list(clicks)
+    for site, p in payload["clicks"].items():
+        assert abs(p - _channel_probability(sc, site) / got) <= 1e-12
+        assert abs(p - clicks[site]) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [0, 8, 9, 16, 17, 63])

@@ -63,7 +63,7 @@ def test_default_scenario_layout():
     assert sc.timeline.stages == ("t_i", "t_1", "t_2", "t_3", "t_4", "t_f")
     assert tuple(s.label for s in sc.sites) == ("E", "F", "D", "O", "E'", "F'", "O'")
     assert tuple(s.stage for s in sc.sites) == ("t_1", "t_1", "t_2", "t_2", "t_3", "t_3", "t_4")
-    assert abs(sweep(sc.timeline, sc.prepost).overlaps[-1]) > sc.tolerance
+    assert abs(sweep(sc.timeline, sc.prepost).amplitude) > sc.tolerance
     assert not run_weak_values(sc).degenerate
     assert len(sc.checksum) == 64
 
@@ -515,7 +515,7 @@ def test_degenerate_scenario_flagged():
     s2 = 1.0 / np.sqrt(2.0)
     d["post"] = [[0.0, 0.0], [s2, 0.0], [-s2, 0.0]]
     sc = from_dict(d)
-    assert abs(sweep(sc.timeline, sc.prepost).overlaps[-1]) <= sc.tolerance
+    assert abs(sweep(sc.timeline, sc.prepost).amplitude) <= sc.tolerance
     assert run_weak_values(sc).degenerate
 
 

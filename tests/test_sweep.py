@@ -148,7 +148,7 @@ def test_report_matches_direct_formula(n_stages, dim):
 
     _, den = _direct(mats, pre, post, np.eye(dim), len(mats))
     assert abs(rep.postselection_probability - abs(den) ** 2) <= ATOL
-    assert abs(sweep(sc.timeline, sc.prepost).overlaps[-1] - den) <= ATOL
+    assert abs(sweep(sc.timeline, sc.prepost).amplitude - den) <= ATOL
 
     rows = disturbance_rows(sc)
     nulls = [label for label, tau in direct_tau.items() if abs(tau) <= sc.tolerance]
@@ -202,9 +202,10 @@ def test_sweep_holds_read_only_stacks_and_their_overlaps(n_stages, dim):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
-    assert len(sw.overlaps) == n_stages
+    # Every stage pairs to the one amplitude; the last one bit for bit.
+    assert sw.amplitude == np.vdot(sw.backward[-1], sw.forward[-1])
     for k, stage in enumerate(sc.timeline.stages):
-        assert sw.overlaps[k] == np.vdot(sw.backward[k], sw.forward[k])
+        assert abs(np.vdot(sw.backward[k], sw.forward[k]) - sw.amplitude) <= ATOL
         assert sc.timeline.index(stage) == k
 
 

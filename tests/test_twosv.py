@@ -58,8 +58,9 @@ def test_forward_and_backward_sweeps_pair_consistently():
     pre = Ket(random_state(rng, 3))
     post = Ket(random_state(rng, 3))
     sw = sweep(tl, PrePost(pre, post))
-    pairings = list(sw.overlaps)
-    assert np.allclose(pairings, pairings[0])
+    pairings = [np.vdot(sw.backward[k], sw.forward[k]) for k in range(len(stages))]
+    assert np.allclose(pairings, sw.amplitude)
+    assert pairings[-1] == sw.amplitude
 
 
 def test_transition_amplitude_reference_values():
@@ -158,7 +159,7 @@ def test_null_weak_value_iff_null_transition_amplitude():
         post = Ket(random_state(rng, n))
         pp = PrePost(pre, post)
         sw = sweep(tl, pp)
-        if abs(sw.overlaps[0]) <= 0.05:
+        if abs(sw.amplitude) <= 0.05:
             continue
         # One generic site and one engineered-null site.
         w = Ket(random_state(rng, n))
@@ -210,7 +211,7 @@ def test_random_complete_sets_sum_to_one():
         pre = Ket(random_state(rng, n))
         post = Ket(random_state(rng, n))
         pp = PrePost(pre, post)
-        if abs(sweep(tl, pp).overlaps[0]) <= 0.05:
+        if abs(sweep(tl, pp).amplitude) <= 0.05:
             continue
         basis = random_unitary(rng, n)
         projs = {f"p{i}": projector_from_ket(Ket(basis[:, i])) for i in range(n)}
