@@ -142,6 +142,9 @@ def render_text(report: RunReport) -> str:
     lines.append(f"postselection probability: {_fnum(prob)}")
     if report.degenerate:
         lines.append("degenerate postselection: conditional statistics unavailable")
+    elif any(row.degenerate for row in report.weak_values):
+        lines.append("weak values undefined: <post|U|pre> vanishes; "
+                     "pointer statistics are conditioned on the pointer run")
     _render_weak_values(report, lines)
     if report.coupling_order:
         lines.append(f"coupling order: {', '.join(report.coupling_order)}")

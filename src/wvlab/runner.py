@@ -1,16 +1,18 @@
 """Experiment execution: weak-value tables, pointer runs, disturbance.
 
 Each run is a pure function of a Scenario and produces a RunReport
-that holds it. Reports serialize to a schema-stable JSON dict with
-fixed top-level keys (scenario, weak_values, postselection_probability,
-clicks, patterns, weak_stats, disturbance, tolerance). Every row in it
-is its result type (WeakValueResult, SumRuleResult, WeakPointerStats,
-DisturbanceRow) written as that type's fields, in declaration order.
+that holds it; a pointer run or a disturbance table is the weak-value
+report with its own sections. Reports serialize to a schema-stable
+JSON dict with fixed top-level keys (scenario, weak_values,
+postselection_probability, clicks, patterns, weak_stats, disturbance,
+tolerance). Every row in it is its result type (WeakValueResult,
+SumRuleResult, WeakPointerStats, DisturbanceRow) written as that
+type's fields, in declaration order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .pointer import (
     strong_block,
 )
 from .scenario import PATTERN_SEP, Scenario, Site
-from .twosv import WeakValueResult, sweep, transition_amplitude, weak_value, weak_value_sum
+from .twosv import WeakValueResult, sweep, weak_value, weak_value_sum
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,12 @@ class RunReport:
         return self.scenario.dim
 
 
-def _base_report(sc: Scenario, **sections) -> RunReport:
-    """The weak-value report, with the caller's sections in place of its own."""
+def run_weak_values(sc: Scenario) -> RunReport:
+    """Weak value for every declared site, plus declared sum rules.
+
+    Pointers do not enter: weak values describe the undisturbed
+    scenario. A degenerate postselection is flagged, not fatal.
+    """
     tl, pp = sc.timeline, sc.prepost
     amp = sweep(tl, pp).amplitude
     degenerate = abs(amp) <= sc.tolerance
@@ -97,7 +103,6 @@ def _base_report(sc: Scenario, **sections) -> RunReport:
             tl, pp, [sc.site(label).projector for label in rule.sites], rule.stage, sc.tolerance))
         for rule in (() if degenerate else sc.sum_rules)
     )
-    own = dict(postselection_probability=float(abs(amp) ** 2), degenerate=degenerate)
     return RunReport(
         scenario=sc,
         weak_values=tuple(
@@ -105,45 +110,41 @@ def _base_report(sc: Scenario, **sections) -> RunReport:
             for site in sc.sites
         ),
         sum_rules=sum_rules,
-        **{**own, **sections},
+        postselection_probability=float(abs(amp) ** 2),
+        degenerate=degenerate,
     )
-
-
-def run_weak_values(sc: Scenario) -> RunReport:
-    """Weak value for every declared site, plus declared sum rules.
-
-    Pointers do not enter: weak values describe the undisturbed
-    scenario. A degenerate postselection is flagged, not fatal.
-    """
-    return _base_report(sc)
 
 
 def _simulate(sc: Scenario, insert: Site | None = None):
     """Run the coupling pipeline, optionally projecting the system
     through insert's projector right before that stage's couplings.
 
-    The pass holds two read-only arrays, the live branches (system dim,
+    The pass runs from the first to the last stage that couples or
+    inserts, from the sweep's |pre> at the first to its <post| at the
+    last. It holds two read-only arrays, the live branches (system dim,
     B) and their click codes (B,), and replaces both at every step.
     Returns the live strong codes and the unnormalized, writable block
     of their postselected amplitudes (strong_block), and the coupling
     order.
     """
-    bits = register_bits(sc.pointers)
-    couplings = {}
+    tl, bits = sc.timeline, register_bits(sc.pointers)
+    couplings = {insert.stage: []} if insert is not None else {}
     for ps in sc.pointers:
         site = sc.site(ps.site)
         couplings.setdefault(site.stage, []).append((ps, site.projector.matrix))
-    branches, codes = sc.prepost.pre.amps[:, None], READY_CODE
+    first, last = min(map(tl.index, couplings)), max(map(tl.index, couplings))
+    sw = sweep(tl, sc.prepost)
+    branches, codes = sw.forward[first][:, None], READY_CODE
     order = []
-    for k, stage in enumerate(sc.timeline.stages):
-        if k > 0:
-            branches = act(sc.timeline.segments[k - 1].matrix, branches)
+    for k, stage in enumerate(tl.stages[first:last + 1], first):
+        if k > first:
+            branches = act(tl.segments[k - 1].matrix, branches)
         if insert is not None and insert.stage == stage:
             branches = act(insert.projector.matrix, branches)
         for ps, proj in couplings.get(stage, ()):
             branches, codes = couple(branches, codes, proj, bits[ps.site], ps)
             order.append(ps.site)
-    strong, block = strong_block(sc.prepost.post.amps.conj() @ branches, codes, sc.pointers)
+    strong, block = strong_block(sw.backward[last].conj() @ branches, codes, sc.pointers)
     return strong, block, tuple(order)
 
 
@@ -151,7 +152,8 @@ def run_pointers(sc: Scenario) -> RunReport:
     """Couple every declared pointer in stage order and read out.
 
     Couplings at the same stage run in declaration order (recorded in
-    the report). When postselection is degenerate the report carries
+    the report). The weak-value report takes the pointer run's
+    postselection probability; when it is degenerate the report carries
     probability ~0 and no conditional statistics.
     """
     if not sc.pointers:
@@ -163,41 +165,35 @@ def run_pointers(sc: Scenario) -> RunReport:
     if not degenerate:
         block /= np.sqrt(prob)
         sections.update(click_readout(strong, block, sc.pointers))
-    return _base_report(sc, **sections)
+    return replace(run_weak_values(sc), **sections)
 
 
-def disturbance_rows(sc: Scenario) -> tuple[DisturbanceRow, ...]:
-    """One row per site whose undisturbed transition amplitude vanishes.
+def disturbance_table(sc: Scenario) -> RunReport:
+    """Weak-value report with one disturbance row per site whose
+    undisturbed transition amplitude, its weak-value row's numerator,
+    vanishes.
 
-    Each row reruns the full pointer pipeline with the system projected
+    Each row reruns the pointer pipeline with the system projected
     through that site, then collects the branch amplitudes that survive
     postselection per strong click pattern. Without pointers the single
     branch amplitude is the inserted-projector transition amplitude
     itself, so all flags stay false.
     """
+    report = run_weak_values(sc)
     rows = []
-    for site in sc.sites:
-        tau = transition_amplitude(sc.timeline, sc.prepost, site.projector, site.stage)
-        if abs(tau) > sc.tolerance:
+    for site, row in zip(sc.sites, report.weak_values):
+        if abs(row.numerator) > sc.tolerance:
             continue
         strong, block, _ = _simulate(sc, insert=site)
         amps = pattern_amplitudes(strong, block, sc.pointers)
         branches = {pat: amp for pat, amp in amps.items() if abs(amp) > sc.tolerance}
-        rows.append(
-            DisturbanceRow(
-                site=site.label,
-                stage=site.stage,
-                undisturbed=tau,
-                branches=branches,
-                disturbed=bool(branches),
-            )
-        )
-    return tuple(rows)
+        rows.append(DisturbanceRow(site.label, site.stage, row.numerator, branches, bool(branches)))
+    return replace(report, disturbance=tuple(rows))
 
 
-def disturbance_table(sc: Scenario) -> RunReport:
-    """Weak-value report extended with the disturbance analysis."""
-    return _base_report(sc, disturbance=disturbance_rows(sc))
+def disturbance_rows(sc: Scenario) -> tuple[DisturbanceRow, ...]:
+    """The disturbance section of disturbance_table(sc)."""
+    return disturbance_table(sc).disturbance
 
 
 # --- report serialization ---------------------------------------------------

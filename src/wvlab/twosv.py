@@ -193,7 +193,7 @@ def sweep(tl: Timeline, pp: PrePost) -> Sweep:
 def _row(tl: Timeline, pp: PrePost, op: Operator, stage: str, require_projector: bool):
     """(<post(stage)| op |pre(stage)>, the sweep's amplitude) for one table row."""
     if require_projector and not op.is_projector():
-        raise ContractError("transition_amplitude expects a projector; pass require_projector=False to override")
+        raise ContractError("expected a projector; transition_amplitude takes require_projector=False to override")
     if op.dim != pp.pre.dim:
         raise ContractError(f"operator dim {op.dim} vs state dim {pp.pre.dim}")
     sw, k = sweep(tl, pp), tl.index(stage)
@@ -224,10 +224,9 @@ def weak_value(
     *,
     site: str | None = None,
     tol: float = DEFAULT_TOLERANCE,
-    require_projector: bool = True,
 ) -> WeakValueResult:
-    """Weak value of op at stage for the given pre/post pair."""
-    num, den = _row(tl, pp, op, stage, require_projector)
+    """Weak value of the projector op at stage for the given pre/post pair."""
+    num, den = _row(tl, pp, op, stage, require_projector=True)
     degenerate = abs(den) <= tol
     return WeakValueResult(site, stage, num, den, None if degenerate else num / den, degenerate)
 

@@ -56,7 +56,7 @@ from wvlab.scenario import (
     three_path_rank2_crossing,
     to_dict,
 )
-from wvlab.twosv import PrePost, Timeline, transition_amplitude
+from wvlab.twosv import PrePost, Timeline, sweep, transition_amplitude
 
 S3 = 1.0 / np.sqrt(3.0)
 PSI = np.array([S3, S3, S3])
@@ -708,6 +708,17 @@ def test_a_north_star_composite_matches_the_two_kraus_channel():
     assert str(refused.value) == message
 
 
+FORBIDDEN = ("three-path-fig1", "three-path-fig1-oprime", "three-path-fig2")
+
+
+def _forbidden(name):
+    """The built-in's file with post = (1, 1, -2)/sqrt6, which is orthogonal to pre."""
+    d = to_dict(builtin(name))
+    s6 = 1.0 / np.sqrt(6.0)
+    d["post"] = pairs([s6, s6, -2.0 * s6])
+    return d
+
+
 @pytest.mark.parametrize(
     "name, prob, clicks",
     [
@@ -721,9 +732,7 @@ def test_strong_pointers_make_a_forbidden_postselection_possible(name, prob, cli
     # <post|U|pre> vanishes, so no weak value is defined. The strong
     # pointers' back-action breaks that cancellation: a run is postselected
     # with the probability of the two-Kraus channel.
-    d = to_dict(builtin(name))
-    s6 = 1.0 / np.sqrt(6.0)
-    d["post"] = pairs([s6, s6, -2.0 * s6])
+    d = _forbidden(name)
     sc = from_dict(d)
     path = tmp_path / "forbidden.json"
     path.write_text(json.dumps(d), encoding="utf-8")
@@ -741,6 +750,76 @@ def test_strong_pointers_make_a_forbidden_postselection_possible(name, prob, cli
     for site, p in payload["clicks"].items():
         assert abs(p - _channel_probability(sc, site) / got) <= 1e-12
         assert abs(p - clicks[site]) <= 1e-12
+    # The text says which number is which: the weak values describe the
+    # undisturbed experiment, the probability the pointer run.
+    note = ("weak values undefined: <post|U|pre> vanishes; "
+            "pointer statistics are conditioned on the pointer run")
+    assert cli.main(["run", "--scenario", str(path)]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].startswith("postselection probability: ") and lines[4] == note
+    assert cli.main(["weak-values", "--scenario", str(path)]) == cli.EXIT_DEGENERATE
+    assert note not in capsys.readouterr().out
+
+
+def _all_strong(sc):
+    return replace(sc, pointers=tuple(PointerSpec(ps.site, "strong") for ps in sc.pointers))
+
+
+def test_strong_pattern_amplitudes_sum_to_the_bare_amplitude():
+    # Law 3. A strong coupling splits a branch into P|b> and Q|b>, which
+    # sum back to |b>, so with strong registers only the pattern
+    # amplitudes sum to <post|U|pre>. By Cauchy-Schwarz, |<post|U|pre>|
+    # is then at most sqrt(patterns * probability): a run can be
+    # degenerate only where the bare amplitude is small. On the forbidden
+    # files the sum is 0 while the run's probability is 1/9 or 1/3.
+    rng = np.random.default_rng(3)
+    scenarios = [from_dict(dense_strong(8))] + [from_dict(_forbidden(name)) for name in FORBIDDEN]
+    scenarios += [_all_strong(_sparse_interferometer(rng, int(rng.integers(1, 11)))) for _ in range(30)]
+    scenarios += [_all_strong(_random_scenario(rng, int(rng.integers(1, 11)))) for _ in range(30)]
+    for sc in scenarios:
+        strong, block, _ = runner._simulate(sc)
+        amps = pattern_amplitudes(strong, block, sc.pointers)
+        bare = sweep(sc.timeline, sc.prepost).amplitude
+        assert abs(sum(amps.values()) - bare) <= 1e-12
+        assert abs(bare) <= np.sqrt(len(amps)) * np.linalg.norm(block) + 1e-12
+
+
+def test_a_pass_evolves_only_the_stages_between_its_first_and_last_step(monkeypatch):
+    # Pointers couple at stages 12 to 27 of 40 and a null site sits at
+    # stage 5. The sweep holds the states outside a pass, so a run applies
+    # 27 - 12 segments and the null site's row 27 - 5 segments plus its
+    # projector, not all 39.
+    rng = np.random.default_rng(26)
+    dim, eye = 4, np.eye(4)
+    stages = [f"t{k}" for k in range(40)]
+    mats = [random_unitary(rng, dim) for _ in stages[1:]]
+    pre, post = random_state(rng, dim), random_state(rng, dim)
+    psi = pre
+    for u in mats[:5]:
+        psi = u @ psi
+    v = random_state(rng, dim)
+    sites = [{"label": "null", "stage": "t5", "kind": "ket", "data": pairs(v - np.vdot(psi, v) * psi)}]
+    sites += [
+        {"label": f"s{k}", "stage": f"t{s}", "kind": "ket", "data": pairs(eye[k])}
+        for k, s in enumerate((12, 20, 20, 27))
+    ]
+    pointers = [{"site": f"s{k}", "kind": "strong"} for k in range(3)]
+    pointers.append({"site": "s3", "kind": "weak", "g": 0.3, "grid_size": 31})
+    sc = _assemble(dim, stages, mats, pre, post, sites, pointers)
+    applied = []
+    act = runner.act
+    monkeypatch.setattr(runner, "act", lambda m, b: applied.append(m) or act(m, b))
+    rep = run_pointers(sc)
+    assert len(applied) == 27 - 12
+    prob = _channel_probability(sc)
+    assert abs(rep.postselection_probability - prob) <= 1e-12
+    for site in ("s0", "s1", "s2"):
+        assert abs(rep.clicks[site] - _channel_probability(sc, site) / prob) <= 1e-12
+    applied.clear()
+    (row,) = disturbance_rows(sc)
+    assert row.site == "null" and len(applied) == 27 - 5 + 1
+    weight = sum(abs(amp) ** 2 for amp in row.branches.values())
+    assert abs(weight - _channel_probability(sc, insert=sc.site("null"))) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [0, 8, 9, 16, 17, 63])

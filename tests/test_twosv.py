@@ -137,7 +137,7 @@ def test_weak_values_of_reference_sites():
 
 def test_weak_value_of_identity_is_one():
     tl, pp = _three_path()
-    res = weak_value(tl, pp, identity(3), "t_3", require_projector=False)
+    res = weak_value(tl, pp, identity(3), "t_3")
     assert abs(res.value - 1.0) <= 1e-12
 
 
