@@ -18,14 +18,14 @@ from wvlab import (
     PointerSpec,
     builtin,
     default_three_path,
-    disturbance_rows,
+    disturbance_table,
     run_pointers,
     three_path_rank2_crossing,
 )
 
 print("disturbance in the fig2 configuration (strong D, O, E', F')")
 print()
-for row in disturbance_rows(builtin("three-path-fig2")):
+for row in disturbance_table(builtin("three-path-fig2")).disturbance:
     flag = "DISTURBED" if row.disturbed else "still null"
     print(f"  {row.site} @ {row.stage}: undisturbed amplitude {abs(row.undisturbed):.1e}  ->  {flag}")
     for pattern, amp in row.branches.items():

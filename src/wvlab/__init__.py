@@ -17,7 +17,7 @@ operators), `wvlab.twosv` (timelines, two-state evolution),
 
 from .errors import ScenarioError, WvlabError
 from .pointer import PointerSpec
-from .runner import disturbance_rows, run_pointers, run_weak_values
+from .runner import disturbance_table, run_pointers, run_weak_values
 from .scenario import (
     Scenario,
     builtin,
@@ -37,7 +37,7 @@ __all__ = [
     "WvlabError",
     "builtin",
     "default_three_path",
-    "disturbance_rows",
+    "disturbance_table",
     "load",
     "run_pointers",
     "run_weak_values",

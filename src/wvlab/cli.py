@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import scenario as scen
-from .errors import SCHEMA, ScenarioError, WvlabError
+from .errors import ScenarioError, WvlabError
 from .qcore import DISPLAY_FLOOR
 from .runner import (
     PATTERN_SEP,
@@ -29,8 +28,6 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
-
-TOLERANCE_ENV = "WVLAB_TOLERANCE"
 
 
 def format_complex(z: complex) -> str:
@@ -102,18 +99,6 @@ def _emit(text: str, out: str | None, code: int = EXIT_OK) -> int:
     return code
 
 
-def _tolerance_override(args) -> float | None:
-    if args.tolerance is not None:
-        return args.tolerance
-    raw = os.environ.get(TOLERANCE_ENV)
-    if raw is None or raw == "":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ScenarioError(SCHEMA, f"{TOLERANCE_ENV} must hold a number, got {raw!r}") from None
-
-
 def _render_weak_values(report: RunReport, lines: list) -> None:
     lines.append("weak values:")
     widths = (6, 7, 22, 22, 22)
@@ -176,7 +161,7 @@ def render_text(report: RunReport) -> str:
 def _run_analysis(args) -> int:
     try:
         sc = scen.resolve(args.scenario)
-        sc = sc.with_overrides(tolerance=_tolerance_override(args), g=args.g)
+        sc = sc.with_overrides(tolerance=args.tolerance, g=args.g)
         if args.command == "validate":
             if args.format == "json":
                 payload = {

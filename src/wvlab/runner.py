@@ -191,11 +191,6 @@ def disturbance_table(sc: Scenario) -> RunReport:
     return replace(report, disturbance=tuple(rows))
 
 
-def disturbance_rows(sc: Scenario) -> tuple[DisturbanceRow, ...]:
-    """The disturbance section of disturbance_table(sc)."""
-    return disturbance_table(sc).disturbance
-
-
 # --- report serialization ---------------------------------------------------
 
 

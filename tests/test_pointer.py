@@ -46,7 +46,7 @@ from wvlab.qcore import (
     identity,
     projector_from_ket,
 )
-from wvlab.runner import disturbance_rows, run_pointers
+from wvlab.runner import disturbance_table, run_pointers
 from wvlab.scenario import (
     Scenario,
     Site,
@@ -607,7 +607,7 @@ def test_run_pointers_matches_dense_oracle_on_random_scenarios(make, seed):
         assert abs(st.variance - var) <= 1e-12
         assert np.max(np.abs(st.probabilities - sim.weak_marginal(k))) <= 1e-12
 
-    rows = disturbance_rows(sc)
+    rows = disturbance_table(sc).disturbance
     assert {row.site for row in rows} >= {f"s{len(sc.pointers)}", f"s{len(sc.pointers) + 1}"}
     for row in rows:
         want, has_weak = _strong_branches(_dense_pipeline(sc, insert=sc.site(row.site)), sc)
@@ -695,7 +695,7 @@ def test_a_north_star_composite_matches_the_two_kraus_channel():
     assert len(strong) == 40 and list(rep.clicks) == strong
     for site in strong:
         assert abs(rep.clicks[site] - _channel_probability(sc, site) / prob) <= 1e-12
-    rows = disturbance_rows(sc)
+    rows = disturbance_table(sc).disturbance
     assert {"n0", "n1", "n2", "n3"} < {row.site for row in rows}
     for row in rows:
         weight = sum(abs(amp) ** 2 for amp in row.branches.values())
@@ -816,7 +816,7 @@ def test_a_pass_evolves_only_the_stages_between_its_first_and_last_step(monkeypa
     for site in ("s0", "s1", "s2"):
         assert abs(rep.clicks[site] - _channel_probability(sc, site) / prob) <= 1e-12
     applied.clear()
-    (row,) = disturbance_rows(sc)
+    (row,) = disturbance_table(sc).disturbance
     assert row.site == "null" and len(applied) == 27 - 5 + 1
     weight = sum(abs(amp) ** 2 for amp in row.branches.values())
     assert abs(weight - _channel_probability(sc, insert=sc.site("null"))) <= 1e-12
@@ -836,7 +836,7 @@ def test_pattern_names_decode_every_bit(n):
     assert _pattern_names(sites, codes) == want
 
 
-def test_sparse_disturbance_rows_at_sixteen_pointers_match_the_dense_oracle():
+def test_sparse_disturbance_table_at_sixteen_pointers_matches_the_dense_oracle():
     # Strong detectors on all 4 paths at t1 to t4; a 50:50 beam splitter
     # mixes paths 0 and 1 between t2 and t3. Path 3 is empty, and the
     # post state dragged back to t2 is zero on path 0, which carries
@@ -861,7 +861,7 @@ def test_sparse_disturbance_rows_at_sixteen_pointers_match_the_dense_oracle():
     ]
     pointers = [{"site": site["label"], "kind": "strong"} for site in sites[:16]]
     sc = _assemble(dim, stages, mats, pre, splitter @ back, sites, pointers)
-    rows = {row.site: row for row in disturbance_rows(sc)}
+    rows = {row.site: row for row in disturbance_table(sc).disturbance}
     for label in ("empty", "live"):
         want, _ = _strong_branches(_dense_pipeline(sc, insert=sc.site(label)), sc)
         kept = {pat: complex(b) for pat, b in want.items() if abs(complex(b)) > sc.tolerance}
@@ -977,7 +977,7 @@ def test_forty_pointer_scenario_is_refused_by_run_pointers(monkeypatch):
         (from_dict(weak_on_empty_path(30)), "the readout block would hold 1073741824 amplitudes"),
         (from_dict(weak_on_empty_path(63)), f"the readout block would hold {2**63} amplitudes"),
     ):
-        for run in (run_pointers, disturbance_rows):
+        for run in (run_pointers, disturbance_table):
             with pytest.raises(ContractError, match=f"^{what}, {bound}$"):
                 run(sc)
 
@@ -988,7 +988,7 @@ def test_forty_pointer_scenario_is_refused_by_run_pointers(monkeypatch):
     sc = from_dict(with_path_detectors(64))
     for step in ("act", "couple", "strong_block"):
         monkeypatch.setattr(runner, step, allocates)
-    for run in (run_pointers, disturbance_rows):  # O and O' are null sites
+    for run in (run_pointers, disturbance_table):  # O and O' are null sites
         with pytest.raises(ContractError, match="64 pointer registers exceed the limit of 63"):
             run(sc)
 
@@ -1206,7 +1206,7 @@ def _check_second_pointer_law(sc, e, o, g):
         return _pass_amplitude(sc, sorted(pair, key=lambda p: p[0]))
 
     def row(*pointers):
-        rows = {r.site: r for r in disturbance_rows(replace(sc, pointers=pointers))}
+        rows = {r.site: r for r in disturbance_table(replace(sc, pointers=pointers)).disturbance}
         return rows[o].branches
 
     tol = sc.tolerance

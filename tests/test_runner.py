@@ -16,7 +16,6 @@ from wvlab.runner import (
     DisturbanceRow,
     RunReport,
     SumRuleResult,
-    disturbance_rows,
     disturbance_table,
     report_to_dict,
     run_pointers,
@@ -140,7 +139,7 @@ def test_disturbance_fig2_flags_first_crossing_only():
 
 
 def test_disturbance_without_pointers_reduces_to_amplitudes():
-    rows = disturbance_rows(builtin("three-path"))
+    rows = disturbance_table(builtin("three-path")).disturbance
     assert {r.site for r in rows} == {"O", "O'"}
     for row in rows:
         assert abs(row.undisturbed) <= 1e-12

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import re
@@ -18,6 +19,7 @@ DEMOS = (
     "weak_pointers.py",
     "disturbance_and_crossings.py",
 )
+TOP_LEVEL_EXTRAS = {"Scenario", "load", "save", "WvlabError", "ScenarioError"}
 
 
 def _quick_start_section() -> str:
@@ -56,6 +58,32 @@ def test_readme_module_entries_name_what_the_modules_define():
         assert names, module
         missing = [name for name in names if not hasattr(mod, name)]
         assert not missing, f"README names {module} attributes it does not define: {missing}"
+
+
+def test_top_level_exports_are_what_readme_and_demos_use():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    used = set()
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        used |= {
+            node.attr
+            for node in ast.walk(ast.parse(block))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "wvlab"
+        }
+    for demo in DEMOS:
+        tree = ast.parse((ROOT / "demos" / demo).read_text(encoding="utf-8"))
+        used |= {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "wvlab"
+            for alias in node.names
+        }
+    wvlab = importlib.import_module("wvlab")
+    exported = set(wvlab.__all__)
+    assert not exported - used - TOP_LEVEL_EXTRAS, "exported but used by no README block or demo"
+    assert not (used | TOP_LEVEL_EXTRAS) - exported, "used but not exported"
+    assert all(hasattr(wvlab, name) for name in exported)
 
 
 @pytest.mark.parametrize("demo", DEMOS)
