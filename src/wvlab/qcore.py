@@ -76,7 +76,8 @@ class Ket:
         return self.amps.size
 
     def norm(self) -> float:
-        return _norm(self.amps)
+        with np.errstate(all="ignore"):
+            return float(np.linalg.norm(self.amps))
 
     def is_normalized(self) -> bool:
         return abs(self.norm() - 1.0) <= NORM_TOL
@@ -120,11 +121,6 @@ class Operator:
 
 def _residual(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
-
-
-def _norm(amps: np.ndarray) -> float:
-    with np.errstate(all="ignore"):
-        return float(np.linalg.norm(amps))
 
 
 def resolves_identity(projectors) -> bool:

@@ -198,11 +198,9 @@ def _plain(x):
     """JSON form of a report value: a result type becomes a dict of its
     fields in declaration order, complex an [re, im] pair, an array its
     list; tuple keys (click patterns) are joined by PATTERN_SEP."""
-    if isinstance(x, float):
-        return float(x)
     if isinstance(x, complex):
         return [float(x.real) + 0.0, float(x.imag) + 0.0]
-    if x is None or isinstance(x, (str, int)):
+    if x is None or isinstance(x, (str, int, float)):
         return x
     if isinstance(x, (tuple, list)):
         return [_plain(v) for v in x]

@@ -1,5 +1,7 @@
-"""Builders the test modules share: random states and unitaries, and
-scenario files as plain dicts, built from their parts.
+"""Builders the test modules share, each stated once: the paper's
+three-path example (its states, path and crossing projectors and weak
+values), the random states and unitaries the modules draw, and scenario
+files as plain dicts, built from their parts.
 
 It also builds the oversize pointer sets that the run and CLI tests
 feed to the amplitude and register limits, and the north-star
@@ -10,9 +12,33 @@ and CI steps import it.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
+from wvlab.qcore import Ket, basis_ket, projector_from_ket
 from wvlab.scenario import default_three_path, to_dict
+
+# The three-path example: its pre and post states and the weak values of
+# its seven sites, null at the crossings O and O'.
+S3 = 1.0 / np.sqrt(3.0)
+PSI = np.array([S3, S3, S3])
+CHI = np.array([S3, S3, -S3])
+EXPECTED_WEAK_VALUES = {"E": 1.0, "F": -1.0, "D": 1.0, "O": 0.0, "E'": 1.0, "F'": -1.0, "O'": 0.0}
+# A file-loaded scenario beside the 3-dim built-ins: dim 4, five stages,
+# strong and weak pointers, null ket and matrix sites and a sum rule.
+# Its entries are multiples of 1/2, so every amplitude is exact.
+FOUR_LEVEL = os.path.join(os.path.dirname(__file__), "data", "four_level.json")
+
+
+def path_projector(index):
+    """The projector on path index (0, 1 or 2) of the three-path interferometer."""
+    return projector_from_ket(basis_ket(3, index))
+
+
+def crossing_projector():
+    """The rank-1 projector of the crossings O and O', on path indices 1 and 2 equally."""
+    return projector_from_ket(Ket([0.0, 1.0, 1.0]))
 
 
 def unit(v) -> np.ndarray:
@@ -24,6 +50,11 @@ def unit(v) -> np.ndarray:
 def random_state(rng, n) -> np.ndarray:
     """A random complex unit vector of length n."""
     return unit(rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+def qr_unitary(rng, n):
+    """A random n x n unitary: the Q of a complex Gaussian matrix, phases unfixed."""
+    return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
 
 
 def random_unitary(rng, n):

@@ -12,15 +12,13 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from builders import random_state, random_unitary
+from builders import EXPECTED_WEAK_VALUES, qr_unitary, random_state, random_unitary
 from wvlab.cli import EXIT_OK, main
 from wvlab.pointer import READY_CODE, PointerSpec, couple
 from wvlab.qcore import Ket, Operator, projector_from_ket
 from wvlab.runner import disturbance_table, run_pointers
 from wvlab.scenario import builtin
 from wvlab.twosv import PrePost, Timeline, sum_rule_check, transition_amplitude, weak_value
-
-EXPECTED_WEAK_VALUES = {"E": 1.0, "F": -1.0, "D": 1.0, "O": 0.0, "E'": 1.0, "F'": -1.0, "O'": 0.0}
 
 
 @contextmanager
@@ -170,7 +168,7 @@ def test_criterion_6_property_suite():
                 u_after = m @ u_after
 
             # Complete orthogonal set: weak values sum to 1.
-            basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+            basis = qr_unitary(rng, dim)
             projs = {
                 f"b{j}": projector_from_ket(Ket(basis[:, j])) for j in range(dim)
             }

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -11,7 +10,14 @@ import sys
 import numpy as np
 import pytest
 
-from builders import dense_strong, weak_on_empty_path, with_path_detectors
+from builders import (
+    FOUR_LEVEL,
+    dense_strong,
+    qr_unitary,
+    random_state,
+    weak_on_empty_path,
+    with_path_detectors,
+)
 from wvlab.cli import (
     EXIT_DEGENERATE,
     EXIT_IO,
@@ -208,8 +214,7 @@ def test_a_name_cannot_forge_report_lines(capsys, tmp_path, forge):
 
 
 def test_path_starting_with_brace_is_opened_as_a_file(capsys, tmp_path, monkeypatch):
-    src = os.path.join(os.path.dirname(__file__), "data", "four_level.json")
-    shutil.copy(src, tmp_path / "{x}.json")
+    shutil.copy(FOUR_LEVEL, tmp_path / "{x}.json")
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, "validate", "--scenario", "{x}.json")
     assert code == EXIT_OK and err == ""
@@ -273,24 +278,16 @@ def _tolerance_edge_scenario():
     """
     rng = np.random.default_rng(83)
     stages = tuple(f"t{k}" for k in range(10))
-
-    def unitary(dim):
-        return np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
-
-    def state(dim):
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return Ket(v / np.linalg.norm(v))
-
     for _ in range(100):
-        tl = Timeline(stages, tuple(Operator(unitary(3)) for _ in stages[1:]))
-        pp = PrePost(state(3), state(3))
+        tl = Timeline(stages, tuple(Operator(qr_unitary(rng, 3)) for _ in stages[1:]))
+        pp = PrePost(Ket(random_state(rng, 3)), Ket(random_state(rng, 3)))
         sw = sweep(tl, pp)
         # abs() as the report takes it: np.abs may differ in the last bit.
         pairings = [abs(complex(np.vdot(sw.backward[k], sw.forward[k]))) for k in range(len(stages))]
         below = [k for k, a in enumerate(pairings) if a < abs(sw.amplitude)]
         if below:
             stage = stages[below[0]]
-            basis = unitary(3)
+            basis = qr_unitary(rng, 3)
             sites = tuple(Site(f"b{j}", stage, "ket", basis[:, j]) for j in range(3))
             sc = Scenario(tl, pp, sites, sum_rules=(SumRule(("b0", "b1", "b2"), stage),))
             return sc, stage, pairings[below[0]]

@@ -14,10 +14,14 @@ import numpy as np
 import pytest
 
 from builders import (
+    CHI,
+    PSI,
     assemble,
     composite,
+    crossing_projector,
     dense_strong,
     pairs,
+    path_projector,
     random_state,
     random_unitary,
     unit,
@@ -42,7 +46,6 @@ from wvlab.qcore import (
     PATTERN_FLOOR,
     Ket,
     Operator,
-    basis_ket,
     identity,
     projector_from_ket,
 )
@@ -57,19 +60,6 @@ from wvlab.scenario import (
     to_dict,
 )
 from wvlab.twosv import PrePost, Timeline, sweep, transition_amplitude
-
-S3 = 1.0 / np.sqrt(3.0)
-PSI = np.array([S3, S3, S3])
-CHI = np.array([S3, S3, -S3])
-
-
-def _proj(index):
-    return projector_from_ket(basis_ket(3, index))
-
-
-def _crossing():
-    return projector_from_ket(Ket([0.0, 1.0, 1.0]))
-
 
 
 # --- brute-force oracle on full grids --------------------------------------
@@ -321,8 +311,9 @@ def test_couplings_preserve_norm():
 
 def test_same_stage_orthogonal_strong_couplings_commute():
     specs = [PointerSpec(site="D", kind="strong"), PointerSpec(site="O", kind="strong")]
-    a = _layout(*_couple_all(PSI, specs, [(_proj(0), "D"), (_crossing(), "O")]), specs)
-    b = _layout(*_couple_all(PSI, specs, [(_crossing(), "O"), (_proj(0), "D")]), specs)
+    d, o = (path_projector(0), "D"), (crossing_projector(), "O")
+    a = _layout(*_couple_all(PSI, specs, [d, o]), specs)
+    b = _layout(*_couple_all(PSI, specs, [o, d]), specs)
     assert np.max(np.abs(a - b)) <= 1e-14
 
 
@@ -335,7 +326,8 @@ def test_postselect_bare_state():
     assert np.linalg.norm(orth) ** 2 <= 1e-20
 
 
-_FIG2 = [(_proj(0), "D"), (_crossing(), "O"), (_proj(1), "E'"), (_proj(2), "F'")]
+_FIG2 = [(path_projector(0), "D"), (crossing_projector(), "O"),
+         (path_projector(1), "E'"), (path_projector(2), "F'")]
 
 
 def _strong_specs(sites):
@@ -429,7 +421,7 @@ def _dense_run(psi, chi, couplings, specs):
     ],
 )
 def test_compact_representation_matches_dense_oracle(specs, couplings):
-    projs = {"p0": _proj(0), "p2": _proj(2), "cross": _crossing()}
+    projs = {"p0": path_projector(0), "p2": path_projector(2), "cross": crossing_projector()}
     couplings = [(projs[name], site) for name, site in couplings]
     prob_run, _, stats = _package_run(PSI, CHI, couplings, specs)
     sim, prob = _dense_run(PSI, CHI, couplings, specs)
@@ -449,12 +441,12 @@ def test_compact_representation_matches_dense_oracle(specs, couplings):
 def test_weak_pointer_mean_tracks_weak_value():
     g = 0.01
     _, _, stats = _package_run(
-        PSI, CHI, [(_proj(2), "F")], [PointerSpec(site="F", kind="weak", g=g)]
+        PSI, CHI, [(path_projector(2), "F")], [PointerSpec(site="F", kind="weak", g=g)]
     )
     # Weak value at F is -1; conditional mean shifts to about -g.
     assert abs(stats["weak_stats"]["F"].mean - (-g)) <= 1e-4
     _, _, stats = _package_run(
-        PSI, CHI, [(_crossing(), "O")], [PointerSpec(site="O", kind="weak", g=g)]
+        PSI, CHI, [(crossing_projector(), "O")], [PointerSpec(site="O", kind="weak", g=g)]
     )
     # Vanishing amplitude: the packet does not move at all.
     assert abs(stats["weak_stats"]["O"].mean) <= 1e-12
@@ -472,7 +464,7 @@ def test_weak_coupling_with_identity_projector_shifts_fully():
 
 def test_weak_coupling_with_zero_g_is_identity():
     spec = PointerSpec(site="O", kind="weak", g=0.0)
-    out = _couple_all(PSI, [spec], [(_crossing(), "O")])
+    out = _couple_all(PSI, [spec], [(crossing_projector(), "O")])
     assert np.max(np.abs(_layout(*out, [spec]) - _layout(*_ready(), [spec]))) <= 1e-15
 
 
@@ -930,13 +922,14 @@ def test_live_branches_grow_at_most_twofold_per_coupling():
 
 def test_partially_coupled_state_keeps_the_full_layout():
     specs = _strong_specs(("D", "O", "E'", "F'"))
-    branches, codes = _couple_all(PSI, specs, [(_crossing(), "O"), (_proj(2), "F'")])
+    couplings = [(crossing_projector(), "O"), (path_projector(2), "F'")]
+    branches, codes = _couple_all(PSI, specs, couplings)
     # Only the bits of O (0b0100) and F' (0b0001) are ever set.
     assert sorted(codes.tolist()) == [0b0000, 0b0001, 0b0100, 0b0101]
     assert branches.shape == (3, 4)
     sim = DenseSim(PSI, specs)
-    sim.couple(_crossing(), 1)
-    sim.couple(_proj(2), 3)
+    sim.couple(crossing_projector(), 1)
+    sim.couple(path_projector(2), 3)
     t = _layout(branches, codes, specs)
     assert np.max(np.abs(t - sim.t)) <= 1e-15
     # Uncoupled registers are still ready: their shifted halves are zero.

@@ -9,6 +9,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from builders import EXPECTED_WEAK_VALUES, FOUR_LEVEL
 from wvlab.cli import render_text
 from wvlab.errors import ContractError
 from wvlab.pointer import STRONG, PointerSpec, WeakPointerStats
@@ -31,8 +32,6 @@ from wvlab.scenario import (
     to_dict,
 )
 from wvlab.twosv import WeakValueResult
-
-EXPECTED_WEAK_VALUES = {"E": 1.0, "F": -1.0, "D": 1.0, "O": 0.0, "E'": 1.0, "F'": -1.0, "O'": 0.0}
 
 
 def test_weak_value_table_and_sum_rules():
@@ -114,6 +113,16 @@ def test_allweak_run_follows_first_order_pointer_law():
         assert abs(st.variance - sigma**2) <= 2e-2 * sigma**2
     assert rep.weak_stats["F"].mean < 0 and rep.weak_stats["F'"].mean < 0
     assert rep.weak_stats["E"].mean > 0 and rep.weak_stats["D"].mean > 0
+
+
+def test_coupling_order_is_stage_order_then_declaration_order():
+    # four_level.json declares its pointers in stage order. Reversed, they
+    # still couple stage by stage, and in declaration order within a stage:
+    # N1 before A at t1.
+    d = to_dict(load(FOUR_LEVEL))
+    d["pointers"].reverse()
+    assert [p["site"] for p in d["pointers"]] == ["Z", "N3", "B", "N1", "A"]
+    assert run_pointers(from_dict(d)).coupling_order == ("N1", "A", "B", "N3", "Z")
 
 
 def test_disturbance_fig1_clean():
@@ -233,7 +242,7 @@ def test_report_rows_are_their_result_types_fields():
     rank2 = three_path_rank2_crossing(
         [PointerSpec(site=s, kind=STRONG) for s in ("D", "O", "E'", "F'")]
     )
-    four_level = load(os.path.join(os.path.dirname(__file__), "data", "four_level.json"))
+    four_level = load(FOUR_LEVEL)
     seen = set()
     for sc in [builtin(name) for name in BUILTIN_NAMES] + [rank2, four_level]:
         reports = [run_weak_values(sc), disturbance_table(sc)]

@@ -4,14 +4,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from builders import assemble, pairs
+from builders import (
+    CHI,
+    EXPECTED_WEAK_VALUES,
+    FOUR_LEVEL,
+    PSI,
+    assemble,
+    pairs,
+    qr_unitary,
+    random_state,
+)
 from wvlab import scenario as scenario_module
 from wvlab.errors import (
     NON_NORMALIZED_STATE,
@@ -43,12 +51,6 @@ from wvlab.scenario import (
     to_dict,
 )
 from wvlab.twosv import PrePost, Timeline, identity_timeline, sweep, weak_value
-
-S3 = 1.0 / np.sqrt(3.0)
-PSI = np.array([S3, S3, S3])
-CHI = np.array([S3, S3, -S3])
-
-EXPECTED_WEAK_VALUES = {"E": 1.0, "F": -1.0, "D": 1.0, "O": 0.0, "E'": 1.0, "F'": -1.0, "O'": 0.0}
 
 
 def _tampered(**edits):
@@ -238,23 +240,15 @@ def _random_site_scenario(rng) -> Scenario:
     """Random unitary timeline with unnormalized ket sites and a matrix site of random rank."""
     dim = int(rng.integers(2, 6))
     stages = ("a", "b", "c")
-
-    def unitary():
-        return np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
-
-    def state():
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return Ket(v / np.linalg.norm(v))
-
     sites = [
         Site(f"k{j}", stages[j], "ket", rng.normal(size=dim) + 1j * rng.normal(size=dim))
         for j in range(3)
     ]
-    cols = unitary()[:, : int(rng.integers(1, dim + 1))]
+    cols = qr_unitary(rng, dim)[:, : int(rng.integers(1, dim + 1))]
     sites.append(Site("m", "b", "matrix", cols @ cols.conj().T))
     return Scenario(
-        timeline=Timeline(stages, (Operator(unitary()), Operator(unitary()))),
-        prepost=PrePost(state(), state()),
+        timeline=Timeline(stages, (Operator(qr_unitary(rng, dim)), Operator(qr_unitary(rng, dim)))),
+        prepost=PrePost(Ket(random_state(rng, dim)), Ket(random_state(rng, dim))),
         sites=tuple(sites),
     )
 
@@ -530,10 +524,9 @@ def _seeded_d5_scenario() -> Scenario:
     and rank-2 sites, a strong and a weak pointer and a sum rule."""
     rng = np.random.default_rng(20261018)
     dim, stages = 5, ["a", "b", "c", "d"]
-    mats = [np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
-            for _ in stages[1:]]
+    mats = [qr_unitary(rng, dim) for _ in stages[1:]]
     pre, post = (v / np.linalg.norm(v) for v in rng.normal(size=(2, dim)) + 0.5j)
-    basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    basis = qr_unitary(rng, dim)
     rank2 = basis[:, 3:] @ basis[:, 3:].conj().T
     sites = [{"label": f"b{j}", "stage": "b", "kind": "ket", "data": pairs(basis[:, j])}
              for j in range(3)]
@@ -563,9 +556,6 @@ def _edge_float_scenario() -> Scenario:
         pointers=(PointerSpec('é"\\', "weak", g=0.1),),
         tolerance=1e-7,
     )
-
-
-FOUR_LEVEL = os.path.join(os.path.dirname(__file__), "data", "four_level.json")
 
 
 def _file_scenarios():
@@ -851,16 +841,11 @@ def test_a_packet_on_one_grid_point_is_refused(grid):
 def big_timeline(tmp_path_factory):
     rng = np.random.default_rng(63)
     dim, n_stages = 12, 60
-
-    def unitary():
-        return np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
-
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    state = Ket(v / np.linalg.norm(v))
+    state = Ket(random_state(rng, dim))
     sc = Scenario(
         timeline=Timeline(
             tuple(f"t{k}" for k in range(n_stages)),
-            tuple(Operator(unitary()) for _ in range(n_stages - 1)),
+            tuple(Operator(qr_unitary(rng, dim)) for _ in range(n_stages - 1)),
         ),
         prepost=PrePost(state, state),
         sites=(),

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 import pytest
 
-from builders import random_state, random_unitary
+from builders import FOUR_LEVEL, random_state, random_unitary
 from wvlab import cli
 from wvlab.errors import SCHEMA, UNKNOWN_SITE, ContractError, ScenarioError
 from wvlab.pointer import WEAK, PointerSpec
@@ -51,10 +51,6 @@ from wvlab.twosv import (
 )
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "cli_golden")
-# A file-loaded scenario beside the 3-dim built-ins: dim 4, five stages,
-# strong and weak pointers, null ket and matrix sites and a sum rule.
-# Its entries are multiples of 1/2, so every amplitude is exact.
-FOUR_LEVEL = os.path.join(os.path.dirname(__file__), "data", "four_level.json")
 EXIT_CODES = os.path.join(GOLDEN_DIR, "exit_codes.json")
 SUBCOMMANDS = ("weak-values", "run", "disturbance", "validate")
 FORMATS = ("text", "json")

@@ -5,7 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from builders import random_state, random_unitary, unit
+from builders import (
+    CHI,
+    PSI,
+    crossing_projector,
+    path_projector,
+    random_state,
+    random_unitary,
+    unit,
+)
 from wvlab.errors import SCHEMA, ContractError, DegeneratePostselectionError, ScenarioError
 from wvlab.qcore import Ket, Operator, basis_ket, identity, projector_from_ket
 from wvlab.twosv import (
@@ -18,24 +26,14 @@ from wvlab.twosv import (
     weak_value,
 )
 
-S3 = 1.0 / np.sqrt(3.0)
 STAGES = ("t_i", "t_1", "t_2", "t_3", "t_4", "t_f")
 
 
 def _three_path():
     """The reference interferometer, assembled from primitives only."""
     tl = identity_timeline(STAGES, 3)
-    pp = PrePost(Ket([S3, S3, S3]), Ket([S3, S3, -S3]))
+    pp = PrePost(Ket(PSI), Ket(CHI))
     return tl, pp
-
-
-def _proj(index):
-    return projector_from_ket(basis_ket(3, index))
-
-
-def _crossing_proj():
-    return projector_from_ket(Ket([0.0, 1.0, 1.0]))
-
 
 
 def test_timeline_validation():
@@ -70,10 +68,11 @@ def test_transition_amplitude_reference_values():
         tau = transition_amplitude(tl, pp, eye, stage, require_projector=False)
         assert np.isclose(tau, 1.0 / 3.0, atol=1e-12)
     # The crossing amplitudes cancel exactly.
-    assert abs(transition_amplitude(tl, pp, _crossing_proj(), "t_2")) <= 1e-12
-    assert abs(transition_amplitude(tl, pp, _crossing_proj(), "t_4")) <= 1e-12
-    assert np.isclose(transition_amplitude(tl, pp, _proj(0), "t_2"), 1.0 / 3.0, atol=1e-12)
-    assert np.isclose(transition_amplitude(tl, pp, _proj(2), "t_1"), -1.0 / 3.0, atol=1e-12)
+    assert abs(transition_amplitude(tl, pp, crossing_projector(), "t_2")) <= 1e-12
+    assert abs(transition_amplitude(tl, pp, crossing_projector(), "t_4")) <= 1e-12
+    assert np.isclose(transition_amplitude(tl, pp, path_projector(0), "t_2"), 1.0 / 3.0, atol=1e-12)
+    amp = transition_amplitude(tl, pp, path_projector(2), "t_1")
+    assert np.isclose(amp, -1.0 / 3.0, atol=1e-12)
 
 
 def test_transition_amplitude_requires_projector_by_default():
@@ -120,13 +119,13 @@ def test_rank1_transition_amplitude_factorizes():
 def test_weak_values_of_reference_sites():
     tl, pp = _three_path()
     expected = [
-        (_proj(1), "t_1", 1.0),
-        (_proj(2), "t_1", -1.0),
-        (_proj(0), "t_2", 1.0),
-        (_crossing_proj(), "t_2", 0.0),
-        (_proj(1), "t_3", 1.0),
-        (_proj(2), "t_3", -1.0),
-        (_crossing_proj(), "t_4", 0.0),
+        (path_projector(1), "t_1", 1.0),
+        (path_projector(2), "t_1", -1.0),
+        (path_projector(0), "t_2", 1.0),
+        (crossing_projector(), "t_2", 0.0),
+        (path_projector(1), "t_3", 1.0),
+        (path_projector(2), "t_3", -1.0),
+        (crossing_projector(), "t_4", 0.0),
     ]
     for proj, stage, want in expected:
         res = weak_value(tl, pp, proj, stage)
@@ -179,7 +178,8 @@ def test_null_weak_value_iff_null_transition_amplitude():
 def test_inserting_identity_stage_changes_nothing():
     tl, pp = _three_path()
     stretched = identity_timeline(("t_i", "t_1", "t_2", "t_mid", "t_3", "t_4", "t_f"), 3)
-    for proj, stage in [(_proj(1), "t_1"), (_crossing_proj(), "t_2"), (_proj(2), "t_3")]:
+    probes = [(path_projector(1), "t_1"), (crossing_projector(), "t_2"), (path_projector(2), "t_3")]
+    for proj, stage in probes:
         a = weak_value(tl, pp, proj, stage).value
         b = weak_value(stretched, pp, proj, stage).value
         assert abs(a - b) <= 1e-12
@@ -187,10 +187,10 @@ def test_inserting_identity_stage_changes_nothing():
 
 def test_sum_rule_check():
     tl, pp = _three_path()
-    complete = {"D": _proj(0), "E": _proj(1), "F": _proj(2)}
+    complete = {"D": path_projector(0), "E": path_projector(1), "F": path_projector(2)}
     assert abs(sum_rule_check(tl, pp, complete, "t_1") - 1.0) <= 1e-12
     with pytest.raises(ContractError):
-        sum_rule_check(tl, pp, {"E": _proj(1), "F": _proj(2)}, "t_1")
+        sum_rule_check(tl, pp, {"E": path_projector(1), "F": path_projector(2)}, "t_1")
     degenerate = PrePost(basis_ket(3, 0), basis_ket(3, 1))
     with pytest.raises(DegeneratePostselectionError):
         sum_rule_check(tl, degenerate, complete, "t_1")
