@@ -13,9 +13,10 @@ amplitude through an operator A at stage t is then one inner product,
 
 and a weak value divides tau by the sweep's one bare amplitude
 <post|U(t_f, t_i)|pre>, so a row is degenerate exactly when its report
-is. transition_amplitude, weak_value, weak_value_sum and sum_rule_check
-read the latest sweep of their timeline and pre/post pair, so a report
-row is one mat-vec and one inner product.
+is. transition_amplitude takes a projector A and returns tau, its weak
+value's numerator. weak_value, weak_value_sum and sum_rule_check read
+the latest sweep of their timeline and pre/post pair, so a report row
+is one mat-vec and one inner product.
 """
 
 from __future__ import annotations
@@ -190,30 +191,9 @@ def sweep(tl: Timeline, pp: PrePost) -> Sweep:
     return Sweep(forward, backward, complex(np.vdot(backward[-1], forward[-1])))
 
 
-def _row(tl: Timeline, pp: PrePost, op: Operator, stage: str, require_projector: bool):
-    """(<post(stage)| op |pre(stage)>, the sweep's amplitude) for one table row."""
-    if require_projector and not op.is_projector():
-        raise ContractError("expected a projector; transition_amplitude takes require_projector=False to override")
-    if op.dim != pp.pre.dim:
-        raise ContractError(f"operator dim {op.dim} vs state dim {pp.pre.dim}")
-    sw, k = sweep(tl, pp), tl.index(stage)
-    return complex(np.vdot(sw.backward[k], op.matrix @ sw.forward[k])), sw.amplitude
-
-
-def transition_amplitude(
-    tl: Timeline,
-    pp: PrePost,
-    op: Operator,
-    stage: str,
-    *,
-    require_projector: bool = True,
-) -> complex:
-    """Amplitude <post(stage)| op |pre(stage)>.
-
-    op must pass the projector check unless require_projector=False is
-    passed explicitly (linear-combination probes need that escape).
-    """
-    return _row(tl, pp, op, stage, require_projector)[0]
+def transition_amplitude(tl: Timeline, pp: PrePost, op: Operator, stage: str) -> complex:
+    """Amplitude <post(stage)| op |pre(stage)> of the projector op: its weak value's numerator."""
+    return weak_value(tl, pp, op, stage).numerator
 
 
 def weak_value(
@@ -226,7 +206,12 @@ def weak_value(
     tol: float = DEFAULT_TOLERANCE,
 ) -> WeakValueResult:
     """Weak value of the projector op at stage for the given pre/post pair."""
-    num, den = _row(tl, pp, op, stage, require_projector=True)
+    if not op.is_projector():
+        raise ContractError("expected a projector")
+    if op.dim != pp.pre.dim:
+        raise ContractError(f"operator dim {op.dim} vs state dim {pp.pre.dim}")
+    sw, k = sweep(tl, pp), tl.index(stage)
+    num, den = complex(np.vdot(sw.backward[k], op.matrix @ sw.forward[k])), sw.amplitude
     degenerate = abs(den) <= tol
     return WeakValueResult(site, stage, num, den, None if degenerate else num / den, degenerate)
 

@@ -153,6 +153,16 @@ def test_validate_text_and_json(capsys, tmp_path):
     assert payload["checksum"] == builtin("three-path-fig1").checksum
 
 
+def test_validate_checks_and_hashes_the_overridden_scenario(capsys):
+    code, out, err = run_cli(capsys, "validate", "--scenario", "builtin:three-path-allweak", "--g", "5")
+    assert code == EXIT_VALIDATION and out == ""
+    assert err == ("validation error [schema]: pointer at 'E': ready/kicked overlap 0.0439 <= 0.9, "
+                   "coupling is not weak\n")
+    code, payload, _ = run_json(capsys, "validate", "--scenario", "builtin:three-path", "--tolerance", "1e-8")
+    want = builtin("three-path").with_overrides(tolerance=1e-8).checksum
+    assert code == EXIT_OK and payload["checksum"] == want != builtin("three-path").checksum
+
+
 def test_unknown_builtin_exits_validation_and_names_it(capsys):
     code, out, err = run_cli(capsys, "weak-values", "--scenario", "builtin:nope")
     assert code == EXIT_VALIDATION and out == ""

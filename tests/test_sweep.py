@@ -234,7 +234,7 @@ def test_one_sweep_per_report_and_per_pre_post_pair():
     assert sweep.cache_info().misses == 1
     # A stage scan over one pair reuses its sweep; another pair gets its own.
     tl, one = sc.timeline, identity(sc.dim)
-    taus = [transition_amplitude(tl, sc.prepost, one, s, require_projector=False) for s in tl.stages]
+    taus = [transition_amplitude(tl, sc.prepost, one, s) for s in tl.stages]
     assert sweep.cache_info().misses == 1
     total = np.eye(sc.dim)
     for seg in tl.segments:
@@ -245,7 +245,7 @@ def test_one_sweep_per_report_and_per_pre_post_pair():
     want = np.vdot(other.post.amps, total @ other.pre.amps)
     assert abs(want - taus[0]) > 0.1
     for stage in tl.stages:
-        assert abs(transition_amplitude(tl, other, one, stage, require_projector=False) - want) <= ATOL
+        assert abs(transition_amplitude(tl, other, one, stage) - want) <= ATOL
     assert sweep.cache_info().misses == 2
 
 

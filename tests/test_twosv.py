@@ -65,7 +65,7 @@ def test_transition_amplitude_reference_values():
     tl, pp = _three_path()
     eye = identity(3)
     for stage in STAGES:
-        tau = transition_amplitude(tl, pp, eye, stage, require_projector=False)
+        tau = transition_amplitude(tl, pp, eye, stage)
         assert np.isclose(tau, 1.0 / 3.0, atol=1e-12)
     # The crossing amplitudes cancel exactly.
     assert abs(transition_amplitude(tl, pp, crossing_projector(), "t_2")) <= 1e-12
@@ -75,14 +75,11 @@ def test_transition_amplitude_reference_values():
     assert np.isclose(amp, -1.0 / 3.0, atol=1e-12)
 
 
-def test_transition_amplitude_requires_projector_by_default():
+def test_transition_amplitude_requires_projector():
     tl, pp = _three_path()
     tilted = Operator(0.5 * np.eye(3))
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="expected a projector"):
         transition_amplitude(tl, pp, tilted, "t_1")
-    # Explicit opt-out admits arbitrary operators.
-    val = transition_amplitude(tl, pp, tilted, "t_1", require_projector=False)
-    assert np.isclose(val, 0.5 / 3.0, atol=1e-12)
 
 
 def test_transition_amplitude_is_linear_in_the_operator():
@@ -96,7 +93,8 @@ def test_transition_amplitude_is_linear_in_the_operator():
     pb = projector_from_ket(Ket(rng.normal(size=4) + 1j * rng.normal(size=4)))
     alpha, beta = 0.7 - 0.2j, -1.1 + 0.4j
     combo = Operator(alpha * pa.matrix + beta * pb.matrix)
-    lhs = transition_amplitude(tl, pp, combo, "b", require_projector=False)
+    sw = sweep(tl, pp)
+    lhs = np.vdot(sw.backward[1], combo.matrix @ sw.forward[1])
     rhs = alpha * transition_amplitude(tl, pp, pa, "b") + beta * transition_amplitude(
         tl, pp, pb, "b"
     )
