@@ -184,16 +184,14 @@ class Scenario:
             raise ScenarioError(UNKNOWN_SITE, f"no site named {label!r}") from None
 
     def with_overrides(self, tolerance: float | None = None, g: float | None = None) -> Scenario:
-        """Copy with a new tolerance and/or weak coupling strength g."""
-        out = self
-        if tolerance is not None:
-            out = replace(out, tolerance=float(tolerance))
-        if g is not None:
-            new_pointers = tuple(
-                replace(ps, g=float(g)) if ps.kind == WEAK else ps for ps in out.pointers
-            )
-            out = replace(out, pointers=new_pointers)
-        return out
+        """Copy with a new tolerance and/or weak g, each checked as a file's value is."""
+        if tolerance is None and g is None:
+            return self
+        pointers = self.pointers if g is None else tuple(
+            replace(ps, g=g) if ps.kind == WEAK else ps for ps in self.pointers
+        )
+        tolerance = self.tolerance if tolerance is None else tolerance
+        return replace(self, tolerance=tolerance, pointers=pointers)
 
     @cached_property
     def checksum(self) -> str:

@@ -4,7 +4,8 @@ values), the random states and unitaries the modules draw, and scenario
 files as plain dicts, built from their parts.
 
 It also builds the oversize pointer sets that the run and CLI tests
-feed to the amplitude and register limits, and the north-star
+feed to the amplitude and register limits, the pointer entries that
+put a weak packet on one grid point, and the north-star
 composite that exercises many stages, many pointers and a large
 dimension at once. pytest does not collect this module; test modules
 and CI steps import it.
@@ -29,6 +30,14 @@ EXPECTED_WEAK_VALUES = {"E": 1.0, "F": -1.0, "D": 1.0, "O": 0.0, "E'": 1.0, "F'"
 # strong and weak pointers, null ket and matrix sites and a sum rule.
 # Its entries are multiples of 1/2, so every amplitude is exact.
 FOUR_LEVEL = os.path.join(os.path.dirname(__file__), "data", "four_level.json")
+# Pointer entries that each put a weak packet on one grid point, every
+# number inside README's bounds; the loader refuses each as too coarse.
+ONE_POINT_GRIDS = [
+    dict(g=0.0, grid_size=3, grid_extent=1e6),
+    dict(g=0.0, grid_extent=5e-324),
+    dict(g=1e-5, grid_size=3, grid_extent=1e6),
+    dict(g=0.0, grid_size=3, grid_extent=40.0),
+]
 
 
 def path_projector(index):

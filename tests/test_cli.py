@@ -12,6 +12,7 @@ import pytest
 
 from builders import (
     FOUR_LEVEL,
+    ONE_POINT_GRIDS,
     dense_strong,
     qr_unitary,
     random_state,
@@ -467,15 +468,7 @@ def test_render_text_keeps_fields_apart():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize(
-    "grid",
-    [
-        dict(g=0.0, grid_size=3, grid_extent=1e6),
-        dict(g=0.0, grid_extent=5e-324),
-        dict(g=1e-5, grid_size=3, grid_extent=1e6),
-        dict(g=0.0, grid_size=3, grid_extent=40.0),
-    ],
-)
+@pytest.mark.parametrize("grid", ONE_POINT_GRIDS)
 def test_validate_refuses_a_packet_on_one_grid_point(capsys, tmp_path, grid):
     d = to_dict(builtin("three-path-allweak"))
     for entry in d["pointers"]:

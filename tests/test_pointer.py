@@ -700,6 +700,110 @@ def test_a_north_star_composite_matches_the_two_kraus_channel():
     assert str(refused.value) == message
 
 
+# --- referees at north-star scale: the two-Kraus model, resolved further ---
+# Both read only the scenario's matrices and each pointer's moved_coeffs,
+# pos_op and pos2_op, as _channel_probability does.
+
+
+def _kraus_at_stages(sc):
+    """Stage -> (spec, K_0, K_1) of each pointer coupled there, in declaration order."""
+    kraus = {}
+    for ps in sc.pointers:
+        site = sc.site(ps.site)
+        p = site.projector.matrix
+        h0, h1 = ps.moved_coeffs
+        kraus.setdefault(site.stage, []).append((ps, np.eye(sc.dim) - p + h0 * p, h1 * p))
+    return kraus
+
+
+def _sandwich(a, rho, b):
+    """a rho b^+ on every matrix of a stack rho."""
+    return a @ rho @ b.conj().T
+
+
+def _coherent_register_stats(sc, kept):
+    """Mean and variance of the weak register kept, every other register a channel.
+
+    At kept's coupling rho becomes the four blocks rho_ab = K_a rho K_b^+,
+    and every later step acts on each block. The register's reduced
+    state is r_ab = <post|rho_ab|post> / probability.
+    """
+    rho = np.outer(sc.prepost.pre.amps, sc.prepost.pre.amps.conj())[None]
+    kraus = _kraus_at_stages(sc)
+    for k, stage in enumerate(sc.timeline.stages):
+        if k > 0:
+            u = sc.timeline.segments[k - 1].matrix
+            rho = _sandwich(u, rho, u)
+        for ps, k0, k1 in kraus.get(stage, ()):
+            if ps.site == kept:
+                rho = np.stack([_sandwich(a, rho[0], b) for a in (k0, k1) for b in (k0, k1)])
+            else:
+                rho = _sandwich(k0, rho, k0) + _sandwich(k1, rho, k1)
+    post = sc.prepost.post.amps
+    r = np.einsum("i,kij,j->k", post.conj(), rho, post).reshape(2, 2)
+    r /= np.trace(r).real
+    spec = next(ps for ps in sc.pointers if ps.site == kept)
+    mean = np.einsum("ab,ba->", r, spec.pos_op).real
+    return mean, np.einsum("ab,ba->", r, spec.pos2_op).real - mean**2
+
+
+def _resolved_weights(sc, insert):
+    """<post|rho|post> of every strong click pattern, insert's projector inserted.
+
+    A strong coupling splits each pattern's rho into P rho P (click)
+    and Q rho Q; a part that is exactly zero is dropped. Weak registers
+    act as channels. The projector of insert acts right before the
+    couplings at its stage.
+    """
+    patterns, rho = [()], np.outer(sc.prepost.pre.amps, sc.prepost.pre.amps.conj())[None]
+    kraus = _kraus_at_stages(sc)
+    for k, stage in enumerate(sc.timeline.stages):
+        if k > 0:
+            u = sc.timeline.segments[k - 1].matrix
+            rho = _sandwich(u, rho, u)
+        if insert.stage == stage:
+            rho = _sandwich(insert.projector.matrix, rho, insert.projector.matrix)
+        for ps, k0, k1 in kraus.get(stage, ()):
+            if ps.kind == "weak":
+                rho = _sandwich(k0, rho, k0) + _sandwich(k1, rho, k1)
+                continue
+            patterns = [pat + (ps.site,) for pat in patterns] + patterns
+            rho = np.concatenate([_sandwich(k1, rho, k1), _sandwich(k0, rho, k0)])
+            live = rho.any(axis=(1, 2))
+            patterns, rho = [pat for pat, keep in zip(patterns, live) if keep], rho[live]
+    post = sc.prepost.post.amps
+    weights = np.einsum("i,kij,j->k", post.conj(), rho, post).real
+    rank = {ps.site: j for j, ps in enumerate(sc.pointers)}
+    return {tuple(sorted(pat, key=rank.get)): w for pat, w in zip(patterns, weights.tolist())}
+
+
+NORTH_STAR_COMPOSITES = [(1, 200, 16, 40, 8, 4), (2, 200, 16, 40, 8, 4), (1, 200, 16, 40, 14, 4)]
+
+
+@pytest.mark.parametrize("args", NORTH_STAR_COMPOSITES, ids=lambda a: f"seed{a[0]}-{a[3]}+{a[4]}")
+def test_north_star_weak_statistics_match_one_register_kept_coherent(args):
+    sc = from_dict(composite(*args))
+    weak_stats = run_pointers(sc).weak_stats
+    assert list(weak_stats) == [ps.site for ps in sc.pointers if ps.kind == "weak"]
+    for site, stats in weak_stats.items():
+        mean, variance = _coherent_register_stats(sc, site)
+        assert abs(stats.mean - mean) <= 1e-12
+        assert abs(stats.variance - variance) <= 1e-12
+
+
+@pytest.mark.parametrize("args", NORTH_STAR_COMPOSITES, ids=lambda a: f"seed{a[0]}-{a[3]}+{a[4]}")
+def test_north_star_disturbance_rows_match_the_pattern_resolved_channel(args):
+    sc = from_dict(composite(*args))
+    rows = disturbance_table(sc).disturbance
+    assert {"n0", "n1", "n2", "n3"} < {row.site for row in rows}
+    for row in rows:
+        weights = _resolved_weights(sc, sc.site(row.site))
+        kept = {pat: w for pat, w in weights.items() if np.sqrt(w) > sc.tolerance}
+        assert set(row.branches) == set(kept)
+        for pat, amp in row.branches.items():
+            assert abs(abs(amp) ** 2 - kept[pat]) <= 1e-12
+
+
 FORBIDDEN = ("three-path-fig1", "three-path-fig1-oprime", "three-path-fig2")
 
 

@@ -14,6 +14,7 @@ from builders import (
     CHI,
     EXPECTED_WEAK_VALUES,
     FOUR_LEVEL,
+    ONE_POINT_GRIDS,
     PSI,
     assemble,
     pairs,
@@ -502,6 +503,20 @@ def test_with_overrides():
     assert all(ps.g == 0.01 for ps in strong.pointers)  # strong specs keep defaults
     with pytest.raises(ContractError):
         sc.with_overrides(g=2.0)  # overlap too small
+    assert sc.with_overrides() is sc
+    assert builtin("three-path").with_overrides(tolerance=1e-8).checksum.startswith("0d607ad3")
+    # An override is checked as the same value in a file is.
+    for key, value in [("g", False), ("g", "0.02"), ("tolerance", "1e-8"), ("tolerance", True),
+                       ("g", 10**400)]:
+        d = to_dict(sc)
+        for entry in d["pointers"] if key == "g" else [d]:
+            entry[key] = value
+        with pytest.raises(ScenarioError) as from_file:
+            from_dict(d)
+        with pytest.raises(ScenarioError) as overridden:
+            sc.with_overrides(**{key: value})
+        assert overridden.value.code == SCHEMA
+        assert str(overridden.value) == str(from_file.value)
 
 
 def test_degenerate_scenario_flagged():
@@ -807,15 +822,6 @@ def test_pointer_numbers_must_be_finite_and_bounded(field, value):
     with pytest.raises(ScenarioError) as err:
         from_dict(d)
     assert err.value.code == SCHEMA and field in str(err.value)
-
-
-# Each a weak packet on one grid point, every number inside README's bounds.
-ONE_POINT_GRIDS = [
-    dict(g=0.0, grid_size=3, grid_extent=1e6),
-    dict(g=0.0, grid_extent=5e-324),
-    dict(g=1e-5, grid_size=3, grid_extent=1e6),
-    dict(g=0.0, grid_size=3, grid_extent=40.0),
-]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -38,9 +38,11 @@ def _module_entries() -> dict[str, list[str]]:
 
 
 def _child(args) -> subprocess.CompletedProcess:
+    """A Python child on args in development mode, every warning an error."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
-        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-X", "dev", "-W", "error", *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
 
 

@@ -147,14 +147,18 @@ def test_degenerate_postselection_flagged():
     assert abs(res.denominator) <= 1e-12
 
 
+def _random_three_stages(rng):
+    """Dimension n in 2..5, the timeline a, b, c of two random unitaries,
+    then random pre and post states, drawn from rng in that order."""
+    n = int(rng.integers(2, 6))
+    tl = Timeline(("a", "b", "c"), tuple(Operator(random_unitary(rng, n)) for _ in range(2)))
+    return n, tl, PrePost(Ket(random_state(rng, n)), Ket(random_state(rng, n)))
+
+
 def test_null_weak_value_iff_null_transition_amplitude():
     rng = np.random.default_rng(29)
     for _ in range(50):
-        n = int(rng.integers(2, 6))
-        tl = Timeline(("a", "b", "c"), tuple(Operator(random_unitary(rng, n)) for _ in range(2)))
-        pre = Ket(random_state(rng, n))
-        post = Ket(random_state(rng, n))
-        pp = PrePost(pre, post)
+        n, tl, pp = _random_three_stages(rng)
         sw = sweep(tl, pp)
         if abs(sw.amplitude) <= 0.05:
             continue
@@ -204,11 +208,7 @@ def test_sum_rule_check_rejects_mixed_dimensions_with_a_contract_error():
 def test_random_complete_sets_sum_to_one():
     rng = np.random.default_rng(31)
     for _ in range(25):
-        n = int(rng.integers(2, 6))
-        tl = Timeline(("a", "b", "c"), tuple(Operator(random_unitary(rng, n)) for _ in range(2)))
-        pre = Ket(random_state(rng, n))
-        post = Ket(random_state(rng, n))
-        pp = PrePost(pre, post)
+        n, tl, pp = _random_three_stages(rng)
         if abs(sweep(tl, pp).amplitude) <= 0.05:
             continue
         basis = random_unitary(rng, n)
@@ -220,19 +220,14 @@ def test_weak_value_against_direct_formula():
     # Independent oracle: one raw matrix-product expression.
     rng = np.random.default_rng(37)
     for _ in range(25):
-        n = int(rng.integers(2, 6))
-        u1 = random_unitary(rng, n)
-        u2 = random_unitary(rng, n)
-        tl = Timeline(("a", "b", "c"), (Operator(u1), Operator(u2)))
-        pre = Ket(random_state(rng, n))
-        post = Ket(random_state(rng, n))
-        pp = PrePost(pre, post)
+        n, tl, pp = _random_three_stages(rng)
+        u1, u2 = (seg.matrix for seg in tl.segments)
         uvec = Ket(random_state(rng, n))
         proj = projector_from_ket(uvec)
-        den = post.amps.conj() @ (u2 @ u1) @ pre.amps
+        den = pp.post.amps.conj() @ (u2 @ u1) @ pp.pre.amps
         if abs(den) <= 0.05:
             continue
-        num = post.amps.conj() @ u2 @ proj.matrix @ u1 @ pre.amps
+        num = pp.post.amps.conj() @ u2 @ proj.matrix @ u1 @ pp.pre.amps
         res = weak_value(tl, pp, proj, "b")
         assert abs(res.value - num / den) <= 1e-12
         assert abs(res.numerator - num) <= 1e-12
