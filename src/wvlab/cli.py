@@ -99,23 +99,6 @@ def _emit(text: str, out: str | None, code: int = EXIT_OK) -> int:
     return code
 
 
-def _render_weak_values(report: RunReport, lines: list) -> None:
-    lines.append("weak values:")
-    widths = (6, 7, 22, 22, 22)
-    header = ("site", "stage", "value", "numerator", "denominator")
-    lines.append("  " + _columns(*zip(header, widths)))
-    for row in report.weak_values:
-        value = "undefined" if row.value is None else format_complex(row.value)
-        numbers = (value, format_complex(row.numerator), format_complex(row.denominator))
-        lines.append("  " + _columns(*zip((row.site, row.stage) + numbers, widths)))
-    if report.sum_rules:
-        lines.append("sum rules:")
-        for rule in report.sum_rules:
-            lines.append(
-                f"  {PATTERN_SEP.join(rule.sites)} @ {rule.stage} -> {format_complex(rule.total)}"
-            )
-
-
 def render_text(report: RunReport) -> str:
     lines = []
     lines.append(f"scenario: dim {report.dim}, stages {' '.join(report.scenario.timeline.stages)}")
@@ -130,7 +113,20 @@ def render_text(report: RunReport) -> str:
     elif any(row.degenerate for row in report.weak_values):
         lines.append("weak values undefined: <post|U|pre> vanishes; "
                      "pointer statistics are conditioned on the pointer run")
-    _render_weak_values(report, lines)
+    lines.append("weak values:")
+    widths = (6, 7, 22, 22, 22)
+    header = ("site", "stage", "value", "numerator", "denominator")
+    lines.append("  " + _columns(*zip(header, widths)))
+    for row in report.weak_values:
+        value = "undefined" if row.value is None else format_complex(row.value)
+        numbers = (value, format_complex(row.numerator), format_complex(row.denominator))
+        lines.append("  " + _columns(*zip((row.site, row.stage) + numbers, widths)))
+    if report.sum_rules:
+        lines.append("sum rules:")
+        for rule in report.sum_rules:
+            lines.append(
+                f"  {PATTERN_SEP.join(rule.sites)} @ {rule.stage} -> {format_complex(rule.total)}"
+            )
     if report.coupling_order:
         lines.append(f"coupling order: {', '.join(report.coupling_order)}")
     if report.clicks:

@@ -360,13 +360,12 @@ def click_readout(strong, block, registers) -> dict:
 def pattern_amplitudes(strong, block, registers) -> dict[tuple[str, ...], complex]:
     """Branch amplitude per strong click pattern of an unnormalized block.
 
-    Only the patterns whose branch is not exactly zero are present, in
+    Every grouped row of the block is present, zero or not, in
     np.ndindex order over the strong registers. With weak registers
     present a branch is a block row, so its norm is returned (as a
     non-negative real); without them the complex branch amplitude itself.
     """
-    live = np.flatnonzero(block.any(axis=1))
-    names = _pattern_names(_sites(registers, STRONG), strong[live])
+    names = _pattern_names(_sites(registers, STRONG), strong)
     if block.shape[1] > 1:
-        return {name: complex(np.linalg.norm(block[i])) for name, i in zip(names, live.tolist())}
-    return dict(zip(names, block[live, 0].tolist()))
+        return {name: complex(np.linalg.norm(row)) for name, row in zip(names, block)}
+    return dict(zip(names, block[:, 0].tolist()))

@@ -7,8 +7,8 @@ It also builds the oversize pointer sets that the run and CLI tests
 feed to the amplitude and register limits, the pointer entries that
 put a weak packet on one grid point, and the north-star
 composite that exercises many stages, many pointers and a large
-dimension at once. pytest does not collect this module; test modules
-and CI steps import it.
+dimension at once, and the same file written in a random basis. pytest
+does not collect this module; test modules and CI steps import it.
 """
 
 from __future__ import annotations
@@ -197,3 +197,33 @@ def composite(seed, stages, dim, n_strong, n_weak, n_null):
         sites.append({"label": f"n{j}", "stage": names[k], "kind": "ket",
                       "data": pairs(unit(w - back * np.vdot(back, w) / np.vdot(back, back)))})
     return assemble(dim, names, mats, pre, post, sites, pointers)
+
+
+def rotated(d, seed):
+    """The scenario file d written in the basis V = random_unitary(default_rng(seed), dim).
+
+    pre and post become V x, each segment V U V^+, each ket site's data
+    V u and each matrix site's data V M V^+. Pointers, sum rules and the
+    tolerance stay as they are, so every answer of a run is the same.
+    """
+    dim = d["dim"]
+    v = random_unitary(np.random.default_rng(seed), dim)
+
+    def array(p):
+        return np.array(p, dtype=float).view(complex).ravel()
+
+    def ket(p):
+        return pairs(v @ array(p))
+
+    def matrix(p):
+        return pairs(v @ array(p).reshape(dim, dim) @ v.conj().T)
+
+    return {
+        **d,
+        "pre": ket(d["pre"]),
+        "post": ket(d["post"]),
+        "segments": [{**seg, "matrix": matrix(seg["matrix"])} for seg in d["segments"]],
+        "sites": [
+            {**s, "data": (ket if s["kind"] == "ket" else matrix)(s["data"])} for s in d["sites"]
+        ],
+    }

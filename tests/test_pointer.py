@@ -16,6 +16,7 @@ import pytest
 from builders import (
     CHI,
     PSI,
+    S3,
     assemble,
     composite,
     crossing_projector,
@@ -24,6 +25,7 @@ from builders import (
     path_projector,
     random_state,
     random_unitary,
+    rotated,
     unit,
     weak_on_empty_path,
     with_path_detectors,
@@ -357,6 +359,15 @@ def test_four_strong_pointers_split_into_three_patterns():
     assert abs(amps[("D",)] - third) <= 1e-12
     assert abs(amps[("O", "E'")] - third) <= 1e-12
     assert abs(amps[("O", "F'")] + third) <= 1e-12
+
+
+def test_pattern_amplitudes_name_every_grouped_row_even_an_exactly_zero_one():
+    # The hit branch (S3, 0, 0) postselects on e_1 to exactly 0. Its row
+    # is still named; only a disturbance row's tolerance drops it.
+    specs = _strong_specs(("D",))
+    branches, codes = _couple_all(PSI, specs, [(path_projector(0), "D")])
+    amps = pattern_amplitudes(*_postselected(branches, codes, [0.0, 1.0, 0.0], specs), specs)
+    assert amps == {(): S3, ("D",): 0j}
 
 
 @pytest.mark.parametrize(
@@ -802,6 +813,40 @@ def test_north_star_disturbance_rows_match_the_pattern_resolved_channel(args):
         assert set(row.branches) == set(kept)
         for pat, amp in row.branches.items():
             assert abs(abs(amp) ** 2 - kept[pat]) <= 1e-12
+
+
+def _close(a, b):
+    return np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "args", [(1, 200, 16, 12, 2, 4), (1, 200, 16, 10, 4, 4), (3, 200, 16, 12, 0, 4)],
+    ids=lambda a: f"seed{a[0]}-{a[3]}+{a[4]}",
+)
+def test_every_answer_is_the_same_in_a_rotated_basis(args):
+    # In the file's basis many branches are exactly zero; in rotated(d, 7)
+    # none is, so the rotated run keeps every branch live and only the
+    # tolerance and PATTERN_FLOOR decide what a report shows.
+    d = composite(*args)
+    sc, turned = from_dict(d), from_dict(rotated(d, 7))
+    a, b = run_pointers(sc), run_pointers(turned)
+    assert _close(a.postselection_probability, b.postselection_probability)
+    for x, y in ((a.clicks, b.clicks), (a.patterns, b.patterns)):
+        assert list(x) == list(y) and _close(list(x.values()), list(y.values()))
+    assert list(a.weak_stats) == list(b.weak_stats)
+    for x, y in zip(a.weak_stats.values(), b.weak_stats.values()):
+        assert _close(x.mean, y.mean) and _close(x.variance, y.variance)
+        assert _close(x.probabilities, y.probabilities)
+    assert [row.site for row in a.weak_values] == [row.site for row in b.weak_values]
+    for x, y in zip(a.weak_values, b.weak_values):
+        assert _close(x.numerator, y.numerator) and _close(x.denominator, y.denominator)
+        assert _close(x.value, y.value)
+    rows, turned_rows = disturbance_table(sc).disturbance, disturbance_table(turned).disturbance
+    assert [row.site for row in rows] == [row.site for row in turned_rows]
+    for x, y in zip(rows, turned_rows):
+        assert list(x.branches) == list(y.branches)
+        assert _close(list(x.branches.values()), list(y.branches.values()))
+        assert _close(x.undisturbed, y.undisturbed)
 
 
 FORBIDDEN = ("three-path-fig1", "three-path-fig1-oprime", "three-path-fig2")
