@@ -372,40 +372,31 @@ def _want(d: dict, key: str, types, where: str):
     return val
 
 
-def _is_pair(x) -> bool:
-    """Whether x is a [re, im] pair of real numbers that fit a float."""
-    if not (isinstance(x, (list, tuple)) and len(x) == 2):
-        return False
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x):
-        return False
+def _plain_floats(x) -> np.ndarray | None:
+    """x's numbers as one float array if x is a list of plain-JSON pairs, else None."""
+    # A plain-JSON pair is a list of two ints or floats, exact types, that fit a float.
+    if not (set(map(type, x)) <= {list} and set(map(len, x)) <= {2}):
+        return None
+    flat = list(itertools.chain.from_iterable(x))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
     try:
-        float(x[0]), float(x[1])
+        return np.array(flat, dtype=float)
     except OverflowError:
-        return False
-    return True
+        return None
 
 
 def _parse_array(x, shape: tuple, where: str) -> np.ndarray:
-    """A list of [re, im] pairs as a complex array of the given shape."""
+    """A plain-JSON list of [re, im] pairs as a complex array of the given shape."""
     n = math.prod(shape)
     if not isinstance(x, list) or len(x) != n:
         order = "row-major " if len(shape) > 1 else ""
         raise ScenarioError(SCHEMA, f"{where} must be a {order}list of {n} [re, im] pairs")
-    # Plain JSON (lists of two ints or floats) converts in one go; any
-    # other input is checked pair by pair, naming the first bad pair.
-    parts = None
-    if set(map(type, x)) <= {list} and set(map(len, x)) <= {2}:
-        flat = list(itertools.chain.from_iterable(x))
-        if set(map(type, flat)) <= {int, float}:
-            try:
-                parts = np.array(flat, dtype=float)
-            except OverflowError:
-                pass
+    parts = _plain_floats(x)
     if parts is None:
-        for i, p in enumerate(x):
-            if not _is_pair(p):
-                raise ScenarioError(SCHEMA, f"{where}[{i}] must be a [re, im] pair, got {p!r}")
-        parts = np.array([v for p in x for v in p], dtype=float)
+        # The list fails exactly when one of its pairs does: name the first.
+        i = next(i for i, p in enumerate(x) if _plain_floats([p]) is None)
+        raise ScenarioError(SCHEMA, f"{where}[{i}] must be a [re, im] pair, got {x[i]!r}")
     arr = parts.view(complex)
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
@@ -433,14 +424,12 @@ _SITE_NDIM = {KIND_KET: 1, KIND_MATRIX: 2}
 
 def _items(d: dict, key: str, keys: frozenset, required: bool = True):
     """(where, entry) for each object in the list d[key]."""
-    raw = _want(d, key, list, "scenario") if required else d.get(key, [])
-    if not isinstance(raw, list):
-        raise ScenarioError(SCHEMA, f"{key} must be a list")
+    raw = _want(d, key, list, "scenario") if required or key in d else []
     return [(f"{key}[{i}]", _object(x, f"{key}[{i}]", keys)) for i, x in enumerate(raw)]
 
 
 def from_dict(d: dict) -> Scenario:
-    """Parse a Scenario from its plain-JSON form.
+    """Parse a Scenario from its plain-JSON form, as json.loads gives it.
 
     Parsing checks shapes, types and finiteness only; the invariants
     (unitarity, normalization, projectors, references, sum rules) are
@@ -561,11 +550,9 @@ def load(path) -> Scenario:
     """
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
         try:
-            text = fh.read()
+            data = _parse(fh.read())
         except UnicodeDecodeError as exc:
             raise ScenarioError(SCHEMA, f"not valid UTF-8: {exc}") from exc
-    data = _parse(text)
-    del text
     return from_dict(data)
 
 

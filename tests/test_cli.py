@@ -417,6 +417,7 @@ def test_oversize_pointer_set_validates_but_does_not_run(capsys, tmp_path):
             [sys.executable, "-m", "wvlab.cli", "run", "--scenario", str(path)],
             capture_output=True,
             text=True,
+            encoding="utf-8",
             timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_VALIDATION, "", want)
@@ -427,6 +428,7 @@ def test_module_entry_point_smoke():
         [sys.executable, "-m", "wvlab.cli", "weak-values"],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=60,
     )
     assert proc.returncode == 0

@@ -157,7 +157,7 @@ def test_disturbance_without_pointers_reduces_to_amplitudes():
 
 def _degenerate_scenario(pointers=()):
     d = to_dict(default_three_path(pointers))
-    s2 = 1.0 / np.sqrt(2.0)
+    s2 = float(1.0 / np.sqrt(2.0))
     d["post"] = [[0.0, 0.0], [s2, 0.0], [-s2, 0.0]]
     return from_dict(d)
 
@@ -218,7 +218,7 @@ def test_report_dict_has_stable_top_level_keys():
 @pytest.mark.parametrize("run", [run_weak_values, run_pointers, disturbance_table])
 def test_a_report_hashes_its_scenario_only_when_an_output_reads_it(run):
     with open(os.path.join(os.path.dirname(__file__), "data", "cli_golden",
-                           "three-path-fig2.run.json")) as fh:
+                           "three-path-fig2.run.json"), encoding="utf-8") as fh:
         want = json.load(fh)["scenario"]["checksum"]
     readers = (
         lambda rep: rep.checksum,

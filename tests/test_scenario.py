@@ -60,6 +60,9 @@ def _tampered(**edits):
     return d
 
 
+_POST = to_dict(default_three_path())["post"]
+
+
 def test_default_scenario_layout():
     sc = default_three_path()
     assert sc.dim == 3
@@ -343,6 +346,29 @@ def test_site_refuses_what_has_no_projector(kind, data, code, message):
         ({"pre": [[0.9, 0.0], [0.0, 0.0], [0.0, 0.0]]}, NON_NORMALIZED_STATE, "pre"),
         ({"extra_key": 1}, SCHEMA, "extra_key"),
         ({"tolerance": "tight"}, SCHEMA, "tolerance"),
+        # A complex number is a plain-JSON [re, im] pair; anything else,
+        # a tuple or numpy scalar from a hand-built dict too, is refused
+        # with the pair named.
+        *(
+            pytest.param({"post": [_POST[0], pair, _POST[2]]}, SCHEMA,
+                         f"post[1] must be a [re, im] pair, got {pair!r}", id=name)
+            for name, pair in (
+                ("tuple-pair", tuple(_POST[1])),
+                ("numpy-pair", [np.float64(v) for v in _POST[1]]),
+                ("bool-pair", [True, 0.0]),
+                ("string-pair", ["0.5", 0.0]),
+                ("three-long-pair", [0.5, 0.0, 0.0]),
+                ("overflowing-pair", [10**400, 0]),
+                ("bare-number", 5),
+            )
+        ),
+        pytest.param({"post": [_POST[0], [float("inf"), 0.0], _POST[2]]}, SCHEMA,
+                     "post[1] is not finite", id="infinite-pair"),
+        # An optional list has the type check of a required one.
+        pytest.param({"pointers": {}}, SCHEMA, "scenario.pointers has the wrong type",
+                     id="pointers-object"),
+        pytest.param({"sum_rules": 5}, SCHEMA, "scenario.sum_rules has the wrong type",
+                     id="sum-rules-number"),
     ],
 )
 def test_top_level_schema_rejections(edits, code, needle):
@@ -521,7 +547,7 @@ def test_with_overrides():
 
 def test_degenerate_scenario_flagged():
     d = to_dict(default_three_path())
-    s2 = 1.0 / np.sqrt(2.0)
+    s2 = float(1.0 / np.sqrt(2.0))
     d["post"] = [[0.0, 0.0], [s2, 0.0], [-s2, 0.0]]
     sc = from_dict(d)
     assert abs(sweep(sc.timeline, sc.prepost).amplitude) <= sc.tolerance

@@ -42,7 +42,7 @@ def _child(args) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", *args],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        cwd=ROOT, env=env, capture_output=True, text=True, encoding="utf-8", timeout=120,
     )
 
 

@@ -283,7 +283,7 @@ def test_coarse_weak_grid_fails_validate_with_schema(change, tmp_path, capsys):
         from_dict(d)
     assert info.value.code == SCHEMA
     path = tmp_path / "coarse.json"
-    path.write_text(json.dumps(d))
+    path.write_text(json.dumps(d), encoding="utf-8")
     code = cli.main(["validate", "--scenario", str(path)])
     captured = capsys.readouterr()
     assert code == cli.EXIT_VALIDATION and captured.out == ""
